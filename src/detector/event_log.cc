@@ -1,5 +1,7 @@
 #include "detector/event_log.h"
 
+#include <algorithm>
+
 #include "detector/local_detector.h"
 
 namespace sentinel::detector {
@@ -115,10 +117,16 @@ Result<std::vector<PrimitiveOccurrence>> EventLog::Load() const {
   if (file_ == nullptr) return memory_;
   std::vector<PrimitiveOccurrence> result;
   std::fflush(file_);
+  std::fseek(file_, 0, SEEK_END);
+  const long end = std::ftell(file_);
   std::fseek(file_, 0, SEEK_SET);
   for (;;) {
     std::uint32_t size = 0;
     if (std::fread(&size, sizeof(size), 1, file_) != 1) break;
+    // The prefix is untrusted: one longer than the rest of the file is a
+    // torn (or corrupt) tail, never an allocation request.
+    const long left = std::max(0L, end - std::ftell(file_));
+    if (size > static_cast<unsigned long>(left)) break;
     std::vector<std::uint8_t> buf(size);
     if (size > 0 && std::fread(buf.data(), size, 1, file_) != 1) break;
     BytesReader reader(buf);

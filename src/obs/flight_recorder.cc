@@ -14,10 +14,9 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
   log_ring_.resize(kLogCapacity);
 }
 
-void FlightRecorder::Record(const Span& span) {
-  recorded_.fetch_add(1, std::memory_order_relaxed);
+void FlightRecorder::Record(Span span) {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_[next_ % capacity_] = span;
+  ring_[next_ % capacity_] = std::move(span);
   ++next_;
 }
 
@@ -51,6 +50,7 @@ std::vector<Span> FlightRecorder::Snapshot() const {
   out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     out.push_back(ring_[(first + i) % capacity_]);
+    RenderLabel(&out.back());
   }
   return out;
 }

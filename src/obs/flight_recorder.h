@@ -32,7 +32,7 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  void Record(const Span& span);
+  void Record(Span span);
 
   /// Last spans, oldest first.
   std::vector<Span> Snapshot() const;
@@ -55,7 +55,8 @@ class FlightRecorder {
   }
 
   std::uint64_t recorded() const {
-    return recorded_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    return next_;
   }
   /// Postmortems requested (whether or not a destination was configured).
   std::uint64_t dumps() const { return dumps_.load(std::memory_order_relaxed); }
@@ -73,7 +74,6 @@ class FlightRecorder {
   std::uint64_t next_ = 0;  // total spans ever recorded (ring write position)
   std::vector<LogEntry> log_ring_;  // guarded by mu_, like the span ring
   std::uint64_t log_next_ = 0;
-  std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> logs_recorded_{0};
   std::atomic<std::uint64_t> dumps_{0};
 };

@@ -27,45 +27,52 @@ std::mutex& AliveMutex() {
   static std::mutex* mu = new std::mutex();
   return *mu;
 }
-std::unordered_set<Profiler*>& AliveSet() {
-  static auto* set = new std::unordered_set<Profiler*>();
+/// Keyed by process-unique uid, not address: a new profiler may reuse a
+/// destroyed one's address (two databases in turn on one stack frame).
+std::unordered_set<std::uint64_t>& AliveSet() {
+  static auto* set = new std::unordered_set<std::uint64_t>();
   return *set;
 }
 
-void UnregisterIfAlive(Profiler* profiler,
+std::uint64_t NextProfilerUid() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+void UnregisterIfAlive(Profiler* profiler, std::uint64_t uid,
                        Profiler::ThreadAnnotations* annotations) {
   // Holding the alive mutex across the unregister pins ~Profiler (which
   // erases itself under the same mutex before tearing anything down), so the
   // call below never races destruction.
   std::lock_guard<std::mutex> lock(AliveMutex());
-  if (AliveSet().count(profiler) != 0) {
-    profiler->UnregisterThread(annotations);
-  }
+  if (AliveSet().count(uid) != 0) profiler->UnregisterThread(annotations);
 }
 
 /// Thread-local registration handle for EnsureThisThread: unregisters at
-/// thread exit. One slot per thread is enough — workers belong to exactly
-/// one database (and therefore one profiler) at a time.
+/// thread exit. One slot per thread: a worker belongs to one database at a
+/// time, and an application thread that drains rules for several databases
+/// in turn re-registers on each switch.
 struct ThreadRegistration {
   Profiler* owner = nullptr;
+  std::uint64_t owner_uid = 0;
   Profiler::ThreadAnnotations* annotations = nullptr;
   ~ThreadRegistration() {
-    if (owner != nullptr) UnregisterIfAlive(owner, annotations);
+    if (owner != nullptr) UnregisterIfAlive(owner, owner_uid, annotations);
   }
 };
 thread_local ThreadRegistration t_registration;
 
 }  // namespace
 
-Profiler::Profiler() {
+Profiler::Profiler() : uid_(NextProfilerUid()) {
   std::lock_guard<std::mutex> lock(AliveMutex());
-  AliveSet().insert(this);
+  AliveSet().insert(uid_);
 }
 
 Profiler::~Profiler() {
   {
     std::lock_guard<std::mutex> lock(AliveMutex());
-    AliveSet().erase(this);
+    AliveSet().erase(uid_);
   }
   Stop();
 }
@@ -355,9 +362,10 @@ void Profiler::UnregisterThread(ThreadAnnotations* thread) {
 
 Profiler::ThreadAnnotations* Profiler::EnsureThisThread(
     const char* name_prefix) {
-  if (t_registration.owner == this) return t_registration.annotations;
+  if (t_registration.owner_uid == uid_) return t_registration.annotations;
   if (t_registration.owner != nullptr) {
-    UnregisterIfAlive(t_registration.owner, t_registration.annotations);
+    UnregisterIfAlive(t_registration.owner, t_registration.owner_uid,
+                      t_registration.annotations);
     t_registration.owner = nullptr;
   }
   std::string name;
@@ -368,6 +376,7 @@ Profiler::ThreadAnnotations* Profiler::EnsureThisThread(
   }
   t_registration.annotations = RegisterThread(std::move(name));
   t_registration.owner = this;
+  t_registration.owner_uid = uid_;
   return t_registration.annotations;
 }
 

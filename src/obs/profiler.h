@@ -350,6 +350,8 @@ class Profiler {
   mutable std::shared_mutex sites_mu_;
   std::map<std::string, std::unique_ptr<ContentionSite>> sites_;
 
+  const std::uint64_t uid_;  // identifies this profiler to thread registrations
+
   mutable std::mutex threads_mu_;
   std::deque<ThreadAnnotations> thread_storage_;
   std::vector<ThreadAnnotations*> active_threads_;

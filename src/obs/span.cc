@@ -112,6 +112,15 @@ const char* TraceModeToString(TraceMode mode) {
   return "?";
 }
 
+void RenderLabel(Span* span) {
+  if (!span->label.empty() || span->name == nullptr) return;
+  span->label = *span->name;
+  if (span->kind != SpanKind::kSubTxn) {
+    span->label += '.';
+    span->label += SpanKindToString(span->kind);
+  }
+}
+
 std::uint64_t SpanTracer::NowNs() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -174,10 +183,16 @@ SpanTracer::ThreadRing* SpanTracer::RingForThisThread() {
 
 void SpanTracer::Commit(Span&& span) {
   recorded_.fetch_add(1, std::memory_order_relaxed);
+  const bool full = mode_.load(std::memory_order_relaxed) == TraceMode::kFull;
   if (FlightRecorder* fr = flight_.load(std::memory_order_acquire)) {
+    // Flight-only: the ring is the span's last stop, so hand it over.
+    if (!full) {
+      fr->Record(std::move(span));
+      return;
+    }
     fr->Record(span);
   }
-  if (mode_.load(std::memory_order_relaxed) != TraceMode::kFull) return;
+  if (!full) return;
   ThreadRing* ring = RingForThisThread();
   std::lock_guard<std::mutex> lock(ring->mu);
   std::uint64_t pos = ring->seq.fetch_add(1, std::memory_order_relaxed);
@@ -257,6 +272,7 @@ std::vector<Span> SpanTracer::Snapshot() const {
       std::uint64_t first = seq - count;
       for (std::uint64_t i = 0; i < count; ++i) {
         out.push_back(ring->slots[(first + i) % ring_capacity_]);
+        RenderLabel(&out.back());
       }
     }
   }
@@ -386,7 +402,22 @@ Status SpanTracer::ExportChromeTrace(const std::string& path,
 void SpanScope::Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
                       std::string label, std::uint64_t subtxn,
                       std::uint64_t parent_override) {
-  if (tracer == nullptr || tracer_ != nullptr) return;
+  if (!Open(tracer, kind, txn, subtxn, parent_override, 0)) return;
+  span_.label = std::move(label);
+}
+
+void SpanScope::Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
+                      std::shared_ptr<const std::string> name,
+                      std::uint64_t subtxn, std::uint64_t parent_override,
+                      std::uint64_t start_ns) {
+  if (!Open(tracer, kind, txn, subtxn, parent_override, start_ns)) return;
+  span_.name = std::move(name);
+}
+
+bool SpanScope::Open(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
+                     std::uint64_t subtxn, std::uint64_t parent_override,
+                     std::uint64_t start_ns) {
+  if (tracer == nullptr || tracer_ != nullptr) return false;
   tracer_ = tracer;
   span_.id = tracer->NextSpanId();
   span_.parent =
@@ -394,16 +425,16 @@ void SpanScope::Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
   span_.kind = kind;
   span_.txn = txn;
   span_.subtxn = subtxn;
-  span_.start_ns = SpanTracer::NowNs();
+  span_.start_ns = start_ns != 0 ? start_ns : SpanTracer::NowNs();
   span_.tid = ThisThreadId();
-  span_.label = std::move(label);
   pushed_ = PushScope(tracer->uid_, span_.id);
+  return true;
 }
 
-void SpanScope::End() {
+void SpanScope::End(std::uint64_t end_ns) {
   if (tracer_ == nullptr) return;
   if (pushed_) PopScope(tracer_->uid_, span_.id);
-  span_.end_ns = SpanTracer::NowNs();
+  span_.end_ns = end_ns != 0 ? end_ns : SpanTracer::NowNs();
   tracer_->Commit(std::move(span_));
   tracer_ = nullptr;
   pushed_ = false;

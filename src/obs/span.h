@@ -70,6 +70,11 @@ struct Span {
   std::uint64_t end_ns = 0;
   std::uint32_t tid = 0;
   std::string label;
+  /// Rule spans (subtxn, condition, action) record the rule's shared name
+  /// instead of a label, so the firing path neither copies nor concatenates
+  /// strings; RenderLabel() builds the label when a snapshot is taken. The
+  /// shared handle keeps the name alive after the rule is deleted.
+  std::shared_ptr<const std::string> name;
   // Distributed-trace linkage (DESIGN.md §14). `trace` groups the spans of
   // one cross-process causal chain; `remote_parent` is the causal parent's
   // span id, which may live in ANOTHER process's export — span ids are
@@ -78,6 +83,11 @@ struct Span {
   std::uint64_t trace = 0;
   std::uint64_t remote_parent = 0;
 };
+
+/// Fills an empty `label` from `name`: the rule name for a subtxn span,
+/// "<rule>.<kind>" for its condition and action spans. Snapshots call it, so
+/// every consumer sees the same label strings.
+void RenderLabel(Span* span);
 
 /// Causal span tracer. Same budget discipline as the provenance tracer
 /// (PR 3): a single relaxed load decides "off", and every instrumentation
@@ -230,7 +240,14 @@ class SpanScope {
   void Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
              std::string label, std::uint64_t subtxn = 0,
              std::uint64_t parent_override = 0);
-  void End();
+  /// Rule span: holds `name` by reference (the label is rendered at
+  /// snapshot time). A nonzero `start_ns` is a steady-clock reading the
+  /// caller already took; 0 reads the clock.
+  void Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
+             std::shared_ptr<const std::string> name, std::uint64_t subtxn,
+             std::uint64_t parent_override = 0, std::uint64_t start_ns = 0);
+  /// Closes the span at `end_ns` when nonzero, else at the current time.
+  void End(std::uint64_t end_ns = 0);
 
   /// Marks an open span as part of distributed trace `trace`, causally
   /// parented by `remote_parent` (a span id possibly from another process;
@@ -245,6 +262,11 @@ class SpanScope {
   std::uint64_t id() const { return span_.id; }
 
  private:
+  /// Shared part of both Start forms; false when the scope stays inert.
+  bool Open(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
+            std::uint64_t subtxn, std::uint64_t parent_override,
+            std::uint64_t start_ns);
+
   SpanTracer* tracer_ = nullptr;
   bool pushed_ = false;
   Span span_;

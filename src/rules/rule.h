@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "common/clock.h"
@@ -74,7 +75,12 @@ class Rule : public detector::EventSink {
   Rule(std::string name, std::string event_name, ConditionFn condition,
        ActionFn action);
 
-  const std::string& name() const { return name_; }
+  const std::string& name() const { return *name_; }
+  /// Shared handle to the name: rule spans hold it instead of copying the
+  /// string, and it outlives the rule in the flight recorder's ring.
+  const std::shared_ptr<const std::string>& shared_name() const {
+    return name_;
+  }
   /// The event the rule is subscribed to after any coupling-mode rewrite
   /// (for a DEFERRED rule this is the generated A* event).
   const std::string& event_name() const { return event_name_; }
@@ -128,7 +134,7 @@ class Rule : public detector::EventSink {
   void set_manager(RuleManager* manager) { manager_ = manager; }
 
  private:
-  std::string name_;
+  std::shared_ptr<const std::string> name_;
   std::string event_name_;
   std::string declared_event_;
   ConditionFn condition_;

@@ -32,7 +32,7 @@ const char* CouplingModeToString(CouplingMode mode) {
 
 Rule::Rule(std::string name, std::string event_name, ConditionFn condition,
            ActionFn action)
-    : name_(std::move(name)),
+    : name_(std::make_shared<const std::string>(std::move(name))),
       event_name_(event_name),
       declared_event_(std::move(event_name)),
       condition_(std::move(condition)),

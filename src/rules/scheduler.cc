@@ -172,19 +172,33 @@ void RuleScheduler::Drain() {
       Execute(std::move(batch[0]));
       continue;
     }
+    // A priority class of k firings: k-1 go to the pool and the draining
+    // thread runs the last one itself instead of idling until the class
+    // completes. Members still overlap in time.
     std::mutex done_mu;
     std::condition_variable done_cv;
-    std::size_t remaining = batch.size();
-    for (Firing& firing : batch) {
-      pool_->Submit([this, f = std::move(firing), &done_mu, &done_cv,
+    std::size_t remaining = batch.size() - 1;
+    for (std::size_t i = 0; i + 1 < batch.size(); ++i) {
+      pool_->Submit([this, f = std::move(batch[i]), &done_mu, &done_cv,
                      &remaining]() mutable {
         Execute(std::move(f));
         std::lock_guard<std::mutex> lock(done_mu);
         if (--remaining == 0) done_cv.notify_all();
       });
     }
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&remaining] { return remaining == 0; });
+    // The pool tasks reference this frame: wait for them even if the
+    // calling thread's member throws (e.g. from an execution observer).
+    auto wait_for_pool = [&] {
+      std::unique_lock<std::mutex> lock(done_mu);
+      done_cv.wait(lock, [&remaining] { return remaining == 0; });
+    };
+    try {
+      Execute(std::move(batch.back()));
+    } catch (...) {
+      wait_for_pool();
+      throw;
+    }
+    wait_for_pool();
   }
 }
 
@@ -251,12 +265,12 @@ void RuleScheduler::Execute(Firing firing) {
   // into the firing when it was enqueued — the execution usually happens on
   // a different thread, so the per-thread scope stack cannot supply it).
   // The scope stays open across commit/abort below so the span covers the
-  // whole firing lifecycle; condition/action child spans nest inside it via
+  // whole subtransaction; condition/action child spans nest inside it via
   // this thread's scope stack.
   obs::SpanScope subtxn_span;
   if (spans) {
     subtxn_span.Start(span_tracer, obs::SpanKind::kSubTxn, firing.txn,
-                      rule->name(), sub, firing.trigger_span);
+                      rule->shared_name(), sub, firing.trigger_span);
   }
 
   // Publish this firing as the current frame so nested triggers (raised from
@@ -291,36 +305,41 @@ void RuleScheduler::Execute(Firing firing) {
         // Conditions are side-effect free: suppress event signalling while
         // the condition function runs (§3.2.1).
         detector::LocalEventDetector::SuppressScope guard;
-        obs::SpanScope cond_span;
-        if (spans && span_tracer->enabled_for(obs::SpanKind::kCondition)) {
-          cond_span.Start(span_tracer, obs::SpanKind::kCondition, firing.txn,
-                          rule->name() + ".condition", sub);
-        }
         obs::Profiler::AnnotationScope cond_frame(profiler, annotations,
                                                   "condition");
         const std::uint64_t cpu0 =
             profiling ? obs::Profiler::ThreadCpuNs() : 0;
+        // The condition span reuses the histogram's clock readings.
         const std::uint64_t t0 = NowNs();
+        obs::SpanScope cond_span;
+        if (spans && span_tracer->enabled_for(obs::SpanKind::kCondition)) {
+          cond_span.Start(span_tracer, obs::SpanKind::kCondition, firing.txn,
+                          rule->shared_name(), sub, 0, t0);
+        }
         condition_held = rule->condition()(ctx);
-        const std::uint64_t wall = NowNs() - t0;
+        const std::uint64_t t1 = NowNs();
+        cond_span.End(t1);
+        const std::uint64_t wall = t1 - t0;
         rule->metrics().condition_ns.Record(wall);
         if (profiling) {
           prof_condition = {obs::Profiler::ThreadCpuNs() - cpu0, wall, true};
         }
       }
       if (condition_held && rule->action()) {
-        obs::SpanScope action_span;
-        if (spans && span_tracer->enabled_for(obs::SpanKind::kAction)) {
-          action_span.Start(span_tracer, obs::SpanKind::kAction, firing.txn,
-                            rule->name() + ".action", sub);
-        }
         obs::Profiler::AnnotationScope action_frame(profiler, annotations,
                                                     "action");
         const std::uint64_t cpu0 =
             profiling ? obs::Profiler::ThreadCpuNs() : 0;
         const std::uint64_t t0 = NowNs();
+        obs::SpanScope action_span;
+        if (spans && span_tracer->enabled_for(obs::SpanKind::kAction)) {
+          action_span.Start(span_tracer, obs::SpanKind::kAction, firing.txn,
+                            rule->shared_name(), sub, 0, t0);
+        }
         rule->action()(ctx);
-        const std::uint64_t wall = NowNs() - t0;
+        const std::uint64_t t1 = NowNs();
+        action_span.End(t1);
+        const std::uint64_t wall = t1 - t0;
         rule->metrics().action_ns.Record(wall);
         if (profiling) {
           prof_action = {obs::Profiler::ThreadCpuNs() - cpu0, wall, true};
@@ -338,6 +357,7 @@ void RuleScheduler::Execute(Firing firing) {
 
   t_frame = prev_frame;
 
+  std::uint64_t subtxn_end_ns = 0;  // 0 = the span reads the clock itself
   if (sub != txn::kInvalidSubTxn) {
     // The time this subtransaction spent blocked acquiring nested locks is
     // accumulated by the lock table; harvest it before the subtxn finishes.
@@ -346,7 +366,8 @@ void RuleScheduler::Execute(Firing firing) {
       const std::uint64_t cpu0 = profiling ? obs::Profiler::ThreadCpuNs() : 0;
       const std::uint64_t t0 = NowNs();
       Status commit = nested_->Commit(sub);
-      const std::uint64_t commit_wall = NowNs() - t0;
+      subtxn_end_ns = NowNs();
+      const std::uint64_t commit_wall = subtxn_end_ns - t0;
       rule->metrics().commit_ns.Record(commit_wall);
       if (profiling) {
         prof_commit = {obs::Profiler::ThreadCpuNs() - cpu0, commit_wall,
@@ -365,7 +386,8 @@ void RuleScheduler::Execute(Firing firing) {
     } else {
       const std::uint64_t t0 = NowNs();
       Status aborted = nested_->Abort(sub);
-      rule->metrics().abort_ns.Record(NowNs() - t0);
+      subtxn_end_ns = NowNs();
+      rule->metrics().abort_ns.Record(subtxn_end_ns - t0);
       if (tracing) {
         tracer->Record(obs::EdgeKind::kSubTxn, rule->name(), "abort",
                        firing.txn, firing.context, sub);
@@ -376,6 +398,9 @@ void RuleScheduler::Execute(Firing firing) {
       }
     }
   }
+  // The subtxn span closes with the commit/abort, at the reading taken for
+  // its histogram, so a postmortem dumped by the contingency below sees it.
+  subtxn_span.End(subtxn_end_ns);
 
   if (profiling) {
     profiler->RecordRuleFiring(rule->name(), &firing.occurrence,

@@ -124,6 +124,8 @@ class RuleScheduler {
   /// Runs queued firings to completion (nested firings included). Called by
   /// the application thread after signalling; it blocks — the paper's
   /// "main application is suspended and the rule scheduler is invoked".
+  /// A priority class of several firings runs concurrently: all but one go
+  /// to the pool and the calling thread executes the last.
   void Drain();
 
   /// Blocks until the detached queue is empty (tests and shutdown).

@@ -106,6 +106,37 @@ TEST_F(EventLogTest, FileBackedLogSurvivesReload) {
   ASSERT_TRUE(reloaded.Close().ok());
 }
 
+TEST_F(EventLogTest, OversizedLengthPrefixIsATornTail) {
+  {
+    LocalEventDetector det;
+    EventLog log;
+    ASSERT_TRUE(log.OpenFile(path_).ok());
+    log.AttachTo(&det);
+    DefineSeqGraph(&det);
+    RecordingSink sink;
+    ASSERT_TRUE(det.Subscribe("a_then_b", &sink, ParamContext::kRecent).ok());
+    Fire(&det, "C", "void fa()", 1);
+    Fire(&det, "C", "void fb()", 2);
+    ASSERT_TRUE(log.Close().ok());
+  }
+  // A corrupt last record claims 4 GiB; only a few bytes follow it.
+  std::FILE* f = std::fopen(path_.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  const std::uint32_t huge = 0xFFFFFFFFu;
+  ASSERT_EQ(std::fwrite(&huge, sizeof(huge), 1, f), 1u);
+  ASSERT_EQ(std::fwrite("abc", 3, 1, f), 1u);
+  std::fclose(f);
+
+  EventLog reloaded;
+  ASSERT_TRUE(reloaded.OpenFile(path_).ok());
+  auto occurrences = reloaded.Load();
+  ASSERT_TRUE(occurrences.ok());
+  ASSERT_EQ(occurrences->size(), 2u);
+  EXPECT_EQ((*occurrences)[0].params->Get("v")->AsInt(), 1);
+  EXPECT_EQ((*occurrences)[1].params->Get("v")->AsInt(), 2);
+  ASSERT_TRUE(reloaded.Close().ok());
+}
+
 TEST_F(EventLogTest, SerializationRoundTripsAllFields) {
   PrimitiveOccurrence occ;
   occ.event_name = "e";

@@ -470,8 +470,72 @@ TEST(ObsSpanTest, AbortTopContingencyEmitsPostmortem) {
   EXPECT_TRUE(JsonBalanced(postmortem));
   EXPECT_NE(postmortem.find("\"victim_txn\""), std::string::npos);
   EXPECT_NE(postmortem.find("\"last_spans\""), std::string::npos);
+  // The failing rule's subtxn span closes before the contingency dumps.
+  EXPECT_NE(postmortem.find("\"label\":\"exploding_rule\""),
+            std::string::npos);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
+}
+
+// Rule spans hold the rule's name by reference and render their labels at
+// snapshot time; the flight ring outlives the rule, so the labels must still
+// read correctly after DeleteRule (ASan catches a dangling name).
+TEST(ObsSpanTest, RuleSpanLabelsOutliveDeletedRule) {
+  ActiveDatabase db;
+  ASSERT_TRUE(db.OpenInMemory().ok());
+  db.span_tracer()->set_mode(TraceMode::kFull);
+  ASSERT_TRUE(db.detector()->DefineExplicit("ev").ok());
+  ASSERT_TRUE(db.rule_manager()
+                  ->DefineRule(
+                      "r", "ev", [](const rules::RuleContext&) { return true; },
+                      [](const rules::RuleContext&) {})
+                  .ok());
+  auto txn = db.Begin();
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE(db.RaiseEvent("ev", nullptr, *txn).ok());
+  ASSERT_TRUE(db.Commit(*txn).ok());
+
+  auto check = [](const std::vector<Span>& spans) {
+    // System rules (e.g. the commit-time flush) fire too; pick r's spans.
+    const Span* subtxn = nullptr;
+    for (const Span& span : spans) {
+      if (span.kind == SpanKind::kSubTxn && span.label == "r") subtxn = &span;
+    }
+    ASSERT_NE(subtxn, nullptr);
+    const Span* condition = nullptr;
+    const Span* action = nullptr;
+    for (const Span& span : spans) {
+      if (span.parent != subtxn->id) continue;
+      if (span.kind == SpanKind::kCondition) condition = &span;
+      if (span.kind == SpanKind::kAction) action = &span;
+    }
+    ASSERT_NE(condition, nullptr);
+    ASSERT_NE(action, nullptr);
+    EXPECT_EQ(condition->label, "r.condition");
+    EXPECT_EQ(action->label, "r.action");
+    for (const Span* child : {condition, action}) {
+      EXPECT_GE(child->start_ns, subtxn->start_ns);
+      EXPECT_LE(child->end_ns, subtxn->end_ns);
+      EXPECT_LE(child->start_ns, child->end_ns);
+    }
+    EXPECT_LE(condition->end_ns, action->start_ns);
+  };
+  auto check_json = [](const std::string& json, const std::string& key) {
+    for (const char* label : {"r", "r.condition", "r.action"}) {
+      EXPECT_NE(json.find("\"" + key + "\":\"" + label + "\""),
+                std::string::npos)
+          << label;
+    }
+  };
+  check(db.flight_recorder()->Snapshot());
+  check_json(db.PostmortemJson("live", storage::kInvalidTxnId), "label");
+
+  ASSERT_TRUE(db.rule_manager()->DeleteRule("r").ok());
+  check(db.flight_recorder()->Snapshot());
+  check(db.span_tracer()->Snapshot());
+  check_json(db.PostmortemJson("deleted", storage::kInvalidTxnId), "label");
+  check_json(db.span_tracer()->ChromeTraceJson(), "name");
+  ASSERT_TRUE(db.Close().ok());
 }
 
 TEST(ObsSpanTest, WritePostmortemHonorsExplicitPath) {

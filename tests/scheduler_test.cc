@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -193,6 +195,75 @@ TEST_F(SchedulerTest, PriorityClassesRunEqualPathsTogether) {
   EXPECT_EQ(order[1], 9);
   EXPECT_EQ(order[2], 1);
   EXPECT_EQ(order[3], 1);
+}
+
+TEST_F(SchedulerTest, PriorityClassMembersStillOverlap) {
+  // Each member waits for the other to arrive: a class that ran its members
+  // one after another would time out.
+  RuleScheduler scheduler(
+      &nested_, nullptr,
+      RuleScheduler::Options{SchedulingPolicy::kPriorityClasses, 4});
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  std::atomic<int> met{0};
+  auto rendezvous = [&](const RuleContext&) {
+    std::unique_lock<std::mutex> lock(mu);
+    ++arrived;
+    cv.notify_all();
+    if (cv.wait_for(lock, std::chrono::seconds(5),
+                    [&arrived] { return arrived == 2; })) {
+      ++met;
+    }
+  };
+  Rule a("a", "e", nullptr, rendezvous);
+  Rule b("b", "e", nullptr, rendezvous);
+  scheduler.Enqueue(MakeFiring(&a, 3));
+  scheduler.Enqueue(MakeFiring(&b, 3));
+  scheduler.Drain();
+  EXPECT_EQ(met.load(), 2);
+  EXPECT_EQ(scheduler.executed_count(), 2u);
+}
+
+TEST_F(SchedulerTest, DrainRunsOneClassMemberOnCallingThread) {
+  RuleScheduler scheduler(
+      &nested_, nullptr,
+      RuleScheduler::Options{SchedulingPolicy::kPriorityClasses, 4});
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  Rule rule("r", "e", nullptr, [&](const RuleContext&) {
+    std::lock_guard<std::mutex> lock(mu);
+    ran_on.push_back(std::this_thread::get_id());
+  });
+  for (int i = 0; i < 3; ++i) scheduler.Enqueue(MakeFiring(&rule, 2));
+  scheduler.Drain();
+  ASSERT_EQ(ran_on.size(), 3u);
+  EXPECT_EQ(std::count(ran_on.begin(), ran_on.end(),
+                       std::this_thread::get_id()),
+            1);
+  EXPECT_EQ(nested_.active_count(), 0u);
+}
+
+TEST_F(SchedulerTest, DrainWaitsForClassWhenCallingThreadMemberThrows) {
+  // The pool members reference Drain's frame, so an exception from the
+  // member the draining thread runs must not unwind before they finish.
+  RuleScheduler scheduler(
+      &nested_, nullptr,
+      RuleScheduler::Options{SchedulingPolicy::kPriorityClasses, 4});
+  const std::thread::id drainer = std::this_thread::get_id();
+  scheduler.SetExecutionObserver([drainer](const Firing&, bool, Status) {
+    if (std::this_thread::get_id() == drainer) {
+      throw std::runtime_error("observer");
+    }
+  });
+  Rule rule("r", "e", nullptr, [drainer](const RuleContext&) {
+    if (std::this_thread::get_id() != drainer) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  });
+  for (int i = 0; i < 3; ++i) scheduler.Enqueue(MakeFiring(&rule, 2));
+  EXPECT_THROW(scheduler.Drain(), std::runtime_error);
+  EXPECT_EQ(scheduler.executed_count(), 3u);
 }
 
 TEST_F(SchedulerTest, SubtransactionsCleanedUpAfterDrain) {
