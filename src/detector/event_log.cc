@@ -1,6 +1,8 @@
 #include "detector/event_log.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 #include "detector/local_detector.h"
 
@@ -16,16 +18,25 @@ Status EventLog::OpenFile(const std::string& path) {
   file_ = std::fopen(path.c_str(), "a+b");
   if (file_ == nullptr) return Status::IOError("cannot open event log " + path);
   path_ = path;
+  status_ = Status::OK();
   return Status::OK();
 }
 
 Status EventLog::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ != nullptr) {
-    std::fclose(file_);
+    if (std::fclose(file_) != 0 && status_.ok()) {
+      status_ = Status::IOError("cannot close event log " + path_ + ": " +
+                                std::strerror(errno));
+    }
     file_ = nullptr;
   }
-  return Status::OK();
+  return status_;
+}
+
+Status EventLog::status() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return status_;
 }
 
 void EventLog::AttachTo(LocalEventDetector* detector) {
@@ -101,12 +112,16 @@ void EventLog::Record(const PrimitiveOccurrence& occurrence) {
   ++recorded_;
   if (file_ != nullptr) {
     // File-backed: the file is the store; no in-memory duplication.
+    if (!status_.ok()) return;
     BytesWriter writer;
     Serialize(occurrence, &writer);
     const std::uint32_t size = static_cast<std::uint32_t>(writer.size());
-    std::fwrite(&size, sizeof(size), 1, file_);
-    std::fwrite(writer.data().data(), size, 1, file_);
-    std::fflush(file_);
+    if (std::fwrite(&size, sizeof(size), 1, file_) != 1 ||
+        std::fwrite(writer.data().data(), size, 1, file_) != 1 ||
+        std::fflush(file_) != 0) {
+      status_ = Status::IOError("cannot write event log " + path_ + ": " +
+                                std::strerror(errno));
+    }
   } else {
     memory_.push_back(occurrence);
   }

@@ -32,7 +32,12 @@ class EventLog {
 
   /// Opens (appending) a log file; without a file the log is memory-only.
   Status OpenFile(const std::string& path);
+  /// Closes the file; returns the first write failure, if any (see status()).
   Status Close();
+
+  /// The first failure to write or flush the file. It is sticky: once set,
+  /// Record stops writing, so the file stays a readable prefix.
+  Status status() const;
 
   /// Registers this log as a raw observer of `detector`.
   void AttachTo(LocalEventDetector* detector);
@@ -61,6 +66,7 @@ class EventLog {
   std::size_t recorded_ = 0;  // total recorded this session
   std::FILE* file_ = nullptr;
   std::string path_;
+  Status status_;
 };
 
 }  // namespace sentinel::detector

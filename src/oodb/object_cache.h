@@ -2,12 +2,12 @@
 #define SENTINEL_OODB_OBJECT_CACHE_H_
 
 #include <atomic>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
+#include "common/lru_list.h"
 #include "oodb/persistence_manager.h"
 
 namespace sentinel::oodb {
@@ -16,11 +16,19 @@ namespace sentinel::oodb {
 /// (Fig. 1): keeps recently used objects deserialized in memory so repeated
 /// access avoids record reads and decoding.
 ///
+/// Each committed entry keeps the record id it was read from, so a hit
+/// skips the OID index and a miss searches it once. Record ids are stable
+/// (updates are in place and OIDs are never reused).
+///
 /// Isolation is preserved: a cache hit still acquires the record's shared
 /// lock through the storage engine's lock manager, so a reader blocks
 /// behind a concurrent writer exactly as an uncached read would. The main
 /// cache holds only committed versions; a transaction's own writes live in
 /// a per-transaction overlay promoted at commit and dropped at abort.
+///
+/// Updates and deletes of cached objects must go through the cache: a write
+/// made on the persistence manager directly is visible to its own
+/// transaction, but other transactions' entries are not invalidated by it.
 class ObjectCache {
  public:
   ObjectCache(storage::StorageEngine* engine, PersistenceManager* objects,
@@ -57,19 +65,30 @@ class ObjectCache {
  private:
   using ObjectPtr = std::shared_ptr<const PersistentObject>;
 
-  void InsertCommittedLocked(Oid oid, ObjectPtr object);
-  void TouchLocked(Oid oid);
+  // A committed object, the record it lives in, and its recency links.
+  struct Entry : LruLink {
+    Oid oid = kInvalidOid;
+    storage::Rid rid;
+    ObjectPtr object;
+  };
+  // A write of this transaction; object == nullptr means deleted.
+  struct Pending {
+    storage::Rid rid;
+    ObjectPtr object;
+  };
+
+  void InsertCommittedLocked(Oid oid, const storage::Rid& rid,
+                             ObjectPtr object);
+  void EraseCommittedLocked(Oid oid);
 
   storage::StorageEngine* engine_;
   PersistenceManager* objects_;
   std::size_t capacity_;
 
   mutable std::mutex mu_;
-  std::unordered_map<Oid, ObjectPtr> cache_;
-  std::list<Oid> lru_;  // front == most recent
-  std::unordered_map<Oid, std::list<Oid>::iterator> lru_pos_;
-  // Per-transaction overlay: nullptr value == deleted by this txn.
-  std::unordered_map<TxnId, std::map<Oid, ObjectPtr>> overlays_;
+  std::unordered_map<Oid, Entry> cache_;  // nodes are stable: lru_ links them
+  LruList<Entry> lru_;
+  std::unordered_map<TxnId, std::map<Oid, Pending>> overlays_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
 };

@@ -53,7 +53,8 @@ std::optional<storage::Rid> PersistenceManager::Locate(TxnId txn,
   return *rid;
 }
 
-Result<Oid> PersistenceManager::Put(TxnId txn, PersistentObject object) {
+Result<Oid> PersistenceManager::Put(TxnId txn, PersistentObject object,
+                                    storage::Rid* rid) {
   if (object.oid() == kInvalidOid) {
     object.set_oid(next_oid_.fetch_add(1));
   }
@@ -67,26 +68,41 @@ Result<Oid> PersistenceManager::Put(TxnId txn, PersistentObject object) {
 
   if (existing.has_value()) {
     SENTINEL_RETURN_NOT_OK(engine_->Update(txn, file_, *existing, bytes));
+    if (rid != nullptr) *rid = *existing;
     return object.oid();
   }
-  auto rid = engine_->Insert(txn, file_, bytes);
-  if (!rid.ok()) return rid.status();
+  auto inserted = engine_->Insert(txn, file_, bytes);
+  if (!inserted.ok()) return inserted.status();
+  if (rid != nullptr) *rid = *inserted;
   lock.lock();
-  overlays_[txn][object.oid()] = *rid;
+  overlays_[txn][object.oid()] = *inserted;
   return object.oid();
 }
 
 Result<PersistentObject> PersistenceManager::Get(TxnId txn, Oid oid) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto rid = Locate(txn, oid);
-  lock.unlock();
-  if (!rid.has_value()) {
-    return Status::NotFound("no object with oid " + std::to_string(oid));
-  }
-  auto rec = engine_->Read(txn, file_, *rid);
+  auto rid = RidOf(txn, oid);
+  if (!rid.ok()) return rid.status();
+  return Read(txn, oid, *rid);
+}
+
+Result<PersistentObject> PersistenceManager::Read(TxnId txn, Oid oid,
+                                                  const storage::Rid& rid) {
+  auto rec = engine_->Read(txn, file_, rid);
   if (!rec.ok()) return rec.status();
   BytesReader reader(*rec);
-  return PersistentObject::Deserialize(&reader);
+  auto object = PersistentObject::Deserialize(&reader);
+  // The rid was found before the record lock was taken: a committed delete
+  // in between may have freed the slot for another object.
+  if (object.ok() && object->oid() != oid) {
+    return Status::NotFound("no object with oid " + std::to_string(oid));
+  }
+  return object;
+}
+
+bool PersistenceManager::HasOwnWrite(TxnId txn, Oid oid) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = overlays_.find(txn);
+  return it != overlays_.end() && it->second.count(oid) != 0;
 }
 
 Status PersistenceManager::Delete(TxnId txn, Oid oid) {

@@ -41,7 +41,9 @@ class PersistenceManager {
   Status Bootstrap();
 
   /// Inserts (oid unset) or updates (oid set) an object; returns its OID.
-  Result<Oid> Put(TxnId txn, PersistentObject object);
+  /// When `rid` is given, it receives the record id now backing the object.
+  Result<Oid> Put(TxnId txn, PersistentObject object,
+                  storage::Rid* rid = nullptr);
 
   Result<PersistentObject> Get(TxnId txn, Oid oid);
   Status Delete(TxnId txn, Oid oid);
@@ -49,6 +51,15 @@ class PersistenceManager {
 
   /// RID currently backing `oid` as visible to `txn` (overlay-aware).
   Result<storage::Rid> RidOf(TxnId txn, Oid oid);
+
+  /// Reads object `oid` from the record at `rid` (from RidOf) under the
+  /// record's shared lock, without searching the index again. NotFound when
+  /// the record no longer holds `oid`.
+  Result<PersistentObject> Read(TxnId txn, Oid oid, const storage::Rid& rid);
+
+  /// True when `txn` itself wrote or deleted `oid` and has not yet
+  /// committed, i.e. the committed index does not give `txn`'s view of it.
+  bool HasOwnWrite(TxnId txn, Oid oid) const;
 
   /// Invokes `fn` for every object of class `class_name` (empty matches all).
   Status ScanClass(TxnId txn, const std::string& class_name,

@@ -114,16 +114,13 @@ Result<PageId> BTree::Create(BufferPool* pool) {
   return id;
 }
 
-Result<PageId> BTree::FindLeaf(std::uint64_t key) const {
+Result<Page*> BTree::FindLeaf(std::uint64_t key) const {
   PageId current = root_;
   for (;;) {
     auto page = pool_->FetchPage(current);
     if (!page.ok()) return page.status();
     Node node{(*page)->payload()};
-    if (node.is_leaf()) {
-      SENTINEL_RETURN_NOT_OK(pool_->UnpinPage(current, false));
-      return current;
-    }
+    if (node.is_leaf()) return *page;
     PageId next = node.ChildFor(key);
     SENTINEL_RETURN_NOT_OK(pool_->UnpinPage(current, false));
     current = next;
@@ -131,19 +128,19 @@ Result<PageId> BTree::FindLeaf(std::uint64_t key) const {
 }
 
 Result<Rid> BTree::Lookup(std::uint64_t key) const {
-  auto leaf_id = FindLeaf(key);
-  if (!leaf_id.ok()) return leaf_id.status();
-  auto page = pool_->FetchPage(*leaf_id);
-  if (!page.ok()) return page.status();
-  Node node{(*page)->payload()};
+  auto leaf = FindLeaf(key);
+  if (!leaf.ok()) return leaf.status();
+  Node node{(*leaf)->payload()};
   std::uint16_t pos = node.LeafLowerBound(key);
-  Result<Rid> result = Status::NotFound("key not in index");
-  if (pos < node.count() && node.leaf_entries()[pos].key == key) {
+  const bool found = pos < node.count() && node.leaf_entries()[pos].key == key;
+  Rid rid;
+  if (found) {
     const LeafEntry& entry = node.leaf_entries()[pos];
-    result = Rid{entry.page, entry.slot};
+    rid = Rid{entry.page, entry.slot};
   }
-  SENTINEL_RETURN_NOT_OK(pool_->UnpinPage(*leaf_id, false));
-  return result;
+  SENTINEL_RETURN_NOT_OK(pool_->UnpinPage((*leaf)->page_id(), false));
+  if (!found) return Status::NotFound("key not in index");
+  return rid;
 }
 
 Status BTree::InsertRecursive(PageId node_id, std::uint64_t key,
@@ -284,32 +281,29 @@ Status BTree::Clear() {
 }
 
 Status BTree::Delete(std::uint64_t key) {
-  auto leaf_id = FindLeaf(key);
-  if (!leaf_id.ok()) return leaf_id.status();
-  auto page = pool_->FetchPage(*leaf_id);
-  if (!page.ok()) return page.status();
-  Node node{(*page)->payload()};
+  auto leaf = FindLeaf(key);
+  if (!leaf.ok()) return leaf.status();
+  const PageId leaf_id = (*leaf)->page_id();
+  Node node{(*leaf)->payload()};
   std::uint16_t pos = node.LeafLowerBound(key);
   if (pos >= node.count() || node.leaf_entries()[pos].key != key) {
-    (void)pool_->UnpinPage(*leaf_id, false);
+    (void)pool_->UnpinPage(leaf_id, false);
     return Status::NotFound("key not in index");
   }
   LeafEntry* entries = node.leaf_entries();
   std::memmove(entries + pos, entries + pos + 1,
                (node.count() - pos - 1) * sizeof(LeafEntry));
   node.set_count(static_cast<std::uint16_t>(node.count() - 1));
-  return pool_->UnpinPage(*leaf_id, true);
+  return pool_->UnpinPage(leaf_id, true);
 }
 
 Status BTree::Scan(
     std::uint64_t from, std::uint64_t to,
     const std::function<Status(std::uint64_t, const Rid&)>& fn) const {
-  auto leaf_id = FindLeaf(from);
-  if (!leaf_id.ok()) return leaf_id.status();
-  PageId current = *leaf_id;
-  while (current != kInvalidPageId) {
-    auto page = pool_->FetchPage(current);
+  auto page = FindLeaf(from);
+  for (;;) {
     if (!page.ok()) return page.status();
+    const PageId current = (*page)->page_id();
     Node node{(*page)->payload()};
     const std::uint16_t count = node.count();
     bool done = false;
@@ -329,8 +323,8 @@ Status BTree::Scan(
     PageId next = node.link();
     SENTINEL_RETURN_NOT_OK(pool_->UnpinPage(current, false));
     SENTINEL_RETURN_NOT_OK(st);
-    if (done) break;
-    current = next;
+    if (done || next == kInvalidPageId) break;
+    page = pool_->FetchPage(next);
   }
   return Status::OK();
 }

@@ -68,7 +68,8 @@ class BTree {
 
   Status InsertRecursive(PageId node, std::uint64_t key, const Rid& value,
                          SplitResult* out);
-  Result<PageId> FindLeaf(std::uint64_t key) const;
+  // Descends to the leaf that holds `key` and returns it pinned.
+  Result<Page*> FindLeaf(std::uint64_t key) const;
 
   BufferPool* pool_;
   PageId root_;

@@ -8,11 +8,10 @@
 namespace sentinel::storage {
 
 BufferPool::BufferPool(DiskManager* disk, std::size_t capacity)
-    : disk_(disk), capacity_(capacity) {
-  frames_.reserve(capacity);
-  for (std::size_t i = 0; i < capacity; ++i) {
-    frames_.push_back(std::make_unique<Page>());
-    free_frames_.push_back(capacity - 1 - i);
+    : disk_(disk), capacity_(capacity), frames_(capacity) {
+  free_frames_.reserve(capacity);
+  for (std::size_t i = capacity; i > 0; --i) {
+    free_frames_.push_back(&frames_[i - 1]);
   }
 }
 
@@ -21,27 +20,31 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
   auto it = page_table_.find(page_id);
   if (it != page_table_.end()) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    Page* page = frames_[it->second].get();
-    page->Pin();
-    TouchLocked(it->second);
-    return page;
+    Frame* frame = it->second;
+    frame->page.Pin();
+    lru_.Touch(frame);
+    return &frame->page;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   auto frame = GetFreeFrameLocked();
   if (!frame.ok()) return frame.status();
-  Page* page = frames_[*frame].get();
+  Page* page = &(*frame)->page;
   obs::SpanScope read_span;
   if (obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);
       st != nullptr && st->enabled_for(obs::SpanKind::kPageRead)) {
     read_span.Start(st, obs::SpanKind::kPageRead, kInvalidTxnId,
                     "page " + std::to_string(page_id));
   }
-  SENTINEL_RETURN_NOT_OK(disk_->ReadPage(page_id, page));
+  Status read = disk_->ReadPage(page_id, page);
   read_span.End();
+  if (!read.ok()) {
+    free_frames_.push_back(*frame);
+    return read;
+  }
   page->set_page_id(page_id);
   page->Pin();
   page_table_[page_id] = *frame;
-  TouchLocked(*frame);
+  lru_.Touch(*frame);
   return page;
 }
 
@@ -51,13 +54,13 @@ Result<Page*> BufferPool::NewPage() {
   std::lock_guard<std::mutex> lock(mu_);
   auto frame = GetFreeFrameLocked();
   if (!frame.ok()) return frame.status();
-  Page* page = frames_[*frame].get();
+  Page* page = &(*frame)->page;
   page->Reset();
   page->set_page_id(*page_id);
   page->set_dirty(true);
   page->Pin();
   page_table_[*page_id] = *frame;
-  TouchLocked(*frame);
+  lru_.Touch(*frame);
   return page;
 }
 
@@ -68,7 +71,7 @@ Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
     return Status::InvalidArgument("unpin of non-resident page " +
                                    std::to_string(page_id));
   }
-  Page* page = frames_[it->second].get();
+  Page* page = &it->second->page;
   if (page->pin_count() <= 0) {
     return Status::InvalidArgument("unpin of unpinned page " +
                                    std::to_string(page_id));
@@ -82,7 +85,7 @@ Status BufferPool::FlushPage(PageId page_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = page_table_.find(page_id);
   if (it == page_table_.end()) return Status::OK();
-  Page* page = frames_[it->second].get();
+  Page* page = &it->second->page;
   if (page->is_dirty()) {
     SENTINEL_RETURN_NOT_OK(disk_->WritePage(*page));
     page->set_dirty(false);
@@ -93,7 +96,7 @@ Status BufferPool::FlushPage(PageId page_id) {
 Status BufferPool::FlushAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [page_id, frame] : page_table_) {
-    Page* page = frames_[frame].get();
+    Page* page = &frame->page;
     if (page->is_dirty()) {
       SENTINEL_RETURN_NOT_OK(disk_->WritePage(*page));
       page->set_dirty(false);
@@ -112,21 +115,21 @@ std::size_t BufferPool::dirty_count() const {
   std::size_t dirty = 0;
   for (const auto& [page_id, frame] : page_table_) {
     (void)page_id;
-    if (frames_[frame]->is_dirty()) ++dirty;
+    if (frame->page.is_dirty()) ++dirty;
   }
   return dirty;
 }
 
-Result<std::size_t> BufferPool::GetFreeFrameLocked() {
+Result<BufferPool::Frame*> BufferPool::GetFreeFrameLocked() {
   if (!free_frames_.empty()) {
-    std::size_t frame = free_frames_.back();
+    Frame* frame = free_frames_.back();
     free_frames_.pop_back();
     return frame;
   }
   // Evict the least recently used unpinned frame.
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    std::size_t frame = *it;
-    Page* page = frames_[frame].get();
+  for (Frame* frame = lru_.Oldest(); frame != nullptr;
+       frame = lru_.Newer(frame)) {
+    Page* page = &frame->page;
     if (page->pin_count() > 0) continue;
     if (page->is_dirty()) {
       // Eviction writes a dirty page outside any commit path; a failure
@@ -137,18 +140,10 @@ Result<std::size_t> BufferPool::GetFreeFrameLocked() {
     }
     evictions_.fetch_add(1, std::memory_order_relaxed);
     page_table_.erase(page->page_id());
-    lru_.erase(std::next(it).base());
-    lru_pos_.erase(frame);
+    lru_.Remove(frame);
     return frame;
   }
   return Status::ResourceExhausted("all buffer pool frames are pinned");
-}
-
-void BufferPool::TouchLocked(std::size_t frame) {
-  auto pos = lru_pos_.find(frame);
-  if (pos != lru_pos_.end()) lru_.erase(pos->second);
-  lru_.push_front(frame);
-  lru_pos_[frame] = lru_.begin();
 }
 
 }  // namespace sentinel::storage

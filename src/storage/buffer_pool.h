@@ -3,12 +3,11 @@
 
 #include <atomic>
 #include <cstddef>
-#include <list>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "common/lru_list.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "storage/disk_manager.h"
@@ -21,6 +20,9 @@ class SpanTracer;
 namespace sentinel::storage {
 
 /// Fixed-capacity page cache with LRU replacement of unpinned frames.
+/// Resident frames sit in an intrusive recency list, so a hit moves a frame
+/// to the front without allocating; eviction takes the least recently
+/// touched frame that is not pinned.
 ///
 /// Callers must bracket page use with Fetch/New and Unpin; a pinned frame is
 /// never evicted. Thread-safe via a single pool latch (adequate for the
@@ -75,19 +77,21 @@ class BufferPool {
   }
 
  private:
+  struct Frame : LruLink {
+    Page page;
+  };
+
   // Picks a frame to (re)use, evicting the LRU unpinned page if needed.
   // Requires mu_ held.
-  Result<std::size_t> GetFreeFrameLocked();
-  void TouchLocked(std::size_t frame);
+  Result<Frame*> GetFreeFrameLocked();
 
   DiskManager* disk_;
   std::size_t capacity_;
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Page>> frames_;
-  std::unordered_map<PageId, std::size_t> page_table_;
-  std::list<std::size_t> lru_;  // front == most recently used
-  std::unordered_map<std::size_t, std::list<std::size_t>::iterator> lru_pos_;
-  std::vector<std::size_t> free_frames_;
+  std::vector<Frame> frames_;  // sized once; frames never move
+  std::unordered_map<PageId, Frame*> page_table_;
+  LruList<Frame> lru_;  // resident frames
+  std::vector<Frame*> free_frames_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};

@@ -137,10 +137,7 @@ Status HeapFile::Scan(
 Status HeapFile::SetPageLsn(PageId page_id, Lsn lsn) {
   return WithPage(pool_, page_id,
                   [&](SlottedPage&, Page& page, bool* dirty) -> Status {
-                    if (page.lsn() < lsn) {
-                      page.set_lsn(lsn);
-                      *dirty = true;
-                    }
+                    *dirty = page.RaiseLsn(lsn);
                     return Status::OK();
                   });
 }

@@ -76,12 +76,14 @@ Status LockManager::Acquire(TxnId txn, const LockKey& key, LockMode mode) {
     // Upgrade S -> X: wait until we are the sole holder.
   }
 
-  const auto deadline = std::chrono::steady_clock::now() + options_.timeout;
+  // The deadline is read from the clock only once the request has to wait.
+  std::chrono::steady_clock::time_point deadline;
   obs::SpanScope wait_span;
   std::uint64_t wait_start_ns = 0;
   while (!CanGrantLocked(state, txn, mode)) {
     if (wait_start_ns == 0) {
       // First blocked iteration: open the wait window.
+      deadline = std::chrono::steady_clock::now() + options_.timeout;
       wait_start_ns = obs::SpanTracer::NowNs();
       waits_.fetch_add(1, std::memory_order_relaxed);
       obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);

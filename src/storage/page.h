@@ -1,6 +1,7 @@
 #ifndef SENTINEL_STORAGE_PAGE_H_
 #define SENTINEL_STORAGE_PAGE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 
@@ -49,7 +50,20 @@ class Page {
   PageId page_id() const { return header()->page_id; }
   void set_page_id(PageId id) { header()->page_id = id; }
   Lsn lsn() const { return header()->lsn; }
-  void set_lsn(Lsn lsn) { header()->lsn = lsn; }
+  /// Raises the page LSN to `lsn` unless it is already at least that high;
+  /// returns whether it changed. Atomic, because transactions writing
+  /// different records of one pinned page stamp it concurrently.
+  bool RaiseLsn(Lsn lsn) {
+    std::atomic_ref<Lsn> page_lsn(header()->lsn);
+    Lsn current = page_lsn.load(std::memory_order_relaxed);
+    while (current < lsn) {
+      if (page_lsn.compare_exchange_weak(current, lsn,
+                                         std::memory_order_relaxed)) {
+        return true;
+      }
+    }
+    return false;
+  }
   PageId next_page_id() const { return header()->next_page_id; }
   void set_next_page_id(PageId id) { header()->next_page_id = id; }
 

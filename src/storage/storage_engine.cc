@@ -14,7 +14,7 @@ Status StorageEngine::Open(const std::string& path_prefix) {
 Status StorageEngine::Open(const std::string& path_prefix,
                            const Options& options) {
   {
-    std::lock_guard<std::mutex> lock(hint_mu_);
+    std::lock_guard<std::mutex> lock(insert_mu_);
     insert_hints_.clear();
   }
   disk_ = std::make_unique<DiskManager>();
@@ -58,7 +58,7 @@ Status StorageEngine::Close() {
   log_.reset();
   lock_manager_.reset();
   {
-    std::lock_guard<std::mutex> lock(hint_mu_);
+    std::lock_guard<std::mutex> lock(insert_mu_);
     insert_hints_.clear();
   }
   return Status::OK();
@@ -82,7 +82,7 @@ void StorageEngine::SimulateCrash() {
   {
     // A remembered page id may belong to a different file's chain after the
     // crash rebuild: drop every hint.
-    std::lock_guard<std::mutex> lock(hint_mu_);
+    std::lock_guard<std::mutex> lock(insert_mu_);
     insert_hints_.clear();
   }
 }
@@ -181,12 +181,6 @@ Result<PageId> StorageEngine::CreateHeapFile() {
   return head;
 }
 
-PageId StorageEngine::InsertHint(PageId file) const {
-  std::lock_guard<std::mutex> lock(hint_mu_);
-  auto it = insert_hints_.find(file);
-  return it != insert_hints_.end() ? it->second : kInvalidPageId;
-}
-
 HeapFile StorageEngine::OpenHeap(TxnId txn, PageId file) {
   return HeapFile(
       pool_.get(), file, [this, txn](PageId parent, PageId next) -> Status {
@@ -238,22 +232,26 @@ Result<Rid> StorageEngine::Insert(TxnId txn, PageId file,
   SENTINEL_RETURN_NOT_OK(
       lock_manager_->Acquire(txn, FileKey(file), LockMode::kShared));
   HeapFile heap = OpenHeap(txn, file);
-  auto rid = heap.Insert(rec, InsertHint(file));
-  if (!rid.ok()) return rid.status();
+  Rid rid;
   {
-    std::lock_guard<std::mutex> lock(hint_mu_);
-    insert_hints_[file] = rid->page_id;
+    std::lock_guard<std::mutex> lock(insert_mu_);
+    PageId& hint =
+        insert_hints_.try_emplace(file, kInvalidPageId).first->second;
+    auto inserted = heap.Insert(rec, hint);
+    if (!inserted.ok()) return inserted.status();
+    rid = *inserted;
+    hint = rid.page_id;
   }
   SENTINEL_RETURN_NOT_OK(
-      lock_manager_->Acquire(txn, RecordKey(*rid), LockMode::kExclusive));
+      lock_manager_->Acquire(txn, RecordKey(rid), LockMode::kExclusive));
   LogRecord log_rec;
   log_rec.txn_id = txn;
   log_rec.type = LogRecordType::kInsert;
-  log_rec.rid = *rid;
+  log_rec.rid = rid;
   log_rec.after = rec;
   auto lsn = Log(txn, std::move(log_rec));
   if (!lsn.ok()) return lsn.status();
-  SENTINEL_RETURN_NOT_OK(heap.SetPageLsn(rid->page_id, *lsn));
+  SENTINEL_RETURN_NOT_OK(heap.SetPageLsn(rid.page_id, *lsn));
   return rid;
 }
 
@@ -295,7 +293,7 @@ Status StorageEngine::Delete(TxnId txn, PageId file, const Rid& rid) {
   {
     // Freed space behind the insert hint: lower it so first-fit sees the
     // hole again (chain page ids are monotone along the chain).
-    std::lock_guard<std::mutex> lock(hint_mu_);
+    std::lock_guard<std::mutex> lock(insert_mu_);
     auto it = insert_hints_.find(file);
     if (it != insert_hints_.end() && rid.page_id < it->second) {
       it->second = rid.page_id;

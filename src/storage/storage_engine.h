@@ -132,8 +132,12 @@ class StorageEngine {
   // In-memory only — cleared on Open/Close/SimulateCrash, because after a
   // crash a remembered page id may belong to a different file's rebuilt
   // chain.
-  PageId InsertHint(PageId file) const;
-  mutable std::mutex hint_mu_;
+  //
+  // insert_mu_ also serialises inserts: it is held across the first-fit
+  // walk, the slotted-page insert and the hint update, so two transactions
+  // never write one page's slot directory at once. Record locks are taken
+  // after it is released.
+  std::mutex insert_mu_;
   std::unordered_map<PageId, PageId> insert_hints_;
 
   // Appends a log record chained to `txn`'s last LSN and stamps the page LSN.

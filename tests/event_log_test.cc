@@ -137,6 +137,20 @@ TEST_F(EventLogTest, OversizedLengthPrefixIsATornTail) {
   ASSERT_TRUE(reloaded.Close().ok());
 }
 
+TEST_F(EventLogTest, WriteFailureIsStickyAndReportedByClose) {
+  EventLog log;
+  ASSERT_TRUE(log.OpenFile("/dev/full").ok());
+  EXPECT_TRUE(log.status().ok());
+  PrimitiveOccurrence occ;
+  occ.event_name = "e";
+  log.Record(occ);  // the flush hits ENOSPC
+  EXPECT_EQ(log.status().code(), StatusCode::kIOError);
+  log.Record(occ);
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.Close().code(), StatusCode::kIOError);
+  EXPECT_EQ(log.status().code(), StatusCode::kIOError);
+}
+
 TEST_F(EventLogTest, SerializationRoundTripsAllFields) {
   PrimitiveOccurrence occ;
   occ.event_name = "e";

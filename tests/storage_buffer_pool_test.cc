@@ -76,6 +76,63 @@ TEST_F(BufferPoolTest, EvictionWritesBackDirtyPages) {
   }
 }
 
+// Fetches `id` and unpins it again; returns whether the fetch was a hit.
+bool FetchIsHit(BufferPool* pool, PageId id) {
+  const std::uint64_t hits = pool->hit_count();
+  const std::uint64_t misses = pool->miss_count();
+  auto page = pool->FetchPage(id);
+  EXPECT_TRUE(page.ok()) << page.status();
+  EXPECT_TRUE(pool->UnpinPage(id, false).ok());
+  EXPECT_EQ(pool->hit_count() - hits + pool->miss_count() - misses, 1u);
+  return pool->hit_count() == hits + 1;
+}
+
+TEST_F(BufferPoolTest, EvictsLeastRecentlyTouchedFrame) {
+  BufferPool pool(&disk_, 3);
+  PageId ids[3];
+  for (PageId& id : ids) {
+    auto page = pool.NewPage();
+    ASSERT_TRUE(page.ok());
+    id = (*page)->page_id();
+    ASSERT_TRUE(pool.UnpinPage(id, true).ok());
+  }
+  // Touch the oldest page: the second one becomes least recently used.
+  EXPECT_TRUE(FetchIsHit(&pool, ids[0]));
+  auto fresh = pool.NewPage();
+  ASSERT_TRUE(fresh.ok());
+  const PageId fresh_id = (*fresh)->page_id();
+  ASSERT_TRUE(pool.UnpinPage(fresh_id, true).ok());
+  EXPECT_EQ(pool.eviction_count(), 1u);
+
+  EXPECT_TRUE(FetchIsHit(&pool, ids[0]));
+  EXPECT_TRUE(FetchIsHit(&pool, ids[2]));
+  EXPECT_TRUE(FetchIsHit(&pool, fresh_id));
+  EXPECT_FALSE(FetchIsHit(&pool, ids[1]));  // it was the one evicted
+}
+
+TEST_F(BufferPoolTest, EvictionSkipsPinnedFrames) {
+  BufferPool pool(&disk_, 3);
+  PageId ids[3];
+  for (PageId& id : ids) {
+    auto page = pool.NewPage();
+    ASSERT_TRUE(page.ok());
+    id = (*page)->page_id();
+  }
+  // The oldest page stays pinned; the other two are released in order.
+  ASSERT_TRUE(pool.UnpinPage(ids[1], true).ok());
+  ASSERT_TRUE(pool.UnpinPage(ids[2], true).ok());
+  auto fresh = pool.NewPage();
+  ASSERT_TRUE(fresh.ok());
+  const PageId fresh_id = (*fresh)->page_id();
+  ASSERT_TRUE(pool.UnpinPage(fresh_id, true).ok());
+
+  EXPECT_TRUE(FetchIsHit(&pool, ids[0]));  // pinned: skipped by eviction
+  EXPECT_TRUE(FetchIsHit(&pool, ids[2]));
+  EXPECT_TRUE(FetchIsHit(&pool, fresh_id));
+  EXPECT_FALSE(FetchIsHit(&pool, ids[1]));  // oldest unpinned: evicted
+  ASSERT_TRUE(pool.UnpinPage(ids[0], true).ok());
+}
+
 TEST_F(BufferPoolTest, AllPinnedExhaustsPool) {
   BufferPool pool(&disk_, 2);
   auto p1 = pool.NewPage();
