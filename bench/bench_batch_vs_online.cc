@@ -7,6 +7,7 @@
 #include "bench_util.h"
 #include "detector/event_log.h"
 #include "detector/local_detector.h"
+#include "net/protocol.h"
 
 namespace sentinel::bench {
 namespace {
@@ -97,9 +98,9 @@ void BM_LogSerializationRoundTrip(benchmark::State& state) {
   occ.params = OneIntParam(7);
   for (auto _ : state) {
     BytesWriter writer;
-    EventLog::Serialize(occ, &writer);
+    net::EncodeOccurrence(occ, &writer);
     BytesReader reader(writer.data());
-    auto back = EventLog::Deserialize(&reader);
+    auto back = net::DecodeOccurrence(&reader);
     benchmark::DoNotOptimize(back.ok());
   }
   state.SetItemsProcessed(state.iterations());

@@ -46,7 +46,6 @@ Status ActiveDatabase::OpenInMemory(const Options& options) {
 Status ActiveDatabase::OpenCommon(const Options& options) {
   span_tracer_.set_flight_recorder(&flight_recorder_);
   detector_ = std::make_unique<detector::LocalEventDetector>();
-  detector_->set_tracer(&tracer_);
   detector_->set_span_tracer(&span_tracer_);
   detector_->set_profiler(&profiler_);
   if (db_ != nullptr) {
@@ -72,7 +71,6 @@ Status ActiveDatabase::OpenCommon(const Options& options) {
   nested_->set_span_tracer(&span_tracer_);
   scheduler_ = std::make_unique<rules::RuleScheduler>(nested_.get(), db_.get(),
                                                       options.scheduler);
-  scheduler_->set_tracer(&tracer_);
   scheduler_->set_span_tracer(&span_tracer_);
   scheduler_->set_profiler(&profiler_);
   scheduler_->set_postmortem_hook([this](storage::TxnId doomed) {
@@ -411,13 +409,6 @@ std::string ActiveDatabase::StatsJson() const {
     w.EndObject();
     w.EndObject();
   }
-  w.Key("trace").BeginObject();
-  w.Field("enabled", tracer_.enabled());
-  w.Field("capacity", tracer_.capacity());
-  w.Field("size", tracer_.size());
-  w.Field("recorded", tracer_.recorded());
-  w.Field("dropped", tracer_.dropped());
-  w.EndObject();
   w.Key("span_trace").BeginObject();
   w.Field("mode", obs::TraceModeToString(span_tracer_.mode()));
   w.Field("recorded", span_tracer_.recorded());
@@ -937,8 +928,6 @@ std::string ActiveDatabase::PrometheusText() {
             span_tracer_.recorded());
   p.Counter("sentinel_spans_dropped_total",
             "Spans dropped by full trace rings.", {}, span_tracer_.dropped());
-  p.Counter("sentinel_provenance_recorded_total",
-            "Provenance records captured.", {}, tracer_.recorded());
   p.Counter("sentinel_postmortems_total", "Postmortem dumps written.", {},
             flight_recorder_.dumps());
 

@@ -11,7 +11,6 @@
 #include "obs/monitor_server.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "oodb/database.h"
 #include "oodb/object_cache.h"
@@ -133,17 +132,14 @@ class ActiveDatabase {
 
   // -- Observability ------------------------------------------------------------
 
-  /// Event→rule→subtransaction provenance tracer (disabled by default; the
-  /// shell's `trace on` or a test enables it). Wired into the detector, the
-  /// rule manager, and the scheduler on Open.
-  obs::ProvenanceTracer* tracer() { return &tracer_; }
-
   /// Causal span tracer (flight-recorder mode by default). Wired into the
   /// detector, scheduler, nested-txn manager, and — in persistent mode —
   /// the storage engine's lock manager, WAL, and buffer pool on Open, so one
   /// top-level transaction renders as a single tree: txn → notify →
   /// composite_detect → subtxn → condition/action, with lock_wait /
-  /// wal_fsync / page_read leaves.
+  /// wal_fsync / page_read leaves. The tree is the database's provenance
+  /// record: `TxnTreeText` renders one transaction's chain of events, rules
+  /// and subtransaction outcomes.
   obs::SpanTracer* span_tracer() { return &span_tracer_; }
 
   /// Always-on last-N span ring consulted by postmortems.
@@ -244,7 +240,6 @@ class ActiveDatabase {
 
   bool open_ = false;
   bool rule_events_ = false;
-  obs::ProvenanceTracer tracer_;
   // Span tracer + flight recorder are declared before the components so they
   // outlive every component holding a pointer to them during teardown.
   obs::SpanTracer span_tracer_;

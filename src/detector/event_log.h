@@ -22,6 +22,11 @@ class LocalEventDetector;
 /// accepted raw notification), then later `log.Replay(&other_detector)` to
 /// re-run detection offline — the same event graph and contexts apply, so
 /// online and batch detection agree.
+///
+/// File format: a sequence of records, each a native-endian u32 length
+/// followed by one occurrence in the event bus codec
+/// (net::EncodeOccurrence). Loading stops at the first record that is torn
+/// or does not decode.
 class EventLog {
  public:
   EventLog() = default;
@@ -53,10 +58,6 @@ class EventLog {
   Result<std::vector<PrimitiveOccurrence>> Load() const;
 
   std::size_t size() const;
-
-  static void Serialize(const PrimitiveOccurrence& occurrence,
-                        BytesWriter* out);
-  static Result<PrimitiveOccurrence> Deserialize(BytesReader* in);
 
  private:
   mutable std::mutex mu_;

@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/pool.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace sentinel::detector {
 
@@ -127,16 +126,11 @@ void EventNode::Emit(const Occurrence& occurrence, ParamContext context) {
     detect_span.Start(span_tracer_, obs::SpanKind::kCompositeDetect,
                       occurrence.txn, name_);
   }
-  const bool tracing = tracer_ != nullptr && tracer_->enabled();
   // parents_ is kept sorted by descending port (AddParent), so higher ports
   // are delivered first without sorting per emission.
   for (const ParentEdge& edge : parents_) {
     if (edge.node->ActiveIn(context)) {
       edge.node->metrics().OnReceived(context);
-      if (tracing) {
-        tracer_->Record(obs::EdgeKind::kComposite, name_, edge.node->name(),
-                        occurrence.txn, context);
-      }
       edge.node->Receive(edge.port, occurrence, context);
     }
   }
@@ -194,17 +188,10 @@ void PrimitiveEventNode::Signal(
   occ.at_ms = labelled->at_ms;
   occ.txn = labelled->txn;
   occ.constituents.push_back(labelled);
-  obs::ProvenanceTracer* tracer = this->tracer();
-  const bool tracing = tracer != nullptr && tracer->enabled();
   for (int c = 0; c < kNumContexts; ++c) {
     const auto context = static_cast<ParamContext>(c);
     if (!ActiveIn(context)) continue;
     metrics().OnReceived(context);
-    if (tracing) {
-      tracer->Record(obs::EdgeKind::kPrimitive,
-                     labelled->class_name + "::" + labelled->method_signature,
-                     name(), labelled->txn, context);
-    }
     Emit(occ, context);
   }
 }

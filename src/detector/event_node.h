@@ -14,7 +14,6 @@
 #include "obs/profiler.h"
 
 namespace sentinel::obs {
-class ProvenanceTracer;
 class SpanTracer;
 }  // namespace sentinel::obs
 
@@ -115,21 +114,15 @@ class EventNode {
   /// delivery paths with relaxed atomics; read by the stats surfaces.
   obs::NodeMetrics& metrics() const { return metrics_; }
 
-  /// Attaches the provenance tracer (set by the owning detector when the
-  /// node is installed; may be null). Edges are recorded only while the
-  /// tracer is enabled, so an idle tracer costs one relaxed load per Emit.
-  void set_tracer(obs::ProvenanceTracer* tracer) { tracer_ = tracer; }
-  obs::ProvenanceTracer* tracer() const { return tracer_; }
-
-  /// Attaches the causal span tracer (set by the owning detector alongside
-  /// the provenance tracer; may be null). Operator nodes record a
+  /// Attaches the causal span tracer (set by the owning detector when the
+  /// node is installed; may be null). Operator nodes record a
   /// composite_detect span around each Emit so downstream rule firings
   /// parent into the detection that caused them.
   void set_span_tracer(obs::SpanTracer* tracer) { span_tracer_ = tracer; }
   obs::SpanTracer* span_tracer() const { return span_tracer_; }
 
   /// Attaches the continuous profiler (set by the owning detector under the
-  /// exclusive graph lock, like the tracers). Operator nodes resolve their
+  /// exclusive graph lock, like the span tracer). Operator nodes resolve their
   /// cost account and buffer-stripe contention site once here, so the Emit
   /// and buffer-lock paths never touch an account map.
   void set_profiler(obs::Profiler* profiler);
@@ -181,7 +174,6 @@ class EventNode {
   std::atomic<int> active_contexts_{0};
   std::mutex& buffer_mu_;
   mutable obs::NodeMetrics metrics_;
-  obs::ProvenanceTracer* tracer_ = nullptr;
   obs::SpanTracer* span_tracer_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
   obs::Profiler::CostCell* cost_ = nullptr;            // operator eval account

@@ -7,7 +7,6 @@
 #include "common/pool.h"
 #include "obs/json.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace sentinel::detector {
 
@@ -57,7 +56,6 @@ Result<EventNode*> LocalEventDetector::InstallLocked(
     return Status::AlreadyExists("event already defined: " + name);
   }
   EventNode* raw = node.get();
-  raw->set_tracer(tracer_.load(std::memory_order_acquire));
   raw->set_span_tracer(span_tracer_.load(std::memory_order_acquire));
   raw->set_profiler(profiler_.load(std::memory_order_acquire));
   nodes_[name] = std::move(node);
@@ -407,14 +405,6 @@ void LocalEventDetector::Notify(const std::string& class_name, oodb::Oid oid,
                       class_name + "::" + method_signature);
   }
 
-  // Slow path only, like the span: per-class-symbol dispatch attribution
-  // (event rates + dispatch cost for the shard-steering report).
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
-  const bool profiling = profiler != nullptr && profiler->enabled() &&
-                         entry->class_sym != common::kInvalidSymbol;
-  const std::uint64_t prof_cpu0 = profiling ? obs::Profiler::ThreadCpuNs() : 0;
-  const std::uint64_t prof_t0 = profiling ? obs::Profiler::NowNs() : 0;
-
   auto pooled = common::MakePooled<PrimitiveOccurrence>();
   pooled->class_name = class_name;
   pooled->oid = oid;
@@ -426,16 +416,7 @@ void LocalEventDetector::Notify(const std::string& class_name, oodb::Oid oid,
   pooled->at_ms = now_ms_.load(std::memory_order_relaxed);
   pooled->txn = txn;
   pooled->params = std::move(params);
-  const std::shared_ptr<const PrimitiveOccurrence> raw = std::move(pooled);
-  for (const auto& observer : raw_observers_) observer(*raw);
-  for (PrimitiveEventNode* node : entry->nodes) {
-    if (node->Matches(*raw)) node->Signal(raw);
-  }
-  if (profiling) {
-    profiler->RecordSymbolEvent(entry->class_sym,
-                                obs::Profiler::ThreadCpuNs() - prof_cpu0,
-                                obs::Profiler::NowNs() - prof_t0);
-  }
+  Dispatch(std::move(pooled), entry->nodes);
 }
 
 Status LocalEventDetector::RaiseExplicit(
@@ -453,11 +434,6 @@ Status LocalEventDetector::RaiseExplicit(
       st != nullptr && st->enabled_for(obs::SpanKind::kNotify)) {
     notify_span.Start(st, obs::SpanKind::kNotify, txn, name);
   }
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
-  const bool profiling = profiler != nullptr && profiler->enabled() &&
-                         it->second->class_sym() != common::kInvalidSymbol;
-  const std::uint64_t prof_cpu0 = profiling ? obs::Profiler::ThreadCpuNs() : 0;
-  const std::uint64_t prof_t0 = profiling ? obs::Profiler::NowNs() : 0;
   auto pooled = common::MakePooled<PrimitiveOccurrence>();
   pooled->event_name = name;
   pooled->class_name = kExplicitClass;
@@ -469,14 +445,7 @@ Status LocalEventDetector::RaiseExplicit(
   pooled->at_ms = now_ms_.load(std::memory_order_relaxed);
   pooled->txn = txn;
   pooled->params = std::move(params);
-  const std::shared_ptr<const PrimitiveOccurrence> raw = std::move(pooled);
-  for (const auto& observer : raw_observers_) observer(*raw);
-  it->second->Signal(raw);
-  if (profiling) {
-    profiler->RecordSymbolEvent(it->second->class_sym(),
-                                obs::Profiler::ThreadCpuNs() - prof_cpu0,
-                                obs::Profiler::NowNs() - prof_t0);
-  }
+  Dispatch(std::move(pooled), {&it->second, 1});
   return Status::OK();
 }
 
@@ -495,8 +464,7 @@ void LocalEventDetector::Inject(const PrimitiveOccurrence& recorded) {
     if (it != explicit_events_.end()) {
       raw->class_sym = it->second->class_sym();
       raw->method_sym = it->second->method_sym();
-      for (const auto& observer : raw_observers_) observer(*raw);
-      it->second->Signal(raw);
+      Dispatch(std::move(raw), {&it->second, 1});
     }
     return;
   }
@@ -507,19 +475,15 @@ void LocalEventDetector::Inject(const PrimitiveOccurrence& recorded) {
                     recorded.method_signature);
   raw->class_sym = entry->class_sym;
   raw->method_sym = entry->method_sym;
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
-  const bool profiling = profiler != nullptr && profiler->enabled() &&
-                         entry->class_sym != common::kInvalidSymbol;
-  const std::uint64_t prof_cpu0 = profiling ? obs::Profiler::ThreadCpuNs() : 0;
-  const std::uint64_t prof_t0 = profiling ? obs::Profiler::NowNs() : 0;
+  Dispatch(std::move(raw), entry->nodes);
+}
+
+void LocalEventDetector::Dispatch(
+    std::shared_ptr<const PrimitiveOccurrence> raw,
+    std::span<PrimitiveEventNode* const> nodes) {
   for (const auto& observer : raw_observers_) observer(*raw);
-  for (PrimitiveEventNode* node : entry->nodes) {
+  for (PrimitiveEventNode* node : nodes) {
     if (node->Matches(*raw)) node->Signal(raw);
-  }
-  if (profiling) {
-    profiler->RecordSymbolEvent(entry->class_sym,
-                                obs::Profiler::ThreadCpuNs() - prof_cpu0,
-                                obs::Profiler::NowNs() - prof_t0);
   }
 }
 
@@ -583,8 +547,6 @@ void LocalEventDetector::FlushTxn(TxnId txn) {
     (void)name;
     FlushCounted(node.get(), [&] { node->FlushTxn(txn); });
   }
-  obs::ProvenanceTracer* tracer = tracer_.load(std::memory_order_acquire);
-  if (tracer != nullptr && tracer->enabled()) tracer->FlushTxn(txn);
 }
 
 void LocalEventDetector::FlushAll() {
@@ -674,15 +636,6 @@ Status LocalEventDetector::RemoveEvent(const std::string& name) {
 }
 
 // ---- Observability ----------------------------------------------------------
-
-void LocalEventDetector::set_tracer(obs::ProvenanceTracer* tracer) {
-  std::unique_lock<std::shared_mutex> lock(graph_mu_);
-  tracer_.store(tracer, std::memory_order_release);
-  for (auto& [name, node] : nodes_) {
-    (void)name;
-    node->set_tracer(tracer);
-  }
-}
 
 void LocalEventDetector::set_span_tracer(obs::SpanTracer* tracer) {
   std::unique_lock<std::shared_mutex> lock(graph_mu_);

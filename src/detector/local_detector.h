@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -183,25 +184,18 @@ class LocalEventDetector {
 
   // -- Observability ------------------------------------------------------------
 
-  /// Attaches the provenance tracer: propagated to every installed node and
-  /// to nodes installed later. Call before signalling starts.
-  void set_tracer(obs::ProvenanceTracer* tracer);
-  obs::ProvenanceTracer* tracer() const {
-    return tracer_.load(std::memory_order_acquire);
-  }
-
   /// Attaches the causal span tracer: notify spans on the Notify slow path
   /// (the fast-path returns stay metric-free) and composite_detect spans on
-  /// operator-node detections. Propagated to nodes like set_tracer.
+  /// operator-node detections. Propagated to every installed node and to
+  /// nodes installed later; call before signalling starts.
   void set_span_tracer(obs::SpanTracer* tracer);
   obs::SpanTracer* span_tracer() const {
     return span_tracer_.load(std::memory_order_acquire);
   }
 
-  /// Attaches the continuous profiler: per-class-symbol event-dispatch
-  /// accounts on the Notify/RaiseExplicit/Inject slow paths (fast-path
-  /// returns stay profile-free) plus per-node operator accounts and
-  /// buffer-stripe contention sites. Propagated to nodes like set_tracer.
+  /// Attaches the continuous profiler: per-node operator accounts and
+  /// buffer-stripe contention sites. Propagated to nodes like
+  /// set_span_tracer.
   void set_profiler(obs::Profiler* profiler);
   obs::Profiler* profiler() const {
     return profiler_.load(std::memory_order_acquire);
@@ -277,6 +271,11 @@ class LocalEventDetector {
   const DispatchEntry* ResolveLocked(const std::string& class_name,
                                      EventModifier modifier,
                                      const std::string& method_signature);
+  /// The dispatch tail shared by Notify, RaiseExplicit and Inject: runs the
+  /// raw observers, then signals each of `nodes` that matches `raw`. Caller
+  /// holds graph_mu_ at least shared.
+  void Dispatch(std::shared_ptr<const PrimitiveOccurrence> raw,
+                std::span<PrimitiveEventNode* const> nodes);
   /// Flattens the per-class lists + inheritance walk into the flat node
   /// vector for one key. Caller holds graph_mu_ at least shared.
   std::vector<PrimitiveEventNode*> BuildDispatchList(
@@ -308,7 +307,6 @@ class LocalEventDetector {
   LogicalClock clock_;
   std::atomic<std::uint64_t> now_ms_{0};
   std::atomic<std::uint64_t> notify_count_{0};
-  std::atomic<obs::ProvenanceTracer*> tracer_{nullptr};
   std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
   std::atomic<obs::Profiler*> profiler_{nullptr};
 };

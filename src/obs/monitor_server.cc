@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "net/socket_util.h"
@@ -12,6 +13,9 @@
 namespace sentinel::obs {
 
 namespace {
+
+/// How long a client has, from accept, to deliver its request line.
+constexpr std::chrono::seconds kRequestDeadline{2};
 
 const char* ReasonPhrase(int status) {
   switch (status) {
@@ -90,18 +94,30 @@ void MonitorServer::AcceptLoop() {
 }
 
 void MonitorServer::ServeConnection(int fd) {
-  // Bound both the read and the total request size so a stuck client cannot
-  // hold the accept loop hostage.
-  timeval timeout{};
-  timeout.tv_sec = 2;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  // One deadline for the whole request line, counted from accept, and a cap
+  // on its size: a client that trickles bytes or never sends CRLF cannot
+  // hold the single accept loop (and with it /healthz) past the deadline.
+  const auto deadline =
+      std::chrono::steady_clock::now() + kRequestDeadline;
   std::string request;
   char buf[1024];
   while (request.size() < 8192 &&
          request.find("\r\n") == std::string::npos) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) break;
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) break;
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
     if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EINTR || errno == EAGAIN ||
+                    errno == EWOULDBLOCK)) {
+        continue;
+      }
       break;
     }
     request.append(buf, static_cast<std::size_t>(n));

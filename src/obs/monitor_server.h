@@ -21,7 +21,8 @@ namespace sentinel::obs {
 /// slow consumer can never wedge the database.
 ///
 /// Protocol subset: `GET <path>` only; query strings are stripped; every
-/// response closes the connection. Unknown paths get 404, non-GET methods
+/// response closes the connection. A client has 2 s from accept to send its
+/// request line, so one slow client delays the others by at most that. Unknown paths get 404, non-GET methods
 /// 405. Handlers run on the server thread and must be thread-safe against
 /// the application threads.
 class MonitorServer {

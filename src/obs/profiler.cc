@@ -6,7 +6,6 @@
 #include <chrono>
 #include <unordered_set>
 
-#include "detector/event_types.h"
 #include "obs/json.h"
 #include "obs/prometheus.h"
 
@@ -148,21 +147,11 @@ void Profiler::Reset() {
     std::unique_lock lock(rules_mu_);
     for (auto& [name, rule] : rules_) {
       for (CostCell& cell : rule->seams) cell.Zero();
-      std::lock_guard<std::mutex> sym_lock(rule->sym_mu);
-      rule->symbols.clear();
     }
   }
   {
     std::unique_lock lock(nodes_mu_);
     for (auto& [name, cell] : nodes_) cell->Zero();
-  }
-  {
-    std::unique_lock lock(symbols_mu_);
-    for (auto& sym : symbols_) {
-      if (sym == nullptr) continue;
-      sym->events.Zero();
-      sym->rules.Zero();
-    }
   }
   for (CostCell& cell : global_) cell.Zero();
   {
@@ -196,19 +185,6 @@ Profiler::RuleCost* Profiler::GetRuleCost(const std::string& name) {
   return slot.get();
 }
 
-Profiler::SymbolCost* Profiler::GetSymbolCost(common::SymbolId sym) {
-  {
-    std::shared_lock lock(symbols_mu_);
-    if (sym < symbols_.size() && symbols_[sym] != nullptr) {
-      return symbols_[sym].get();
-    }
-  }
-  std::unique_lock lock(symbols_mu_);
-  if (sym >= symbols_.size()) symbols_.resize(sym + 1);
-  if (symbols_[sym] == nullptr) symbols_[sym] = std::make_unique<SymbolCost>();
-  return symbols_[sym].get();
-}
-
 Profiler::CostCell* Profiler::NodeAccount(const std::string& node_name) {
   {
     std::shared_lock lock(nodes_mu_);
@@ -222,7 +198,6 @@ Profiler::CostCell* Profiler::NodeAccount(const std::string& node_name) {
 }
 
 void Profiler::RecordRuleFiring(const std::string& rule_name,
-                                const detector::Occurrence* occurrence,
                                 const CostDelta& condition,
                                 const CostDelta& action,
                                 const CostDelta& commit) {
@@ -239,57 +214,6 @@ void Profiler::RecordRuleFiring(const std::string& rule_name,
     rule->seams[static_cast<int>(RuleSeam::kCommit)].Record(commit.cpu_ns,
                                                             commit.wall_ns);
   }
-
-  if (occurrence == nullptr) return;
-  // Distinct class symbols among the triggering constituents — a composite
-  // rule spanning several classes is exactly the coupling the shard report
-  // must know about.
-  common::SymbolId inline_syms[8];
-  std::size_t sym_count = 0;
-  for (const auto& constituent : occurrence->constituents) {
-    if (constituent == nullptr) continue;
-    const common::SymbolId sym = constituent->class_sym;
-    if (sym == common::kInvalidSymbol) continue;
-    bool seen = false;
-    for (std::size_t i = 0; i < sym_count; ++i) {
-      if (inline_syms[i] == sym) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen && sym_count < std::size(inline_syms)) {
-      inline_syms[sym_count++] = sym;
-    }
-  }
-  if (sym_count == 0) return;
-
-  {
-    std::lock_guard<std::mutex> lock(rule->sym_mu);
-    for (std::size_t i = 0; i < sym_count; ++i) {
-      auto it = std::lower_bound(rule->symbols.begin(), rule->symbols.end(),
-                                 inline_syms[i]);
-      if (it == rule->symbols.end() || *it != inline_syms[i]) {
-        rule->symbols.insert(it, inline_syms[i]);
-      }
-    }
-  }
-
-  // Split the rule's own compute (condition + action; commit cost belongs to
-  // the storage layer) evenly across the contributing symbols.
-  const std::uint64_t cpu =
-      (condition.valid ? condition.cpu_ns : 0) + (action.valid ? action.cpu_ns : 0);
-  const std::uint64_t wall = (condition.valid ? condition.wall_ns : 0) +
-                             (action.valid ? action.wall_ns : 0);
-  for (std::size_t i = 0; i < sym_count; ++i) {
-    GetSymbolCost(inline_syms[i])
-        ->rules.Record(cpu / sym_count, wall / sym_count);
-  }
-}
-
-void Profiler::RecordSymbolEvent(common::SymbolId sym, std::uint64_t cpu,
-                                 std::uint64_t wall) {
-  if (sym == common::kInvalidSymbol) return;
-  GetSymbolCost(sym)->events.Record(cpu, wall);
 }
 
 void Profiler::RecordGlobal(GlobalSeam seam, std::uint64_t cpu,
@@ -466,13 +390,6 @@ std::vector<Profiler::RuleSnapshot> Profiler::RuleSnapshots() const {
     RuleSnapshot snap;
     snap.name = name;
     for (int i = 0; i < kRuleSeams; ++i) snap.seams[i] = rule->seams[i].Snap();
-    {
-      std::lock_guard<std::mutex> sym_lock(rule->sym_mu);
-      snap.symbols.reserve(rule->symbols.size());
-      for (common::SymbolId sym : rule->symbols) {
-        snap.symbols.push_back(common::SymbolTable::Global().NameOf(sym));
-      }
-    }
     out.push_back(std::move(snap));
   }
   return out;
@@ -484,22 +401,6 @@ std::vector<Profiler::NodeSnapshot> Profiler::NodeSnapshots() const {
   out.reserve(nodes_.size());
   for (const auto& [name, cell] : nodes_) {
     out.push_back(NodeSnapshot{name, cell->Snap()});
-  }
-  return out;
-}
-
-std::vector<Profiler::SymbolSnapshot> Profiler::SymbolSnapshots() const {
-  std::vector<SymbolSnapshot> out;
-  std::shared_lock lock(symbols_mu_);
-  for (std::size_t sym = 0; sym < symbols_.size(); ++sym) {
-    if (symbols_[sym] == nullptr) continue;
-    SymbolSnapshot snap;
-    snap.symbol = common::SymbolTable::Global().NameOf(
-        static_cast<common::SymbolId>(sym));
-    snap.events = symbols_[sym]->events.Snap();
-    snap.rules = symbols_[sym]->rules.Snap();
-    if (snap.events.invocations == 0 && snap.rules.invocations == 0) continue;
-    out.push_back(std::move(snap));
   }
   return out;
 }
@@ -549,9 +450,6 @@ std::string Profiler::ProfileJson() const {
       WriteCost(w, RuleSeamName(static_cast<RuleSeam>(i)), rule.seams[i]);
     }
     w.Field("total_wall_ns", rule.total_wall_ns());
-    w.Key("symbols").BeginArray();
-    for (const std::string& sym : rule.symbols) w.Value(sym);
-    w.EndArray();
     w.EndObject();
   }
   w.EndArray();
@@ -561,17 +459,6 @@ std::string Profiler::ProfileJson() const {
     w.BeginObject();
     w.Field("name", node.name);
     WriteCost(w, "eval", node.eval);
-    w.EndObject();
-  }
-  w.EndArray();
-
-  w.Key("symbols").BeginArray();
-  for (const SymbolSnapshot& sym : SymbolSnapshots()) {
-    w.BeginObject();
-    w.Field("symbol", sym.symbol);
-    WriteCost(w, "events", sym.events);
-    WriteCost(w, "rules", sym.rules);
-    w.Field("total_wall_ns", sym.events.wall_ns + sym.rules.wall_ns);
     w.EndObject();
   }
   w.EndArray();
@@ -660,30 +547,6 @@ void Profiler::WritePrometheus(PromWriter& w) const {
       w.Sample("sentinel_profile_node_cpu_ns_total", labels, node.eval.cpu_ns);
       w.Sample("sentinel_profile_node_wall_ns_total", labels,
                node.eval.wall_ns);
-    }
-  }
-
-  const auto symbols = SymbolSnapshots();
-  if (!symbols.empty()) {
-    w.Family("sentinel_profile_symbol_events_total",
-             "Primitive event dispatches per interned class symbol",
-             "counter");
-    w.Family("sentinel_profile_symbol_cpu_ns_total",
-             "Attributed CPU time per class symbol (dispatch + rules),"
-             " nanoseconds",
-             "counter");
-    w.Family("sentinel_profile_symbol_wall_ns_total",
-             "Attributed wall time per class symbol (dispatch + rules),"
-             " nanoseconds",
-             "counter");
-    for (const SymbolSnapshot& sym : symbols) {
-      const PromWriter::Labels labels = {{"symbol", sym.symbol}};
-      w.Sample("sentinel_profile_symbol_events_total", labels,
-               sym.events.invocations);
-      w.Sample("sentinel_profile_symbol_cpu_ns_total", labels,
-               sym.events.cpu_ns + sym.rules.cpu_ns);
-      w.Sample("sentinel_profile_symbol_wall_ns_total", labels,
-               sym.events.wall_ns + sym.rules.wall_ns);
     }
   }
 

@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/symbol.h"
 #include "obs/metrics.h"
 
 namespace sentinel::obs {
@@ -29,9 +28,9 @@ class PromWriter;
 ///   1. *Exact attribution* — the seams that already carry spans (condition,
 ///      action, operator-node evaluation, commit barrier, GED forward) also
 ///      record CPU-ns (CLOCK_THREAD_CPUTIME_ID), wall-ns and invocation
-///      counts into per-rule, per-event-node and per-interned-class-symbol
-///      cost accounts. Accounts store sharded counters so concurrent
-///      scheduler workers never contend on one cache line.
+///      counts into per-rule and per-event-node cost accounts. Accounts
+///      store sharded counters so concurrent scheduler workers never contend
+///      on one cache line.
 ///   2. *Lock contention* — the striped detector buffer mutexes, the storage
 ///      lock manager and the WAL group-commit barrier report try-then-wait
 ///      accounting (acquisitions, contended acquisitions, summed wait-ns)
@@ -121,13 +120,9 @@ class Profiler {
 
   // -- Feed 1: exact attribution ---------------------------------------------
 
-  /// Records one rule firing's seam costs, attributes the condition+action
-  /// cost to the distinct class symbols among the triggering occurrence's
-  /// constituents (split evenly), and remembers the rule↔symbol coupling for
-  /// the shard-steering report. `occurrence` may be null (no attribution).
-  /// Call only after enabled() passed.
+  /// Records one rule firing's seam costs. Call only after enabled()
+  /// passed.
   void RecordRuleFiring(const std::string& rule_name,
-                        const detector::Occurrence* occurrence,
                         const CostDelta& condition, const CostDelta& action,
                         const CostDelta& commit);
 
@@ -135,11 +130,6 @@ class Profiler {
   /// stable for the profiler's lifetime (nodes cache it at set_profiler
   /// time so the Emit path never takes the account-map lock).
   CostCell* NodeAccount(const std::string& node_name);
-
-  /// Per-class-symbol primitive-dispatch account (event rates for the shard
-  /// report). Call only after enabled() passed.
-  void RecordSymbolEvent(common::SymbolId sym, std::uint64_t cpu,
-                         std::uint64_t wall);
 
   /// Commit-barrier / GED-forward seams. Call only after enabled() passed.
   void RecordGlobal(GlobalSeam seam, std::uint64_t cpu, std::uint64_t wall);
@@ -276,7 +266,6 @@ class Profiler {
   struct RuleSnapshot {
     std::string name;
     std::array<CostSnapshot, kRuleSeams> seams;
-    std::vector<std::string> symbols;  // distinct triggering class symbols
     std::uint64_t total_wall_ns() const {
       std::uint64_t total = 0;
       for (const CostSnapshot& s : seams) total += s.wall_ns;
@@ -287,15 +276,9 @@ class Profiler {
     std::string name;
     CostSnapshot eval;
   };
-  struct SymbolSnapshot {
-    std::string symbol;
-    CostSnapshot events;  // primitive dispatches for this class symbol
-    CostSnapshot rules;   // attributed rule condition+action cost
-  };
 
   std::vector<RuleSnapshot> RuleSnapshots() const;
   std::vector<NodeSnapshot> NodeSnapshots() const;
-  std::vector<SymbolSnapshot> SymbolSnapshots() const;
   CostSnapshot GlobalSnapshot(GlobalSeam seam) const;
 
   /// Nanoseconds profiling has been enabled (cumulative across start/stop).
@@ -305,8 +288,8 @@ class Profiler {
   /// recorded cost) — the watchdog names it in /healthz detail on degrade.
   std::string TopCostRule() const;
 
-  /// The /profile body: every feed as one JSON object (the input of
-  /// tools/shard_plan.py — see DESIGN.md §15 for the schema).
+  /// The /profile body: every feed as one JSON object (DESIGN.md §15 gives
+  /// the schema).
   std::string ProfileJson() const;
 
   /// Appends the sentinel_profile_* families to a /metrics exposition.
@@ -315,16 +298,9 @@ class Profiler {
  private:
   struct RuleCost {
     std::array<CostCell, kRuleSeams> seams;
-    std::mutex sym_mu;
-    std::vector<common::SymbolId> symbols;  // sorted distinct
-  };
-  struct SymbolCost {
-    CostCell events;
-    CostCell rules;
   };
 
   RuleCost* GetRuleCost(const std::string& name);
-  SymbolCost* GetSymbolCost(common::SymbolId sym);
 
   void SamplerLoop();
   void SampleOnce();
@@ -341,9 +317,6 @@ class Profiler {
 
   mutable std::shared_mutex nodes_mu_;
   std::map<std::string, std::unique_ptr<CostCell>> nodes_;
-
-  mutable std::shared_mutex symbols_mu_;
-  std::deque<std::unique_ptr<SymbolCost>> symbols_;  // indexed by SymbolId
 
   std::array<CostCell, kGlobalSeams> global_;
 

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -108,6 +110,20 @@ const char* TraceModeToString(TraceMode mode) {
       return "flight";
     case TraceMode::kFull:
       return "full";
+  }
+  return "?";
+}
+
+const char* SpanOutcomeToString(SpanOutcome outcome) {
+  switch (outcome) {
+    case SpanOutcome::kNone:
+      return "none";
+    case SpanOutcome::kCommit:
+      return "commit";
+    case SpanOutcome::kCommitFailed:
+      return "commit-failed";
+    case SpanOutcome::kAbort:
+      return "abort";
   }
   return "?";
 }
@@ -323,6 +339,9 @@ void AppendTraceEvent(JsonWriter& w, const Span& span, std::uint64_t base_ns,
   w.Field("kind", SpanKindToString(span.kind));
   if (span.txn != storage::kInvalidTxnId) w.Field("txn", span.txn);
   if (span.subtxn != 0) w.Field("subtxn", span.subtxn);
+  if (span.kind == SpanKind::kSubTxn) {
+    w.Field("outcome", SpanOutcomeToString(span.outcome));
+  }
   if (span.trace != 0) w.Field("trace", span.trace);
   if (span.remote_parent != 0) w.Field("remote_parent", span.remote_parent);
   w.EndObject();
@@ -335,12 +354,58 @@ std::string SpanTracer::ChromeTraceJson() const {
   return ChromeTraceJson(ExportMeta{});
 }
 
-std::string SpanTracer::ChromeTraceJson(const ExportMeta& meta) const {
+std::vector<Span> SpanTracer::SnapshotWithOpenTxns() const {
   std::vector<Span> spans = Snapshot();
   std::vector<Span> open = OpenTxnSpans();
   spans.insert(spans.end(), open.begin(), open.end());
   std::sort(spans.begin(), spans.end(),
             [](const Span& a, const Span& b) { return a.start_ns < b.start_ns; });
+  return spans;
+}
+
+std::string SpanTracer::TxnTreeText(storage::TxnId txn) const {
+  const std::vector<Span> spans = SnapshotWithOpenTxns();
+  std::unordered_set<std::uint64_t> ids;
+  for (const Span& span : spans) ids.insert(span.id);
+  // Children in start order (the snapshot is sorted); a span whose parent
+  // was dropped from the rings roots its own subtree.
+  std::unordered_map<std::uint64_t, std::vector<const Span*>> children;
+  std::vector<const Span*> roots;
+  for (const Span& span : spans) {
+    if (span.parent != 0 && ids.count(span.parent) != 0) {
+      children[span.parent].push_back(&span);
+    } else if (span.txn == txn) {
+      roots.push_back(&span);
+    }
+  }
+  std::string out;
+  std::vector<std::pair<const Span*, int>> stack;
+  for (auto it = roots.rbegin(); it != roots.rend(); ++it) {
+    stack.emplace_back(*it, 0);
+  }
+  while (!stack.empty()) {
+    const auto [span, depth] = stack.back();
+    stack.pop_back();
+    out.append(2 * static_cast<std::size_t>(depth), ' ');
+    out += SpanKindToString(span->kind);
+    out += ' ';
+    out += span->label;
+    if (span->kind == SpanKind::kSubTxn) {
+      out += ' ';
+      out += SpanOutcomeToString(span->outcome);
+    }
+    out += '\n';
+    auto kids = children.find(span->id);
+    if (kids == children.end()) continue;
+    for (auto it = kids->second.rbegin(); it != kids->second.rend(); ++it) {
+      stack.emplace_back(*it, depth + 1);
+    }
+  }
+  return out;
+}
+
+std::string SpanTracer::ChromeTraceJson(const ExportMeta& meta) const {
+  std::vector<Span> spans = SnapshotWithOpenTxns();
 
   std::uint64_t base_ns = spans.empty() ? 0 : spans.front().start_ns;
   std::uint64_t now_ns = NowNs();
@@ -425,6 +490,7 @@ bool SpanScope::Open(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
   span_.kind = kind;
   span_.txn = txn;
   span_.subtxn = subtxn;
+  span_.outcome = SpanOutcome::kNone;
   span_.start_ns = start_ns != 0 ? start_ns : SpanTracer::NowNs();
   span_.tid = ThisThreadId();
   pushed_ = PushScope(tracer->uid_, span_.id);

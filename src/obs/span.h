@@ -57,6 +57,17 @@ enum class TraceMode : std::uint8_t {
 
 const char* TraceModeToString(TraceMode mode);
 
+/// How a subtxn span's subtransaction ended. kNone for every other kind, and
+/// for a firing that ran without a subtransaction.
+enum class SpanOutcome : std::uint8_t {
+  kNone = 0,
+  kCommit,
+  kCommitFailed,
+  kAbort,
+};
+
+const char* SpanOutcomeToString(SpanOutcome outcome);
+
 /// One closed (or, for transactions still open, in-flight) span. Timestamps
 /// are steady-clock nanoseconds; `parent` is the id of the enclosing span
 /// (0 = root), which is how a whole top transaction renders as one tree.
@@ -64,6 +75,7 @@ struct Span {
   std::uint64_t id = 0;
   std::uint64_t parent = 0;
   SpanKind kind = SpanKind::kTxn;
+  SpanOutcome outcome = SpanOutcome::kNone;  // fills padding after `kind`
   storage::TxnId txn = storage::kInvalidTxnId;
   std::uint64_t subtxn = 0;
   std::uint64_t start_ns = 0;
@@ -84,20 +96,28 @@ struct Span {
   std::uint64_t remote_parent = 0;
 };
 
+// Ten 8-byte words (kind shares one with outcome and padding, tid one with
+// padding) plus the two name handles: the outcome byte costs no space.
+static_assert(sizeof(Span) == 10 * sizeof(std::uint64_t) +
+                                  sizeof(std::string) +
+                                  sizeof(std::shared_ptr<const std::string>),
+              "Span::outcome must sit in the padding after Span::kind");
+
 /// Fills an empty `label` from `name`: the rule name for a subtxn span,
 /// "<rule>.<kind>" for its condition and action spans. Snapshots call it, so
 /// every consumer sees the same label strings.
 void RenderLabel(Span* span);
 
-/// Causal span tracer. Same budget discipline as the provenance tracer
-/// (PR 3): a single relaxed load decides "off", and every instrumentation
-/// site builds its label only after that gate passes. Closed spans go to
-/// per-thread rings (pooled under the tracer, relaxed-atomic sequence
-/// numbers; each ring is written only by its owning thread, so its mutex is
-/// uncontended and exists for snapshot safety under TSan). Parent links come
-/// from a thread-local scope stack, falling back to the open-transaction
-/// anchor table for spans recorded outside any scope (e.g. a scheduler
-/// worker picking up a firing for a transaction begun on the app thread).
+/// Causal span tracer, and the one record of how events, rules and their
+/// subtransactions interact (DESIGN.md §9). A single relaxed load decides
+/// "off", and every instrumentation site builds its label only after that
+/// gate passes. Closed spans go to per-thread rings (pooled under the
+/// tracer, relaxed-atomic sequence numbers; each ring is written only by its
+/// owning thread, so its mutex is uncontended and exists for snapshot safety
+/// under TSan). Parent links come from a thread-local scope stack, falling
+/// back to the open-transaction anchor table for spans recorded outside any
+/// scope (e.g. a scheduler worker picking up a firing for a transaction
+/// begun on the app thread).
 class SpanTracer {
  public:
   static constexpr std::size_t kDefaultRingCapacity = 8192;
@@ -155,6 +175,11 @@ class SpanTracer {
   std::string ChromeTraceJson() const;
   Status ExportChromeTrace(const std::string& path) const;
 
+  /// Transaction `txn`'s span tree as text: one line per span, indented by
+  /// depth, giving kind, label and (for subtxn spans) outcome. Spans hang
+  /// under their parents whatever their own txn, so storage leaves show too.
+  std::string TxnTreeText(storage::TxnId txn) const;
+
   /// Per-process metadata stamped into the export's top-level `otherData`
   /// object so tools/merge_traces.py can place several process exports on
   /// one timeline: `process` labels the export, `clock_offset_ns` is this
@@ -201,6 +226,8 @@ class SpanTracer {
   std::uint64_t NextSpanId() {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
   }
+  /// Closed spans plus the open transaction spans, sorted by start time.
+  std::vector<Span> SnapshotWithOpenTxns() const;
   /// Scope-stack parent, else the open txn span for `txn`, else 0.
   std::uint64_t ResolveParent(storage::TxnId txn) const;
   /// Routes a finished span: flight recorder always, thread ring when the
@@ -248,6 +275,9 @@ class SpanScope {
              std::uint64_t parent_override = 0, std::uint64_t start_ns = 0);
   /// Closes the span at `end_ns` when nonzero, else at the current time.
   void End(std::uint64_t end_ns = 0);
+
+  /// Records how the span's subtransaction ended (ignored when inert).
+  void set_outcome(SpanOutcome outcome) { span_.outcome = outcome; }
 
   /// Marks an open span as part of distributed trace `trace`, causally
   /// parented by `remote_parent` (a span id possibly from another process;

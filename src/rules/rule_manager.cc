@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace sentinel::rules {
 
@@ -357,12 +356,6 @@ void RuleManager::Trigger(Rule* rule, const detector::Occurrence& occurrence,
   // under it even though it executes on a scheduler thread.
   firing.trigger_span =
       obs::SpanTracer::CurrentSpanIdFor(detector_->span_tracer());
-
-  obs::ProvenanceTracer* tracer = detector_->tracer();
-  if (tracer != nullptr && tracer->enabled()) {
-    tracer->Record(obs::EdgeKind::kFiring, occurrence.event_name, rule->name(),
-                   firing.txn, context, 0);
-  }
 
   if (rule->coupling() == CouplingMode::kDetached) {
     scheduler_->EnqueueDetached(std::move(firing));

@@ -8,7 +8,6 @@
 #include "detector/local_detector.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace sentinel::rules {
 
@@ -206,8 +205,6 @@ void RuleScheduler::Execute(Firing firing) {
   Rule* rule = firing.rule;
   if (rule == nullptr || !rule->enabled()) return;
 
-  obs::ProvenanceTracer* tracer = tracer_.load(std::memory_order_acquire);
-  const bool tracing = tracer != nullptr && tracer->enabled();
   obs::SpanTracer* span_tracer = span_tracer_.load(std::memory_order_acquire);
   const bool spans =
       span_tracer != nullptr &&
@@ -249,10 +246,6 @@ void RuleScheduler::Execute(Firing firing) {
     }
     if (begun.ok()) {
       sub = *begun;
-      if (tracing) {
-        tracer->Record(obs::EdgeKind::kSubTxn, rule->name(), "begin",
-                       firing.txn, firing.context, sub);
-      }
     } else {
       sub_status = begun.status();
       SENTINEL_LOG(kWarn) << "subtransaction begin failed for rule "
@@ -373,11 +366,8 @@ void RuleScheduler::Execute(Firing firing) {
         prof_commit = {obs::Profiler::ThreadCpuNs() - cpu0, commit_wall,
                        true};
       }
-      if (tracing) {
-        tracer->Record(obs::EdgeKind::kSubTxn, rule->name(),
-                       commit.ok() ? "commit" : "commit-failed", firing.txn,
-                       firing.context, sub);
-      }
+      subtxn_span.set_outcome(commit.ok() ? obs::SpanOutcome::kCommit
+                                          : obs::SpanOutcome::kCommitFailed);
       if (!commit.ok()) {
         SENTINEL_LOG(kWarn) << "subtransaction commit failed for rule "
                             << rule->name() << ": " << commit.ToString();
@@ -388,10 +378,7 @@ void RuleScheduler::Execute(Firing firing) {
       Status aborted = nested_->Abort(sub);
       subtxn_end_ns = NowNs();
       rule->metrics().abort_ns.Record(subtxn_end_ns - t0);
-      if (tracing) {
-        tracer->Record(obs::EdgeKind::kSubTxn, rule->name(), "abort",
-                       firing.txn, firing.context, sub);
-      }
+      subtxn_span.set_outcome(obs::SpanOutcome::kAbort);
       if (!aborted.ok()) {
         SENTINEL_LOG(kWarn) << "subtransaction abort failed for rule "
                             << rule->name() << ": " << aborted.ToString();
@@ -403,8 +390,8 @@ void RuleScheduler::Execute(Firing firing) {
   subtxn_span.End(subtxn_end_ns);
 
   if (profiling) {
-    profiler->RecordRuleFiring(rule->name(), &firing.occurrence,
-                               prof_condition, prof_action, prof_commit);
+    profiler->RecordRuleFiring(rule->name(), prof_condition, prof_action,
+                               prof_commit);
   }
 
   if (failure.ok()) {

@@ -15,7 +15,6 @@
 
 namespace sentinel::obs {
 class Profiler;
-class ProvenanceTracer;
 class SpanTracer;
 }  // namespace sentinel::obs
 
@@ -180,12 +179,6 @@ class RuleScheduler {
     contingency_.store(policy, std::memory_order_relaxed);
   }
 
-  /// Attaches the provenance tracer; firing→subtransaction edges are
-  /// recorded while it is enabled.
-  void set_tracer(obs::ProvenanceTracer* tracer) {
-    tracer_.store(tracer, std::memory_order_release);
-  }
-
   /// Attaches the causal span tracer; each firing records a subtxn span
   /// (with condition/action child spans) parented under its trigger_span.
   void set_span_tracer(obs::SpanTracer* tracer) {
@@ -193,9 +186,9 @@ class RuleScheduler {
   }
 
   /// Attaches the continuous profiler; while it is enabled, each firing's
-  /// condition/action/commit seams record CPU+wall cost into per-rule and
-  /// per-class-symbol accounts and the executing thread is annotated for
-  /// the wall-clock sampler.
+  /// condition/action/commit seams record CPU+wall cost into per-rule
+  /// accounts and the executing thread is annotated for the wall-clock
+  /// sampler.
   void set_profiler(obs::Profiler* profiler) {
     profiler_.store(profiler, std::memory_order_release);
   }
@@ -230,7 +223,6 @@ class RuleScheduler {
   txn::NestedTransactionManager* nested_;
   oodb::Database* db_;
   std::unique_ptr<ThreadPool> pool_;
-  std::atomic<obs::ProvenanceTracer*> tracer_{nullptr};
   std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
   std::atomic<obs::Profiler*> profiler_{nullptr};
   PostmortemHook postmortem_hook_;  // guarded by mu_

@@ -8,6 +8,7 @@
 
 #include "detector/local_detector.h"
 #include "detector_test_util.h"
+#include "net/protocol.h"
 
 namespace sentinel::detector {
 namespace {
@@ -151,6 +152,54 @@ TEST_F(EventLogTest, WriteFailureIsStickyAndReportedByClose) {
   EXPECT_EQ(log.status().code(), StatusCode::kIOError);
 }
 
+// A record whose modifier byte is out of range is corrupt: Load stops before
+// it, so Replay never injects an out-of-range EventModifier.
+TEST_F(EventLogTest, OutOfRangeModifierEndsTheLog) {
+  {
+    LocalEventDetector det;
+    EventLog log;
+    ASSERT_TRUE(log.OpenFile(path_).ok());
+    log.AttachTo(&det);
+    Fire(&det, "C", "void fa()", 1);
+    ASSERT_TRUE(log.Close().ok());
+  }
+  PrimitiveOccurrence bad;
+  bad.event_name = "a";
+  bad.class_name = "C";
+  bad.method_signature = "void fa()";
+  BytesWriter writer;
+  net::EncodeOccurrence(bad, &writer);
+  std::vector<std::uint8_t> record = writer.data();
+  // event_name and class_name (u32 length + bytes each), then the u64 oid.
+  const std::size_t modifier_at = 4 + bad.event_name.size() + 4 +
+                                  bad.class_name.size() + sizeof(std::uint64_t);
+  ASSERT_LT(modifier_at, record.size());
+  record[modifier_at] = 0xFF;
+  std::FILE* f = std::fopen(path_.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  const std::uint32_t size = static_cast<std::uint32_t>(record.size());
+  ASSERT_EQ(std::fwrite(&size, sizeof(size), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(record.data(), record.size(), 1, f), 1u);
+  std::fclose(f);
+
+  EventLog reloaded;
+  ASSERT_TRUE(reloaded.OpenFile(path_).ok());
+  auto occurrences = reloaded.Load();
+  ASSERT_TRUE(occurrences.ok());
+  ASSERT_EQ(occurrences->size(), 1u);
+  EXPECT_EQ((*occurrences)[0].params->Get("v")->AsInt(), 1);
+
+  LocalEventDetector det;
+  DefineSeqGraph(&det);
+  RecordingSink sink;
+  ASSERT_TRUE(det.Subscribe("a", &sink, ParamContext::kRecent).ok());
+  ASSERT_TRUE(reloaded.Replay(&det).ok());
+  EXPECT_EQ(det.notify_count(), 1u);
+  EXPECT_EQ(sink.hits.size(), 1u);
+  ASSERT_TRUE(reloaded.Close().ok());
+}
+
+// The log stores occurrences in the event bus codec.
 TEST_F(EventLogTest, SerializationRoundTripsAllFields) {
   PrimitiveOccurrence occ;
   occ.event_name = "e";
@@ -171,9 +220,9 @@ TEST_F(EventLogTest, SerializationRoundTripsAllFields) {
   occ.params = params;
 
   BytesWriter writer;
-  EventLog::Serialize(occ, &writer);
+  net::EncodeOccurrence(occ, &writer);
   BytesReader reader(writer.data());
-  auto back = EventLog::Deserialize(&reader);
+  auto back = net::DecodeOccurrence(&reader);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->event_name, "e");
   EXPECT_EQ(back->class_name, "Klass");

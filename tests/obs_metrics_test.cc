@@ -1,6 +1,5 @@
 // Observability layer: sharded counters, latency histograms, per-node
-// per-context metrics, the provenance trace ring, and the lifetime/race
-// regressions that ride along with it (scheduler policy atomics, detached
+// per-context metrics, and the lifetime/race regressions that ride along with it (scheduler policy atomics, detached
 // firing parameter pinning). Suite names start with Obs* so the TSan CI job's
 // --gtest_filter picks them up.
 
@@ -15,7 +14,6 @@
 #include "detector/local_detector.h"
 #include "detector_test_util.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "rules/rule_manager.h"
 #include "rules/scheduler.h"
 #include "txn/nested_txn.h"
@@ -136,58 +134,6 @@ TEST(ObsHistogramTest, TornSnapshotMeanClampsToMax) {
   snap.sum_ns = 10000;
   snap.max_ns = 500;
   EXPECT_EQ(snap.mean_ns(), 500u);
-}
-
-TEST(ObsTraceTest, RingWrapsAndCountsDropped) {
-  ProvenanceTracer tracer(/*capacity=*/8);
-  tracer.set_enabled(true);
-  for (int i = 0; i < 20; ++i) {
-    tracer.Record(EdgeKind::kPrimitive, "m", "e", /*txn=*/1,
-                  ParamContext::kRecent);
-  }
-  EXPECT_EQ(tracer.size(), 8u);
-  EXPECT_EQ(tracer.recorded(), 20u);
-  EXPECT_EQ(tracer.dropped(), 12u);
-  auto edges = tracer.Snapshot();
-  ASSERT_EQ(edges.size(), 8u);
-  // The survivors are the 8 newest, oldest first.
-  EXPECT_EQ(edges.front().seq, 13u);
-  EXPECT_EQ(edges.back().seq, 20u);
-}
-
-TEST(ObsTraceTest, FlushTxnDropsOnlyThatTxn) {
-  ProvenanceTracer tracer;
-  tracer.set_enabled(true);
-  for (int i = 0; i < 3; ++i) {
-    tracer.Record(EdgeKind::kFiring, "e", "r", /*txn=*/1,
-                  ParamContext::kRecent);
-  }
-  for (int i = 0; i < 2; ++i) {
-    tracer.Record(EdgeKind::kFiring, "e", "r", /*txn=*/2,
-                  ParamContext::kRecent);
-  }
-  tracer.FlushTxn(1);
-  EXPECT_EQ(tracer.size(), 2u);
-  for (const auto& edge : tracer.Snapshot()) EXPECT_EQ(edge.txn, 2u);
-  auto drained = tracer.DrainTxn(2);
-  EXPECT_EQ(drained.size(), 2u);
-  EXPECT_EQ(tracer.size(), 0u);
-}
-
-TEST(ObsTraceTest, DetectorFlushTxnFlushesTrace) {
-  LocalEventDetector det;
-  ProvenanceTracer tracer;
-  det.set_tracer(&tracer);
-  tracer.set_enabled(true);
-  ASSERT_TRUE(
-      det.DefinePrimitive("e1", "C", EventModifier::kEnd, "void f()").ok());
-  detector::RecordingSink sink;
-  ASSERT_TRUE(det.Subscribe("e1", &sink, ParamContext::kRecent).ok());
-  detector::Fire(&det, "C", "void f()", 1, /*txn=*/5);
-  detector::Fire(&det, "C", "void f()", 2, /*txn=*/6);
-  ASSERT_GT(tracer.size(), 0u);
-  det.FlushTxn(5);
-  for (const auto& edge : tracer.Snapshot()) EXPECT_EQ(edge.txn, 6u);
 }
 
 TEST(ObsNodeMetricsTest, CountersPerContextInSharedGraph) {

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -429,6 +430,57 @@ TEST(ObsMonitorServerTest, ServesRoutesAndErrorCodes) {
   EXPECT_EQ(server.requests(), 3u);  // only routed requests count
   server.Stop();
   EXPECT_FALSE(server.running());
+}
+
+// A client that trickles its request line one byte every 500 ms and never
+// sends CRLF holds the single accept thread only until the request deadline
+// (2 s from accept), so a concurrent /healthz is still answered.
+TEST(ObsMonitorServerTest, TricklingClientCannotStarveHealthz) {
+  MonitorServer server;
+  server.Route("/healthz", [] {
+    MonitorServer::Response r;
+    r.body = "ok";
+    return r;
+  });
+  ASSERT_TRUE(server.Start(MonitorServer::Options{}).ok());
+  const int port = server.port();
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> connected{false};
+  std::thread trickler([&] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    const bool ok = fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                                         sizeof(addr)) == 0;
+    EXPECT_TRUE(ok);
+    connected = true;
+    // Bounded at 12 bytes (6 s), so a server without the deadline makes
+    // this test fail rather than hang.
+    for (int i = 0; ok && i < 12 && !stop; ++i) {
+      if (::send(fd, "G", 1, MSG_NOSIGNAL) != 1) break;
+      for (int slice = 0; slice < 10 && !stop; ++slice) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+    }
+    if (fd >= 0) ::close(fd);
+  });
+  while (!connected) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Let the accept loop pick the trickler up first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string response = HttpGet(port, "/healthz");
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  stop = true;
+  trickler.join();
+
+  EXPECT_EQ(StatusOf(response), 200);
+  EXPECT_EQ(BodyOf(response), "ok");
+  EXPECT_LT(waited, std::chrono::seconds(3));
+  server.Stop();
 }
 
 TEST(ObsMonitorServerTest, RefusesTakenPort) {

@@ -186,6 +186,135 @@ TEST(ObsSpanTest, SpanTreeIntegrityFullTrace) {
   ASSERT_TRUE(db.Close().ok());
 }
 
+// Provenance is a view of the span tree: one transaction fires a composite
+// AND rule, a rule whose condition is false, and a rule whose action throws.
+// The tree links each firing to the detection that caused it, the subtxn
+// spans carry how each subtransaction ended, and the `trace txn` rendering
+// prints the same tree.
+TEST(ObsSpanTest, ProvenanceViewOfThreeRules) {
+  ActiveDatabase db;
+  ASSERT_TRUE(db.OpenInMemory().ok());
+  db.span_tracer()->set_mode(TraceMode::kFull);
+  auto a = db.DeclareEvent("ev_a", "Order", EventModifier::kEnd, "void a()");
+  auto b = db.DeclareEvent("ev_b", "Order", EventModifier::kEnd, "void b()");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(db.detector()->DefineAnd("ev_and", *a, *b).ok());
+  auto* rules = db.rule_manager();
+  ASSERT_TRUE(rules
+                  ->DefineRule(
+                      "and_rule", "ev_and",
+                      [](const rules::RuleContext&) { return true; },
+                      [](const rules::RuleContext&) {})
+                  .ok());
+  ASSERT_TRUE(rules
+                  ->DefineRule(
+                      "false_rule", "ev_a",
+                      [](const rules::RuleContext&) { return false; },
+                      [](const rules::RuleContext&) {})
+                  .ok());
+  ASSERT_TRUE(rules
+                  ->DefineRule("throw_rule", "ev_b", nullptr,
+                               [](const rules::RuleContext&) {
+                                 throw std::runtime_error("action failed");
+                               })
+                  .ok());
+
+  auto txn = db.Begin();
+  ASSERT_TRUE(txn.ok());
+  db.NotifyMethod("Order", 1, EventModifier::kEnd, "void a()", nullptr, *txn);
+  db.NotifyMethod("Order", 1, EventModifier::kEnd, "void b()", nullptr, *txn);
+  ASSERT_TRUE(db.Commit(*txn).ok());
+
+  const std::vector<Span> spans = db.span_tracer()->Snapshot();
+  std::map<std::uint64_t, Span> by_id;
+  for (const Span& span : spans) by_id[span.id] = span;
+  std::map<std::string, Span> subtxn;  // by rule name; skips system rules
+  for (const Span& span : spans) {
+    if (span.kind == SpanKind::kSubTxn && span.txn == *txn &&
+        span.label.rfind("__sys", 0) != 0) {
+      subtxn[span.label] = span;
+    }
+  }
+  ASSERT_EQ(subtxn.size(), 3u);
+  ASSERT_EQ(subtxn.count("and_rule"), 1u);
+  ASSERT_EQ(subtxn.count("false_rule"), 1u);
+  ASSERT_EQ(subtxn.count("throw_rule"), 1u);
+
+  // notify → composite_detect → subtxn for the composite rule.
+  ASSERT_TRUE(by_id.count(subtxn["and_rule"].parent));
+  const Span& detect = by_id[subtxn["and_rule"].parent];
+  EXPECT_EQ(detect.kind, SpanKind::kCompositeDetect);
+  EXPECT_EQ(detect.label, "ev_and");
+  ASSERT_TRUE(by_id.count(detect.parent));
+  const Span& notify = by_id[detect.parent];
+  EXPECT_EQ(notify.kind, SpanKind::kNotify);
+  ASSERT_TRUE(by_id.count(notify.parent));
+  EXPECT_EQ(by_id[notify.parent].kind, SpanKind::kTxn);
+  // The primitive rules hang directly under their notify spans.
+  EXPECT_EQ(by_id[subtxn["false_rule"].parent].kind, SpanKind::kNotify);
+  EXPECT_EQ(by_id[subtxn["throw_rule"].parent].kind, SpanKind::kNotify);
+
+  // Outcomes: a false condition still commits; a throwing action aborts.
+  int commits = 0;
+  int aborts = 0;
+  for (const auto& [name, span] : subtxn) {
+    (void)name;
+    commits += span.outcome == obs::SpanOutcome::kCommit;
+    aborts += span.outcome == obs::SpanOutcome::kAbort;
+  }
+  EXPECT_EQ(commits, 2);
+  EXPECT_EQ(aborts, 1);
+  EXPECT_EQ(subtxn["throw_rule"].outcome, obs::SpanOutcome::kAbort);
+
+  // Condition/action children: the false-condition rule never acts.
+  auto child_kinds = [&](const Span& parent) {
+    std::vector<SpanKind> kinds;
+    for (const Span& span : spans) {
+      if (span.parent == parent.id) kinds.push_back(span.kind);
+    }
+    return kinds;
+  };
+  EXPECT_EQ(child_kinds(subtxn["and_rule"]),
+            (std::vector<SpanKind>{SpanKind::kCondition, SpanKind::kAction}));
+  EXPECT_EQ(child_kinds(subtxn["false_rule"]),
+            std::vector<SpanKind>{SpanKind::kCondition});
+  EXPECT_EQ(child_kinds(subtxn["throw_rule"]),
+            std::vector<SpanKind>{SpanKind::kAction});
+
+  const std::string json = db.span_tracer()->ChromeTraceJson();
+  EXPECT_NE(json.find("\"outcome\":\"commit\""), std::string::npos);
+  EXPECT_NE(json.find("\"outcome\":\"abort\""), std::string::npos);
+
+  // The `trace txn` rendering: every span of the tree on its own line,
+  // indented two spaces per level below the txn span.
+  const std::string tree = "\n" + db.span_tracer()->TxnTreeText(*txn);
+  for (const Span& span : spans) {
+    int depth = 0;
+    std::uint64_t up = span.parent;
+    bool in_txn = span.kind == SpanKind::kTxn && span.txn == *txn;
+    for (; up != 0 && by_id.count(up); up = by_id[up].parent) {
+      ++depth;
+      if (by_id[up].kind == SpanKind::kTxn && by_id[up].txn == *txn) {
+        in_txn = true;
+      }
+    }
+    if (!in_txn) continue;
+    std::string line = "\n" + std::string(2 * depth, ' ') +
+                       obs::SpanKindToString(span.kind) + " " + span.label;
+    if (span.kind == SpanKind::kSubTxn) {
+      line += std::string(" ") + obs::SpanOutcomeToString(span.outcome);
+    }
+    EXPECT_NE(tree.find(line + "\n"), std::string::npos)
+        << "missing '" << line.substr(1) << "' in\n" << tree;
+  }
+  EXPECT_NE(tree.find("\n      subtxn and_rule commit\n"), std::string::npos)
+      << tree;
+  EXPECT_NE(tree.find("\n    subtxn throw_rule abort\n"), std::string::npos)
+      << tree;
+  ASSERT_TRUE(db.Close().ok());
+}
+
 TEST(ObsSpanTest, SecondTransactionDoesNotInheritFirst) {
   ActiveDatabase db;
   ASSERT_TRUE(db.OpenInMemory().ok());

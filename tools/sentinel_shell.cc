@@ -129,8 +129,11 @@ void PrintHelp() {
   profile top              top rules by attributed cost + contended sites
   profile export [file]    /profile JSON, or folded stacks to <file>
                            (flamegraph.pl / inferno input)
-  trace [on|off|txn <id>]  provenance trace: toggle, dump (JSON), or drain one txn
-  trace span <off|flight|full>       set the causal span tracer mode
+  trace                    span tracer mode and recorded/dropped counts
+  trace <off|flight|full>  set the span tracer mode (full keeps spans for
+                           `trace txn` and `trace export`)
+  trace txn <id>           print one transaction's span tree: events, rules
+                           and how each rule's subtransaction ended
   trace export <path>      write buffered spans as Chrome trace JSON (Perfetto)
   postmortem [<path>]      crash postmortem: print JSON, or write it to <path>
   rtrace                   print the rule debugger trace
@@ -420,26 +423,35 @@ int Run() {
       st = shell.db.rule_manager()->EnableRule(words[1]);
     } else if (cmd == "disable" && words.size() >= 2) {
       st = shell.db.rule_manager()->DisableRule(words[1]);
-    } else if (cmd == "trace" && words.size() >= 3 && words[1] == "span") {
-      sentinel::obs::SpanTracer* spans = shell.db.span_tracer();
-      if (words[2] == "off") {
-        spans->set_mode(sentinel::obs::TraceMode::kOff);
-      } else if (words[2] == "flight") {
-        spans->set_mode(sentinel::obs::TraceMode::kFlightOnly);
-      } else if (words[2] == "full") {
-        spans->set_mode(sentinel::obs::TraceMode::kFull);
-      } else {
-        std::printf("usage: trace span <off|flight|full>\n");
-        continue;
-      }
-      std::printf("span tracing %s\n",
-                  sentinel::obs::TraceModeToString(spans->mode()));
     } else if (cmd == "trace" && words.size() >= 3 && words[1] == "export") {
       st = shell.db.ExportTrace(words[2]);
       if (st.ok()) {
         std::printf("trace written to %s (load in ui.perfetto.dev)\n",
                     words[2].c_str());
       }
+    } else if (cmd == "trace" && words.size() >= 3 && words[1] == "txn") {
+      const auto txn = static_cast<sentinel::storage::TxnId>(
+          std::strtoull(words[2].c_str(), nullptr, 10));
+      std::printf("%s", shell.db.span_tracer()->TxnTreeText(txn).c_str());
+    } else if (cmd == "trace") {
+      sentinel::obs::SpanTracer* spans = shell.db.span_tracer();
+      if (words.size() >= 2) {
+        if (words[1] == "off") {
+          spans->set_mode(sentinel::obs::TraceMode::kOff);
+        } else if (words[1] == "flight") {
+          spans->set_mode(sentinel::obs::TraceMode::kFlightOnly);
+        } else if (words[1] == "full") {
+          spans->set_mode(sentinel::obs::TraceMode::kFull);
+        } else {
+          std::printf(
+              "usage: trace [off|flight|full | txn <id> | export <path>]\n");
+          continue;
+        }
+      }
+      std::printf("span tracing %s, %llu recorded, %llu dropped\n",
+                  sentinel::obs::TraceModeToString(spans->mode()),
+                  static_cast<unsigned long long>(spans->recorded()),
+                  static_cast<unsigned long long>(spans->dropped()));
     } else if (cmd == "postmortem") {
       if (words.size() >= 2) {
         auto written = shell.db.DumpPostmortem("shell", shell.txn, words[1]);
@@ -450,24 +462,6 @@ int Run() {
       } else {
         std::printf("%s\n",
                     shell.db.PostmortemJson("shell", shell.txn).c_str());
-      }
-    } else if (cmd == "trace") {
-      sentinel::obs::ProvenanceTracer* tracer = shell.db.tracer();
-      if (words.size() >= 2 && words[1] == "on") {
-        tracer->set_enabled(true);
-        std::printf("tracing on\n");
-      } else if (words.size() >= 2 && words[1] == "off") {
-        tracer->set_enabled(false);
-        std::printf("tracing off\n");
-      } else if (words.size() >= 3 && words[1] == "txn") {
-        const auto txn = static_cast<sentinel::storage::TxnId>(
-            std::strtoull(words[2].c_str(), nullptr, 10));
-        std::printf("%s\n",
-                    sentinel::obs::ProvenanceTracer::EdgesJson(
-                        tracer->DrainTxn(txn))
-                        .c_str());
-      } else {
-        std::printf("%s\n", tracer->ToJson().c_str());
       }
     } else if (cmd == "rtrace") {
       std::printf("%s", shell.debugger.RenderTrace().c_str());
