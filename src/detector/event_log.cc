@@ -73,21 +73,30 @@ Result<std::vector<PrimitiveOccurrence>> EventLog::Load() const {
   std::fseek(file_, 0, SEEK_END);
   const long end = std::ftell(file_);
   std::fseek(file_, 0, SEEK_SET);
-  for (;;) {
+  Status status;
+  for (std::size_t index = 0;; ++index) {
     std::uint32_t size = 0;
     if (std::fread(&size, sizeof(size), 1, file_) != 1) break;
     // The prefix is untrusted: one longer than the rest of the file is a
-    // torn (or corrupt) tail, never an allocation request.
+    // torn tail, never an allocation request.
     const long left = std::max(0L, end - std::ftell(file_));
     if (size > static_cast<unsigned long>(left)) break;
     std::vector<std::uint8_t> buf(size);
     if (size > 0 && std::fread(buf.data(), size, 1, file_) != 1) break;
     BytesReader reader(buf);
     auto occ = net::DecodeOccurrence(&reader);
-    if (!occ.ok()) break;
+    if (!occ.ok()) {
+      // A complete record that does not decode is corruption, not a torn
+      // tail: stopping here would silently lose every record after it.
+      status = Status::Corruption("event log " + path_ + ": record " +
+                                  std::to_string(index) + " does not decode: " +
+                                  occ.status().ToString());
+      break;
+    }
     result.push_back(std::move(*occ));
   }
   std::fseek(file_, 0, SEEK_END);
+  if (!status.ok()) return status;
   return result;
 }
 

@@ -25,8 +25,9 @@ class LocalEventDetector;
 ///
 /// File format: a sequence of records, each a native-endian u32 length
 /// followed by one occurrence in the event bus codec
-/// (net::EncodeOccurrence). Loading stops at the first record that is torn
-/// or does not decode.
+/// (net::EncodeOccurrence). Loading stops silently at a torn tail (a length
+/// prefix or body that runs past the end of the file) and fails with
+/// Corruption, naming the record, at a complete record that does not decode.
 class EventLog {
  public:
   EventLog() = default;

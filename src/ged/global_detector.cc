@@ -67,6 +67,9 @@ void GlobalEventDetector::Shutdown() {
   // (or neither) wait for the worker; joinable() makes repeats no-ops.
   std::lock_guard<std::mutex> join_lock(shutdown_mu_);
   if (worker_.joinable()) worker_.join();
+  // InjectRemote holds inject_mu_ from its stop_ check through its
+  // injection, so no injection can follow this.
+  std::lock_guard<std::mutex> inject(inject_mu_);
 }
 
 bool GlobalEventDetector::shut_down() const {
@@ -113,8 +116,8 @@ Status GlobalEventDetector::UnregisterApplication(const std::string& app_name) {
 }
 
 Status GlobalEventDetector::InjectRemote(
-    const std::string& app_name,
-    const detector::PrimitiveOccurrence& occurrence) {
+    const std::string& app_name, detector::PrimitiveOccurrence occurrence) {
+  std::lock_guard<std::mutex> inject(inject_mu_);  // see Shutdown
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) {
@@ -126,11 +129,9 @@ Status GlobalEventDetector::InjectRemote(
       ++dropped_;
       return Status::NotFound("application not registered: " + app_name);
     }
-    bus_.emplace_back(app_name, occurrence);
     ++forwarded_;
-    if (bus_.size() > bus_peak_) bus_peak_ = bus_.size();
   }
-  cv_.notify_all();
+  Forward(app_name, std::move(occurrence));
   return Status::OK();
 }
 
@@ -192,7 +193,9 @@ void GlobalEventDetector::Pump(const std::string& app_name,
     ++forwarded_;
     if (bus_.size() > bus_peak_) bus_peak_ = bus_.size();
   }
-  cv_.notify_one();
+  // notify_all: a WaitQuiescent caller waits on the same condition variable
+  // and must not swallow the worker's wake-up.
+  cv_.notify_all();
 }
 
 void GlobalEventDetector::BusLoop() {
@@ -206,63 +209,56 @@ void GlobalEventDetector::BusLoop() {
       bus_.pop_front();
       busy_ = true;
     }
-    // Rewrite the class to the application-scoped namespace and inject into
-    // the global graph. Inter-application events intentionally span
-    // transactions, so the GED performs no per-transaction flush. Each
-    // application has its own logical clock, so occurrences are re-stamped
-    // in bus-arrival order to give the global graph one total order (the
-    // paper defers distributed timestamping to future work).
-    detector::PrimitiveOccurrence occ = item.second;
-    occ.class_name = Namespaced(item.first, occ.class_name);
-    occ.at = graph_.clock()->Tick();
-    obs::SpanScope forward_span;
-    if (obs::SpanTracer* st = graph_.span_tracer();
-        st != nullptr && st->enabled_for(obs::SpanKind::kGedForward)) {
-      // A remote occurrence carries its causal chain: trace_parent is the
-      // latest upstream span (the server's admission-wait span — same
-      // process, so it pins the local parent directly), trace_id marks the
-      // cross-process trace. Downstream composite_detect spans parent here
-      // via the scope stack.
-      forward_span.Start(st, obs::SpanKind::kGedForward, occ.txn,
-                         occ.class_name + "::" + occ.method_signature,
-                         /*subtxn=*/0,
-                         /*parent_override=*/occ.trace_parent);
-      if (occ.trace_id != 0) forward_span.AnnotateRemote(occ.trace_id, 0);
-      occ.trace_parent = forward_span.id();
-    }
-    obs::Profiler* profiler = graph_.profiler();
-    const bool profiling = profiler != nullptr && profiler->enabled();
-    const std::uint64_t prof_cpu0 =
-        profiling ? obs::Profiler::ThreadCpuNs() : 0;
-    const std::uint64_t prof_t0 = profiling ? obs::Profiler::NowNs() : 0;
-    graph_.Inject(occ);
-    if (profiling) {
-      profiler->RecordGlobal(obs::Profiler::GlobalSeam::kGedForward,
-                             obs::Profiler::ThreadCpuNs() - prof_cpu0,
-                             obs::Profiler::NowNs() - prof_t0);
-    }
-    forward_span.End();
     {
-      std::lock_guard<std::mutex> lock(mu_);
-      busy_ = false;
-      // Every pop may unblock a WaitBusBelow backpressure waiter, not just
-      // the transition to empty.
-      cv_.notify_all();
+      std::lock_guard<std::mutex> inject(inject_mu_);
+      Forward(item.first, std::move(item.second));
     }
+    std::lock_guard<std::mutex> lock(mu_);
+    busy_ = false;
+    if (bus_.empty()) cv_.notify_all();  // WaitQuiescent
+  }
+}
+
+void GlobalEventDetector::Forward(const std::string& app_name,
+                                  detector::PrimitiveOccurrence occ) {
+  // Rewrite the class to the application-scoped namespace and inject into
+  // the global graph. Inter-application events intentionally span
+  // transactions, so the GED performs no per-transaction flush. Each
+  // application has its own logical clock, so occurrences are re-stamped
+  // in injection order (inject_mu_ held) to give the global graph one total
+  // order (the paper defers distributed timestamping to future work).
+  occ.class_name = Namespaced(app_name, occ.class_name);
+  occ.at = graph_.clock()->Tick();
+  obs::SpanScope forward_span;
+  if (obs::SpanTracer* st = graph_.span_tracer();
+      st != nullptr && st->enabled_for(obs::SpanKind::kGedForward)) {
+    // A remote occurrence carries its causal chain: trace_parent is the
+    // latest upstream span (the server's admission-wait span — same
+    // process, so it pins the local parent directly), trace_id marks the
+    // cross-process trace. Downstream composite_detect spans parent here
+    // via the scope stack.
+    forward_span.Start(st, obs::SpanKind::kGedForward, occ.txn,
+                       occ.class_name + "::" + occ.method_signature,
+                       /*subtxn=*/0,
+                       /*parent_override=*/occ.trace_parent);
+    if (occ.trace_id != 0) forward_span.AnnotateRemote(occ.trace_id, 0);
+    occ.trace_parent = forward_span.id();
+  }
+  obs::Profiler* profiler = graph_.profiler();
+  const bool profiling = profiler != nullptr && profiler->enabled();
+  const std::uint64_t prof_cpu0 = profiling ? obs::Profiler::ThreadCpuNs() : 0;
+  const std::uint64_t prof_t0 = profiling ? obs::Profiler::NowNs() : 0;
+  graph_.Inject(occ);
+  if (profiling) {
+    profiler->RecordGlobal(obs::Profiler::GlobalSeam::kGedForward,
+                           obs::Profiler::ThreadCpuNs() - prof_cpu0,
+                           obs::Profiler::NowNs() - prof_t0);
   }
 }
 
 void GlobalEventDetector::WaitQuiescent() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return bus_.empty() && !busy_; });
-}
-
-bool GlobalEventDetector::WaitBusBelow(std::size_t depth,
-                                       std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, timeout,
-               [this, depth] { return stop_ || bus_.size() < depth; });
-  return bus_.size() < depth;
 }
 
 std::uint64_t GlobalEventDetector::forwarded_count() const {
@@ -273,11 +269,6 @@ std::uint64_t GlobalEventDetector::forwarded_count() const {
 std::uint64_t GlobalEventDetector::dropped_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dropped_;
-}
-
-std::size_t GlobalEventDetector::bus_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bus_.size();
 }
 
 std::size_t GlobalEventDetector::application_count() const {

@@ -1,7 +1,6 @@
 #ifndef SENTINEL_GED_GLOBAL_DETECTOR_H_
 #define SENTINEL_GED_GLOBAL_DETECTOR_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <map>
@@ -27,25 +26,27 @@ namespace sentinel::ged {
 /// composite events whose constituents come from *different applications*
 /// (cooperative transactions, workflows).
 ///
-/// Each registered application's local detector forwards its raw
-/// notifications onto the GED's message bus; a dedicated GED thread drains
-/// the bus into an internal event graph whose primitive nodes are namespaced
-/// by application ("app::class"). Global detections are delivered either to
-/// subscribed sinks or back into a target application's detector as an
-/// explicit event — where a (typically detached) rule executes it, matching
-/// the paper's "Application_i to execute detached rule" arrows.
+/// Occurrences are injected into an internal event graph whose primitive
+/// nodes are namespaced by application ("app::class"). Global detections
+/// are delivered either to subscribed sinks or back into a target
+/// application's detector as an explicit event — where a (typically
+/// detached) rule executes it, matching the paper's "Application_i to
+/// execute detached rule" arrows.
 ///
-/// Transports. Two paths feed the bus:
-///   - the in-process loopback fast path: applications in the same process
-///     register with RegisterApplication and forward through a raw-event
-///     observer — no serialization, selected whenever no network port is
-///     involved; and
+/// Transports. Two paths feed the graph:
+///   - the in-process loopback path: applications in the same process
+///     register with RegisterApplication; a raw-event observer queues their
+///     notifications on the GED's bus, and a dedicated bus thread injects
+///     them — no serialization, and the application thread never runs
+///     global detection; and
 ///   - the socket transport (src/net/): a net::EventBusServer owns remote
-///     sessions and feeds their framed Notify streams in through
-///     RegisterRemoteApplication / InjectRemote, realizing the socket/Corba
-///     transport the paper left as future work (see DESIGN.md §12).
-/// Both preserve the asynchronous, queue-based control flow of Fig. 2; the
-/// bus worker gives occurrences one total arrival order either way.
+///     sessions and injects their framed Notify streams synchronously
+///     through RegisterRemoteApplication / InjectRemote, realizing the
+///     socket/Corba transport the paper left as future work (DESIGN.md §12).
+///     Sinks of detections a remote occurrence completes run on the
+///     caller's (the server's I/O) thread.
+/// Both paths namespace, re-stamp and inject under one injection mutex, so
+/// remote and loopback occurrences share one total order.
 class GlobalEventDetector {
  public:
   GlobalEventDetector();
@@ -72,12 +73,13 @@ class GlobalEventDetector {
   /// raw-observer hook has no removal path).
   Status UnregisterApplication(const std::string& app_name);
 
-  /// Feeds one remote occurrence onto the bus under `app_name`'s namespace.
-  /// RetryLater after Shutdown; NotFound when the app is not registered
-  /// (e.g. its session was torn down while frames were in flight — the
-  /// occurrence is dropped, upholding at-most-once delivery).
+  /// Injects one remote occurrence under `app_name`'s namespace and runs
+  /// global detection on the calling thread before returning. RetryLater
+  /// after Shutdown; NotFound when the app is not registered (e.g. its
+  /// session was torn down while frames were in flight — the occurrence is
+  /// dropped, upholding at-most-once delivery).
   Status InjectRemote(const std::string& app_name,
-                      const detector::PrimitiveOccurrence& occurrence);
+                      detector::PrimitiveOccurrence occurrence);
 
   /// The "app::class" namespacing applied to every global primitive's class
   /// name. Exposed so transports can compare an existing node's stored spec
@@ -107,17 +109,14 @@ class GlobalEventDetector {
   Status DeliverTo(const std::string& event, const std::string& app_name,
                    const std::string& as_event);
 
-  /// Blocks until every event forwarded so far has been processed.
+  /// Blocks until every loopback event queued so far has been processed
+  /// (InjectRemote is synchronous and needs no wait).
   void WaitQuiescent();
 
-  /// Blocks until the bus backlog drops below `depth` (bounded-bus
-  /// backpressure for the network dispatcher), the timeout expires, or the
-  /// GED shuts down. Returns true iff the backlog is below `depth`.
-  bool WaitBusBelow(std::size_t depth, std::chrono::milliseconds timeout);
-
-  /// Stops the bus worker after draining queued events. Idempotent and safe
-  /// against concurrent RegisterApplication / InjectRemote calls: anything
-  /// arriving after shutdown is refused (RetryLater) rather than enqueued.
+  /// Stops the bus worker after draining queued events and waits out an
+  /// in-flight InjectRemote. Idempotent and safe against concurrent
+  /// RegisterApplication / InjectRemote calls: anything arriving after
+  /// shutdown is refused (RetryLater).
   /// The destructor calls it; the network server calls it explicitly so
   /// sessions observe a stopped GED instead of a destroyed one.
   void Shutdown();
@@ -127,7 +126,6 @@ class GlobalEventDetector {
   /// Occurrences refused because they arrived after Shutdown or from an
   /// unregistered remote application.
   std::uint64_t dropped_count() const;
-  std::size_t bus_depth() const;
   /// Currently registered application count (local + remote).
   std::size_t application_count() const;
   bool IsRegistered(const std::string& app_name) const;
@@ -135,14 +133,14 @@ class GlobalEventDetector {
   /// Bus counters plus the internal graph's per-node stats as JSON.
   std::string StatsJson() const;
 
-  /// Attaches the causal span tracer: the bus worker records a ged_forward
-  /// span around each injection into the global graph (and the graph's own
+  /// Attaches the causal span tracer: a ged_forward span is recorded around
+  /// each injection into the global graph (and the graph's own
   /// nodes record composite_detect spans).
   void set_span_tracer(obs::SpanTracer* tracer);
 
   /// Attaches the continuous profiler: propagated into the internal graph
-  /// (operator-node cost accounts, per-symbol dispatch accounts) and the bus
-  /// worker records each injection into the ged_forward global seam.
+  /// (operator-node cost accounts, per-symbol dispatch accounts), and each
+  /// injection is recorded into the ged_forward global seam.
   void set_profiler(obs::Profiler* profiler);
 
  private:
@@ -151,11 +149,17 @@ class GlobalEventDetector {
   void BusLoop();
   void Pump(const std::string& app_name,
             const detector::PrimitiveOccurrence& occurrence);
+  /// Namespaces, re-stamps and injects one occurrence. Caller holds
+  /// inject_mu_.
+  void Forward(const std::string& app_name, detector::PrimitiveOccurrence occ);
 
   detector::LocalEventDetector graph_;
   std::map<std::string, core::ActiveDatabase*> apps_;
   std::set<std::string> remote_apps_;
 
+  // Serializes injection into graph_, which makes the re-stamped order
+  // total. Taken before mu_, never under it.
+  std::mutex inject_mu_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::pair<std::string, detector::PrimitiveOccurrence>> bus_;

@@ -32,6 +32,14 @@ std::uint64_t WallNs() {
           .count());
 }
 
+/// Upper bound on the bytes one FlushSession concatenates into a send.
+constexpr std::size_t kMaxWriteBytes = 64 * 1024;
+
+/// Time one poll iteration may spend injecting before it leaves the rest of
+/// the batch to the next, so a stalled GED does not stop reads, sheds,
+/// flushes and heartbeats. Far above one injection, so batches stay whole.
+constexpr std::uint64_t kDispatchBudgetNs = 10'000'000;
+
 std::uint64_t ToNs(std::chrono::milliseconds ms) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(ms).count());
@@ -77,9 +85,10 @@ struct EventBusServer::Session {
   std::string doom_reason;
 };
 
-/// Subscription sink living on the GED bus thread: encodes each detection
-/// and appends it to the owning session's outbound queue. Holds the session
-/// weakly — the session owns the sink, not vice versa.
+/// Subscription sink: encodes each detection and appends it to the owning
+/// session's outbound queue. Runs on the I/O thread for detections a remote
+/// occurrence completes, and on the GED bus thread for loopback ones. Holds
+/// the session weakly — the session owns the sink, not vice versa.
 class EventBusServer::PushSink : public detector::EventSink {
  public:
   PushSink(EventBusServer* server, std::weak_ptr<Session> session,
@@ -112,9 +121,9 @@ class EventBusServer::PushSink : public detector::EventSink {
         server_->e2e_detect_ns_.Record(now - msg.trace.origin_ns);
       }
     }
-    // Push-encode span: runs on the GED bus thread inside the ged_forward /
-    // composite_detect scopes, so it parents locally; its id crosses the
-    // wire as the push's remote parent.
+    // Push-encode span: runs inside the ged_forward / composite_detect
+    // scopes, so it parents locally; its id crosses the wire as the push's
+    // remote parent.
     obs::SpanScope encode_span;
     if (obs::SpanTracer* st =
             server_->tracer_.load(std::memory_order_acquire);
@@ -165,13 +174,8 @@ Status EventBusServer::Start(const Options& options) {
   listen_fd_ = fd;
   port_.store(*port, std::memory_order_release);
   stop_.store(false, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    dispatch_stop_ = false;
-  }
   running_.store(true, std::memory_order_release);
   io_thread_ = std::thread([this] { IoLoop(); });
-  dispatch_thread_ = std::thread([this] { DispatchLoop(); });
   return Status::OK();
 }
 
@@ -180,20 +184,11 @@ void EventBusServer::Stop() {
   if (!running_.load(std::memory_order_acquire)) return;
   stop_.store(true, std::memory_order_release);
   wake_.Signal();
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    dispatch_stop_ = true;
-  }
-  admission_cv_.notify_all();
   if (io_thread_.joinable()) io_thread_.join();
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
+  admitted_.clear();  // uninjected notifies drop: at-most-once
   CloseQuietly(listen_fd_);
   listen_fd_ = -1;
   wake_.Close();
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    admission_.clear();  // undelivered notifies drop: at-most-once
-  }
   overloaded_.store(false, std::memory_order_release);
   running_.store(false, std::memory_order_release);
 }
@@ -207,6 +202,7 @@ std::size_t EventBusServer::session_count() const {
 // I/O thread
 
 void EventBusServer::IoLoop() {
+  io_thread_id_.store(std::this_thread::get_id(), std::memory_order_relaxed);
   std::vector<pollfd> pfds;
   std::vector<std::shared_ptr<Session>> polled;
   while (!stop_.load(std::memory_order_acquire)) {
@@ -223,8 +219,10 @@ void EventBusServer::IoLoop() {
         polled.push_back(session);
       }
     }
-    // 100ms cap so heartbeat/idle timers fire even on a silent wire.
-    int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 100);
+    // 100ms cap so heartbeat/idle timers fire even on a silent wire; no
+    // wait while admitted occurrences are still to be injected.
+    int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
+                    admitted_.empty() ? 100 : 0);
     if (rc < 0 && errno != EINTR) {
       SENTINEL_LOG(kError) << "event-bus poll failed: "
                            << std::strerror(errno);
@@ -232,18 +230,24 @@ void EventBusServer::IoLoop() {
     if (stop_.load(std::memory_order_acquire)) break;
     if ((pfds[0].revents & POLLIN) != 0) wake_.Drain();
     if ((pfds[1].revents & POLLIN) != 0) AcceptPending();
+    // Run the iteration to completion: read and admit, detect, then write.
     for (std::size_t i = 0; i < polled.size(); ++i) {
       const short revents = pfds[i + 2].revents;
-      const std::shared_ptr<Session>& session = polled[i];
-      if ((revents & POLLIN) != 0) ReadSession(session);
-      if ((revents & POLLOUT) != 0 && !IsDoomed(session)) {
-        FlushSession(session);
-      }
+      if ((revents & POLLIN) != 0) ReadSession(polled[i]);
       if ((revents & (POLLERR | POLLNVAL)) != 0) {
-        Doom(session, "socket error");
+        Doom(polled[i], "socket error");
       }
     }
+    DispatchAdmitted();
     CheckTimers(NowNs());
+    // A session the poll found unwritable with output queued waits for
+    // POLLOUT, so a peer that stopped reading runs into its byte budget.
+    for (std::size_t i = 0; i < polled.size(); ++i) {
+      const pollfd& p = pfds[i + 2];
+      if ((p.events & POLLOUT) == 0 || (p.revents & POLLOUT) != 0) {
+        FlushSession(polled[i]);
+      }
+    }
     ReapDoomed();
   }
   // Shutdown: say goodbye to everyone, tear down GED state, close sockets.
@@ -352,35 +356,44 @@ void EventBusServer::FlushSession(const std::shared_ptr<Session>& session) {
   std::size_t wrote = 0;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    while (!session->out.empty()) {
+    if (session->out.empty() || session->doomed) return;
+    // Concatenate whole frames (the first one from its unsent offset) up to
+    // kMaxWriteBytes, so the session costs one send per iteration.
+    write_buf_.assign(session->out.front().bytes, session->out_offset);
+    for (std::size_t i = 1; i < session->out.size(); ++i) {
+      const std::string& bytes = session->out[i].bytes;
+      if (write_buf_.size() + bytes.size() > kMaxWriteBytes) break;
+      write_buf_ += bytes;
+    }
+    IoResult r = SendSome(session->fd, write_buf_.data(), write_buf_.size(),
+                          "net.server.write");
+    if (r.kind == IoResult::Kind::kClosed) {
+      doom_why = "peer closed connection";
+    } else if (r.kind == IoResult::Kind::kError) {
+      doom_why = "write failed: " + r.error;
+    }
+    bytes_out_.fetch_add(r.bytes, std::memory_order_relaxed);
+    wrote = r.bytes;
+    // Retire the frames the send completed; a partial one keeps its offset.
+    for (std::size_t left = r.bytes; left > 0;) {
       const OutFrame& front = session->out.front();
-      IoResult r = SendSome(session->fd,
-                            front.bytes.data() + session->out_offset,
-                            front.bytes.size() - session->out_offset,
-                            "net.server.write");
-      if (r.kind == IoResult::Kind::kWouldBlock) break;
-      if (r.kind != IoResult::Kind::kOk) {
-        doom_why = r.kind == IoResult::Kind::kClosed
-                       ? "peer closed connection"
-                       : "write failed: " + r.error;
+      const std::size_t rest = front.bytes.size() - session->out_offset;
+      if (left < rest) {
+        session->out_offset += left;
         break;
       }
-      bytes_out_.fetch_add(r.bytes, std::memory_order_relaxed);
-      wrote += r.bytes;
-      session->out_offset += r.bytes;
-      if (session->out_offset == front.bytes.size()) {
-        session->out_bytes -= front.bytes.size();
-        if (trace_waits) {
-          OutFrame meta;
-          meta.enqueued_ns = front.enqueued_ns;
-          meta.trace = front.trace;
-          meta.parent_span = front.parent_span;
-          meta.is_push = front.is_push;
-          done.push_back(std::move(meta));
-        }
-        session->out.pop_front();
-        session->out_offset = 0;
+      left -= rest;
+      session->out_bytes -= front.bytes.size();
+      if (trace_waits) {
+        OutFrame meta;
+        meta.enqueued_ns = front.enqueued_ns;
+        meta.trace = front.trace;
+        meta.parent_span = front.parent_span;
+        meta.is_push = front.is_push;
+        done.push_back(std::move(meta));
       }
+      session->out.pop_front();
+      session->out_offset = 0;
     }
   }
   if (st != nullptr && (trace_waits || trace_write)) {
@@ -603,25 +616,7 @@ void EventBusServer::HandleNotify(const std::shared_ptr<Session>& session,
     occ->trace_id = tc.trace_id;
     occ->trace_parent = decode_span;
   }
-  bool shed = false;
-  std::size_t depth = 0;
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    if (admission_.size() >= options_.admission_capacity) {
-      shed = true;
-      depth = admission_.size();
-    } else {
-      AdmissionItem item;
-      item.app = session->app_name;
-      item.occ = std::move(*occ);
-      item.enqueued_ns = NowNs();
-      item.decode_span = decode_span;
-      admission_.push_back(std::move(item));
-      depth = admission_.size();
-    }
-  }
-  UpdateOverload(depth);
-  if (shed) {
+  if (admitted_.size() >= options_.admission_capacity) {
     sheds_.fetch_add(1, std::memory_order_relaxed);
     // Unsolicited typed shed notice, rate-limited per session so a
     // firehosing client doesn't get a notice per dropped event.
@@ -633,10 +628,15 @@ void EventBusServer::HandleNotify(const std::shared_ptr<Session>& session,
     }
     return;
   }
-  if (depth > admission_peak_.load(std::memory_order_relaxed)) {
-    admission_peak_.store(depth, std::memory_order_relaxed);
+  AdmissionItem item;
+  item.app = session->app_name;
+  item.occ = std::move(*occ);
+  item.enqueued_ns = decode_span != 0 ? NowNs() : 0;
+  item.decode_span = decode_span;
+  admitted_.push_back(std::move(item));
+  if (admitted_.size() > admission_peak_.load(std::memory_order_relaxed)) {
+    admission_peak_.store(admitted_.size(), std::memory_order_relaxed);
   }
-  admission_cv_.notify_one();
 }
 
 void EventBusServer::HandlePong(const std::shared_ptr<Session>& session,
@@ -667,26 +667,12 @@ void EventBusServer::HandlePong(const std::shared_ptr<Session>& session,
                                  std::memory_order_relaxed);
 }
 
-// ---------------------------------------------------------------------------
-// Dispatcher thread
-
-void EventBusServer::DispatchLoop() {
-  for (;;) {
-    AdmissionItem item;
-    std::size_t depth = 0;
-    {
-      std::unique_lock<std::mutex> lock(admission_mu_);
-      admission_cv_.wait(
-          lock, [this] { return dispatch_stop_ || !admission_.empty(); });
-      // Undelivered occurrences drop on shutdown: at-most-once delivery.
-      if (dispatch_stop_) return;
-      item = std::move(admission_.front());
-      admission_.pop_front();
-      depth = admission_.size();
-    }
-    UpdateOverload(depth);
-    // Admission-queue wait: starts on the I/O thread, ends here, so it is
-    // recorded as an already-timed span parented into the decode span.
+void EventBusServer::DispatchAdmitted() {
+  const std::uint64_t start_ns = NowNs();
+  while (!admitted_.empty()) {
+    AdmissionItem& item = admitted_.front();
+    // Admission wait: from admission to injection, parented into the decode
+    // span.
     if (obs::SpanTracer* st = tracer_.load(std::memory_order_acquire);
         st != nullptr &&
         st->enabled_for(obs::SpanKind::kNetAdmissionWait) &&
@@ -696,34 +682,28 @@ void EventBusServer::DispatchLoop() {
           item.occ.txn, "admission", item.decode_span, item.occ.trace_id);
       item.occ.trace_parent = wait_span;
     }
-    if (FailPointRegistry::AnyActive()) {
-      // net.server.dispatch: delay stalls the dispatcher (forces admission
-      // backlog for overload tests); error drops the occurrence.
-      FailPointAction action =
-          FailPointRegistry::Instance().Evaluate("net.server.dispatch");
-      if (action.fired()) continue;
-    }
-    // End-to-end backpressure: the GED bus is unbounded, so pause here
-    // while its backlog is deep instead of letting it absorb what the
-    // admission queue exists to bound.
-    while (!ged_->WaitBusBelow(options_.ged_bus_soft_cap,
-                               std::chrono::milliseconds(50))) {
-      std::lock_guard<std::mutex> lock(admission_mu_);
-      if (dispatch_stop_) return;
-      if (ged_->shut_down()) break;
-    }
-    Status st = ged_->InjectRemote(item.app, item.occ);
-    if (st.ok()) {
-      dispatched_.fetch_add(1, std::memory_order_relaxed);
-      if (item.occ.origin_ns != 0) {
-        const std::uint64_t now = WallNs();
-        if (now > item.occ.origin_ns) {
-          e2e_delivery_ns_.Record(now - item.occ.origin_ns);
-        }
-      }
-    }
+    // net.server.dispatch: delay stalls the injection (the backlog then
+    // meets the next iteration's reads, which shed past capacity); error
+    // drops the occurrence.
+    const bool dropped =
+        FailPointRegistry::AnyActive() &&
+        FailPointRegistry::Instance().Evaluate("net.server.dispatch").fired();
+    // Delivery latency is taken at the hand-off, before detection runs.
+    const std::uint64_t origin_ns = item.occ.origin_ns;
+    const std::uint64_t delivered_ns = origin_ns != 0 ? WallNs() : 0;
     // NotFound (session torn down mid-flight) and RetryLater (GED shut
     // down) both drop the occurrence — at-most-once delivery.
+    if (!dropped && ged_->InjectRemote(item.app, std::move(item.occ)).ok()) {
+      dispatched_.fetch_add(1, std::memory_order_relaxed);
+      if (delivered_ns > origin_ns) {
+        e2e_delivery_ns_.Record(delivered_ns - origin_ns);
+      }
+    }
+    admitted_.pop_front();
+    // The depth is published here, after injections, so a backlog a slow
+    // injection leaves behind reads as overload.
+    UpdateOverload(admitted_.size());
+    if (NowNs() - start_ns > kDispatchBudgetNs) return;
   }
 }
 
@@ -755,7 +735,12 @@ void EventBusServer::EnqueueFrame(const std::shared_ptr<Session>& session,
       if (is_push) pushes_sent_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  wake_.Signal();  // the I/O thread re-polls with POLLOUT (or reaps)
+  // The I/O thread flushes (or reaps) before it polls again; any other
+  // thread must wake it.
+  if (std::this_thread::get_id() !=
+      io_thread_id_.load(std::memory_order_relaxed)) {
+    wake_.Signal();
+  }
 }
 
 void EventBusServer::Reply(const std::shared_ptr<Session>& session,
@@ -864,6 +849,7 @@ void EventBusServer::DetachFromGed(Session& session) {
 }
 
 void EventBusServer::UpdateOverload(std::size_t depth) {
+  admission_depth_.store(depth, std::memory_order_relaxed);
   const std::size_t high =
       options_.admission_capacity - options_.admission_capacity / 4;
   const std::size_t low = options_.admission_capacity / 4;
@@ -907,10 +893,7 @@ EventBusServerStats EventBusServer::stats() const {
       s.outbound_queued_bytes += session->out_bytes;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    s.admission_depth = admission_.size();
-  }
+  s.admission_depth = admission_depth_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -47,7 +46,7 @@ struct EventBusServerStats {
   std::uint64_t superseded_sessions = 0; // kicked by a reconnect of same app
   std::uint64_t open_sessions = 0;       // gauge
   std::uint64_t notifies_received = 0;   // NOTIFY frames decoded
-  std::uint64_t dispatched = 0;          // occurrences handed to the GED
+  std::uint64_t dispatched = 0;          // occurrences injected into the GED
   std::uint64_t sheds = 0;               // notifies dropped by admission ctl
   std::uint64_t frame_errors = 0;        // framing/CRC violations observed
   std::uint64_t slow_consumer_disconnects = 0;
@@ -56,10 +55,10 @@ struct EventBusServerStats {
   std::uint64_t pings_sent = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
-  std::uint64_t admission_depth = 0;     // gauge
+  std::uint64_t admission_depth = 0;     // gauge: admitted, not yet injected
   std::uint64_t admission_peak = 0;
   std::uint64_t outbound_queued_bytes = 0;  // gauge, summed over sessions
-  bool overloaded = false;               // admission queue past high water
+  bool overloaded = false;               // admission batch past high water
   std::uint64_t rtt_samples = 0;         // timed pongs folded into rtt_us
   /// Heartbeat round trips, aggregated over all sessions (µs buckets; the
   /// per-session split lives in SessionClocks()).
@@ -79,8 +78,8 @@ struct EventBusServerStats {
 /// future work.
 ///
 /// Robustness contract (DESIGN.md §12):
-///   - every queue is bounded: the admission queue sheds NOTIFY traffic
-///     with a typed RETRY_LATER verdict instead of growing, and a session
+///   - every queue is bounded: admission sheds NOTIFY traffic with a typed
+///     RETRY_LATER verdict instead of growing, and a session
 ///     whose outbound queue exceeds its byte budget is disconnected as a
 ///     slow consumer rather than wedging the push path;
 ///   - sessions are limited (connection admission) and heartbeated: a peer
@@ -89,26 +88,29 @@ struct EventBusServerStats {
 ///     drops that connection only — the daemon itself never trusts a byte
 ///     it has not validated;
 ///   - overload is observable: `overloaded()` flips when the admission
-///     queue passes its high-water mark (3/4, clearing at 1/4) and feeds
+///     batch passes its high-water mark (3/4, clearing at 1/4) and feeds
 ///     the health watchdog, so /healthz reports degraded while the server
 ///     sheds instead of the process dying.
 ///
-/// Threads: one poll-based I/O thread owns every socket; one dispatcher
-/// thread drains the admission queue into the GED bus, blocking while the
-/// bus backlog exceeds `ged_bus_soft_cap` (backpressure end to end).
-/// Subscription sinks run on the GED bus thread and only append to the
-/// per-session outbound queues.
+/// Threads: one poll-based I/O thread owns every socket and runs each poll
+/// iteration to completion: it decodes every ready session's frames into
+/// the admission batch, injects the batch into the GED itself
+/// (GlobalEventDetector::InjectRemote), so push sinks run on this thread,
+/// and gives each session with queued output one send of up to 64 KiB (one
+/// the poll found unwritable waits for POLLOUT). Injections past a 10 ms
+/// budget wait for the next iteration, whose reads shed against them.
+/// Loopback detections run their sinks on the GED bus thread, which wakes
+/// the I/O thread.
 class EventBusServer {
  public:
   struct Options {
     /// 127.0.0.1 port; 0 picks an ephemeral port (tests).
     int port = 0;
     std::size_t max_sessions = 64;
-    /// Admission queue capacity, in occurrences. Past 3/4 the server is
-    /// `overloaded()`; at capacity NOTIFY traffic sheds with RETRY_LATER.
+    /// Bound on the occurrences decoded but not yet injected. Past 3/4 the
+    /// server is `overloaded()`; at capacity NOTIFY traffic sheds with
+    /// RETRY_LATER.
     std::size_t admission_capacity = 1024;
-    /// Dispatcher pauses while the GED bus backlog is at or above this.
-    std::size_t ged_bus_soft_cap = 256;
     /// Per-session outbound byte budget; past it the session is dropped as
     /// a slow consumer.
     std::size_t outbound_max_bytes = 256 * 1024;
@@ -132,7 +134,7 @@ class EventBusServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
   /// Bound port after a successful Start (resolves ephemeral requests).
   int port() const { return port_.load(std::memory_order_acquire); }
-  /// True while the admission queue sits past its high-water mark — the
+  /// True while the admission batch sits past its high-water mark — the
   /// watchdog turns this into a degraded /healthz verdict.
   bool overloaded() const {
     return overloaded_.load(std::memory_order_acquire);
@@ -146,10 +148,10 @@ class EventBusServer {
   /// per-session RTT/offset series).
   std::vector<SessionClockStats> SessionClocks() const;
 
-  /// Attaches the causal span tracer: the I/O and dispatcher threads record
-  /// kNet* spans (frame decode, admission wait, outbound wait, socket
-  /// write) and push-encode spans adopt the remote trace context. May be
-  /// set at any time; nullptr detaches.
+  /// Attaches the causal span tracer: the I/O thread records kNet* spans
+  /// (frame decode, admission wait, outbound wait, socket write) and
+  /// push-encode spans adopt the remote trace context. May be set at any
+  /// time; nullptr detaches.
   void set_span_tracer(obs::SpanTracer* tracer) {
     tracer_.store(tracer, std::memory_order_release);
   }
@@ -158,10 +160,10 @@ class EventBusServer {
   struct Session;
   class PushSink;
 
-  /// One admitted NOTIFY waiting for the dispatcher. Carries the decode
-  /// span id so the admission-wait span (recorded at dequeue — it spans two
-  /// threads) parents into the decode span, and the enqueue timestamp that
-  /// wait is measured from.
+  /// One admitted NOTIFY waiting in the admission batch. Carries
+  /// the decode span id so the admission-wait span (recorded at injection)
+  /// parents into the decode span, and the admission timestamp that wait is
+  /// measured from.
   struct AdmissionItem {
     std::string app;
     detector::PrimitiveOccurrence occ;
@@ -181,10 +183,13 @@ class EventBusServer {
   };
 
   void IoLoop();
-  void DispatchLoop();
+  /// Injects admitted occurrences into the GED, oldest first, until none is
+  /// left or the iteration's dispatch budget is spent.
+  void DispatchAdmitted();
 
   void AcceptPending();
   void ReadSession(const std::shared_ptr<Session>& session);
+  /// One send of the session's queued frames, concatenated up to 64 KiB.
   void FlushSession(const std::shared_ptr<Session>& session);
   void HandleFrame(const std::shared_ptr<Session>& session,
                    FrameAssembler::Frame& frame);
@@ -195,7 +200,8 @@ class EventBusServer {
   void HandlePong(const std::shared_ptr<Session>& session, BytesReader* body);
   /// Appends a frame to the session's outbound queue; dooms the session as
   /// a slow consumer when the byte budget would be exceeded. Safe from any
-  /// thread. `trace`/`parent_span` annotate the outbound-wait span.
+  /// thread; off the I/O thread it wakes the poll so the frame is flushed.
+  /// `trace`/`parent_span` annotate the outbound-wait span.
   void EnqueueFrame(const std::shared_ptr<Session>& session,
                     std::string frame, bool is_push,
                     std::uint64_t trace = 0, std::uint64_t parent_span = 0);
@@ -204,8 +210,9 @@ class EventBusServer {
              const std::string& message);
   void Doom(const std::shared_ptr<Session>& session, const std::string& why);
   bool IsDoomed(const std::shared_ptr<Session>& session) const;
-  /// Hysteresis: overloaded_ sets at 3/4 of admission capacity, clears at
-  /// 1/4 — so the health verdict doesn't flap at the boundary.
+  /// Publishes the admission depth. Hysteresis: overloaded_ sets at 3/4 of
+  /// admission capacity, clears at 1/4 — so the health verdict doesn't flap
+  /// at the boundary.
   void UpdateOverload(std::size_t depth);
   void CheckTimers(std::uint64_t now_ns);
   void ReapDoomed();
@@ -221,7 +228,7 @@ class EventBusServer {
   WakePipe wake_;
   std::mutex lifecycle_mu_;  // serializes Start/Stop (and the joins)
   std::thread io_thread_;
-  std::thread dispatch_thread_;
+  std::atomic<std::thread::id> io_thread_id_{};
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   std::atomic<int> port_{0};
@@ -233,12 +240,13 @@ class EventBusServer {
   std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
   std::uint64_t next_session_id_ = 1;
 
-  // Admission-control queue (bounded; see Options::admission_capacity).
-  mutable std::mutex admission_mu_;
-  std::condition_variable admission_cv_;
-  std::deque<AdmissionItem> admission_;
-  bool dispatch_stop_ = false;
+  // I/O-thread-owned: occurrences decoded but not yet injected (bounded by
+  // Options::admission_capacity) and the scratch buffer FlushSession
+  // concatenates frames into.
+  std::deque<AdmissionItem> admitted_;
+  std::string write_buf_;
 
+  std::atomic<std::size_t> admission_depth_{0};
   std::atomic<bool> overloaded_{false};
 
   std::atomic<obs::SpanTracer*> tracer_{nullptr};

@@ -29,6 +29,9 @@ Result<std::shared_ptr<const detector::ParamList>> DecodeParams(
   auto count = in->ReadU32();
   if (!count.ok()) return count.status();
   if (*count == 0) return std::shared_ptr<const detector::ParamList>();
+  if (*count > kMaxDecodedParams) {
+    return Status::Corruption("too many parameters: " + std::to_string(*count));
+  }
   auto params = std::make_shared<detector::ParamList>();
   for (std::uint32_t i = 0; i < *count; ++i) {
     auto name = in->ReadString();

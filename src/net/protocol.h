@@ -50,6 +50,10 @@ constexpr std::uint16_t kFlagTraceContext = 0x0001;
 /// Upper bound a receiver enforces on body_len before buffering: a corrupt
 /// length prefix must not make the peer allocate gigabytes.
 constexpr std::size_t kDefaultMaxFrameBytes = 1u << 20;
+/// Most parameters a decoded occurrence may carry: keeps its ParamList
+/// (72-byte entries, grown by doubling) within the frame bound.
+constexpr std::size_t kMaxDecodedParams =
+    kDefaultMaxFrameBytes / (2 * sizeof(detector::ParamList::Entry));
 
 enum class MessageType : std::uint8_t {
   kHello = 1,            // c→s: register application `app_name`

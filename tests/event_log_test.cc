@@ -152,8 +152,9 @@ TEST_F(EventLogTest, WriteFailureIsStickyAndReportedByClose) {
   EXPECT_EQ(log.status().code(), StatusCode::kIOError);
 }
 
-// A record whose modifier byte is out of range is corrupt: Load stops before
-// it, so Replay never injects an out-of-range EventModifier.
+// A complete record whose modifier byte is out of range is corrupt, not a
+// torn tail: Load and Replay fail with Corruption naming the record, so no
+// out-of-range EventModifier is injected and no record is silently lost.
 TEST_F(EventLogTest, OutOfRangeModifierEndsTheLog) {
   {
     LocalEventDetector det;
@@ -185,17 +186,54 @@ TEST_F(EventLogTest, OutOfRangeModifierEndsTheLog) {
   EventLog reloaded;
   ASSERT_TRUE(reloaded.OpenFile(path_).ok());
   auto occurrences = reloaded.Load();
-  ASSERT_TRUE(occurrences.ok());
-  ASSERT_EQ(occurrences->size(), 1u);
-  EXPECT_EQ((*occurrences)[0].params->Get("v")->AsInt(), 1);
+  ASSERT_TRUE(occurrences.status().IsCorruption()) << occurrences.status();
+  EXPECT_NE(occurrences.status().ToString().find("record 1"),
+            std::string::npos)
+      << occurrences.status();
 
   LocalEventDetector det;
   DefineSeqGraph(&det);
   RecordingSink sink;
   ASSERT_TRUE(det.Subscribe("a", &sink, ParamContext::kRecent).ok());
-  ASSERT_TRUE(reloaded.Replay(&det).ok());
-  EXPECT_EQ(det.notify_count(), 1u);
-  EXPECT_EQ(sink.hits.size(), 1u);
+  EXPECT_TRUE(reloaded.Replay(&det).IsCorruption());
+  EXPECT_EQ(det.notify_count(), 0u);
+  EXPECT_TRUE(sink.hits.empty());
+  ASSERT_TRUE(reloaded.Close().ok());
+}
+
+// A bad record in the middle of the log must not hide the records after it:
+// Load reports it instead of returning a silently shortened log.
+TEST_F(EventLogTest, CorruptMiddleRecordIsReportedNotTruncated) {
+  {
+    LocalEventDetector det;
+    EventLog log;
+    ASSERT_TRUE(log.OpenFile(path_).ok());
+    log.AttachTo(&det);
+    Fire(&det, "C", "void fa()", 1);
+    Fire(&det, "C", "void fa()", 2);
+    Fire(&det, "C", "void fa()", 3);
+    ASSERT_TRUE(log.Close().ok());
+  }
+  // Record 1's body starts right after record 0 and its own length prefix;
+  // an event_name length running past the record's end makes it undecodable.
+  std::FILE* f = std::fopen(path_.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  std::uint32_t size0 = 0;
+  ASSERT_EQ(std::fread(&size0, sizeof(size0), 1, f), 1u);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(size0 + sizeof(std::uint32_t) * 2),
+                       SEEK_SET),
+            0);
+  const std::uint32_t huge = 0xFFFFFFF0u;  // event_name length
+  ASSERT_EQ(std::fwrite(&huge, sizeof(huge), 1, f), 1u);
+  std::fclose(f);
+
+  EventLog reloaded;
+  ASSERT_TRUE(reloaded.OpenFile(path_).ok());
+  auto occurrences = reloaded.Load();
+  ASSERT_TRUE(occurrences.status().IsCorruption()) << occurrences.status();
+  EXPECT_NE(occurrences.status().ToString().find("record 1"),
+            std::string::npos)
+      << occurrences.status();
   ASSERT_TRUE(reloaded.Close().ok());
 }
 

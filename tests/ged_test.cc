@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -246,13 +248,112 @@ TEST_F(GedTest, ConcurrentRegistrationDuringShutdownNeverCorrupts) {
   }
 }
 
-TEST_F(GedTest, WaitBusBelowReportsBacklogAndUnblocksOnShutdown) {
-  // An idle bus satisfies any depth bound immediately.
-  EXPECT_TRUE(ged_.WaitBusBelow(1, std::chrono::milliseconds(100)));
+// The two feeds of the global graph at once: a loopback application event
+// (queued on the bus, injected by the bus thread) and a remote one
+// (InjectRemote, injected on the caller's thread), ANDed in CHRONICLE
+// context. Both paths inject under one mutex, so the FIFO pairing must match
+// the i-th loopback event with the i-th remote one, each exactly once.
+TEST_F(GedTest, LoopbackAndRemoteEventsPairExactlyOnceUnderConcurrency) {
+  constexpr int kPairs = 200;
+  ASSERT_TRUE(ged_.RegisterRemoteApplication("remote1").ok());
+  ASSERT_TRUE(ged_.DefineGlobalPrimitive("local_submit", "app1", "Order",
+                                         EventModifier::kEnd, "void submit()")
+                  .ok());
+  ASSERT_TRUE(ged_.DefineGlobalPrimitive("remote_submit", "remote1", "Order",
+                                         EventModifier::kEnd, "void submit()")
+                  .ok());
+  auto local = ged_.graph()->Find("local_submit");
+  auto remote = ged_.graph()->Find("remote_submit");
+  ASSERT_TRUE(ged_.graph()->DefineAnd("both", *local, *remote).ok());
+  detector::RecordingSink sink;
+  ASSERT_TRUE(ged_.Subscribe("both", &sink, ParamContext::kChronicle).ok());
 
-  // After Shutdown the wait must not hang; it reports the (empty) bus.
-  ged_.Shutdown();
-  EXPECT_TRUE(ged_.WaitBusBelow(1, std::chrono::milliseconds(100)));
+  std::thread loopback([&] {
+    for (int v = 0; v < kPairs; ++v) Fire(&app1_, "void submit()", v);
+  });
+  std::thread remote_feed([&] {
+    for (int v = 0; v < kPairs; ++v) {
+      ASSERT_TRUE(ged_.InjectRemote("remote1", RemoteOccurrence(v)).ok());
+    }
+  });
+  loopback.join();
+  remote_feed.join();
+  ged_.WaitQuiescent();
+
+  ASSERT_EQ(sink.hits.size(), static_cast<std::size_t>(kPairs));
+  std::vector<int> seen(kPairs, 0);
+  for (const auto& hit : sink.hits) {
+    const auto& parts = hit.occurrence.constituents;
+    ASSERT_EQ(parts.size(), 2u);
+    const std::int64_t v = parts[0]->params->Get("v")->AsInt();
+    EXPECT_EQ(parts[1]->params->Get("v")->AsInt(), v);
+    ASSERT_GE(v, 0);
+    ASSERT_LT(v, kPairs);
+    ++seen[static_cast<std::size_t>(v)];
+  }
+  for (int v = 0; v < kPairs; ++v) EXPECT_EQ(seen[v], 1) << "pair " << v;
+}
+
+// Shutdown must not return while an InjectRemote it raced can still reach
+// the graph. A sink holds the first injection inside the graph, a second
+// InjectRemote queues behind it, and Shutdown starts. Once the sink lets
+// go, the queued call must be refused: stop_ was set before it could
+// inject.
+TEST_F(GedTest, InjectRemoteQueuedBehindShutdownIsRefused) {
+  struct GateSink : detector::EventSink {
+    void OnEvent(const detector::Occurrence&, ParamContext) override {
+      std::unique_lock<std::mutex> lock(mu);
+      ++calls;
+      if (shutdown_returned) ++late_calls;
+      entered = true;
+      cv.notify_all();
+      cv.wait(lock, [this] { return released; });
+    }
+    std::mutex mu;
+    std::condition_variable cv;
+    bool entered = false;
+    bool released = false;
+    bool shutdown_returned = false;
+    int calls = 0;
+    int late_calls = 0;
+  };
+  ASSERT_TRUE(ged_.RegisterRemoteApplication("remote1").ok());
+  ASSERT_TRUE(ged_.DefineGlobalPrimitive("g_remote", "remote1", "Order",
+                                         EventModifier::kEnd, "void submit()")
+                  .ok());
+  GateSink sink;
+  ASSERT_TRUE(ged_.Subscribe("g_remote", &sink, ParamContext::kRecent).ok());
+
+  std::thread first([&] {
+    EXPECT_TRUE(ged_.InjectRemote("remote1", RemoteOccurrence(1)).ok());
+  });
+  {
+    std::unique_lock<std::mutex> lock(sink.mu);
+    sink.cv.wait(lock, [&] { return sink.entered; });
+  }
+  Status second_status;
+  std::thread second([&] {
+    second_status = ged_.InjectRemote("remote1", RemoteOccurrence(2));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread stopper([&] {
+    ged_.Shutdown();
+    std::lock_guard<std::mutex> lock(sink.mu);
+    sink.shutdown_returned = true;
+  });
+  while (!ged_.shut_down()) std::this_thread::yield();
+  {
+    std::lock_guard<std::mutex> lock(sink.mu);
+    sink.released = true;
+  }
+  sink.cv.notify_all();
+  first.join();
+  second.join();
+  stopper.join();
+
+  EXPECT_TRUE(second_status.IsRetryLater()) << second_status.ToString();
+  EXPECT_EQ(sink.calls, 1);
+  EXPECT_EQ(sink.late_calls, 0);
 }
 
 }  // namespace

@@ -529,6 +529,106 @@ TEST_F(NetBusTest, SlowConsumerIsDisconnectedNotWedged) {
   producer.Stop();
 }
 
+/// Pre-connected publishers and one subscriber: each publisher declares its
+/// own global primitive, and the subscriber subscribes to all of them before
+/// a test body runs.
+class NetBusBurstTest : public NetBusTest {
+ protected:
+  static constexpr int kPublishers = 4;
+  static constexpr int kEventsPerPublisher = 64;
+
+  void SetUp() override {
+    ASSERT_TRUE(StartServer().ok());
+    subscriber_ = std::make_unique<RemoteGedClient>(ClientOptions("burst_sub"));
+    ASSERT_TRUE(subscriber_->Start().ok());
+    ASSERT_TRUE(subscriber_->WaitConnected(std::chrono::milliseconds(5000)));
+    for (int p = 0; p < kPublishers; ++p) {
+      publishers_[p] = std::make_unique<RemoteGedClient>(
+          ClientOptions("burst_pub" + std::to_string(p)));
+      ASSERT_TRUE(publishers_[p]->Start().ok());
+      ASSERT_TRUE(
+          publishers_[p]->WaitConnected(std::chrono::milliseconds(5000)));
+      ASSERT_TRUE(publishers_[p]
+                      ->DefineGlobalPrimitive(Event(p), "Order",
+                                              EventModifier::kEnd,
+                                              "void burst(int seq)")
+                      .ok());
+      ASSERT_TRUE(subscriber_
+                      ->Subscribe(Event(p), ParamContext::kRecent,
+                                  [this, p](const std::string&,
+                                            const detector::Occurrence& occ) {
+                                    auto seq = occ.Param("v");
+                                    std::lock_guard<std::mutex> lock(mu_);
+                                    got_[p].push_back(
+                                        seq.ok() ? seq->AsInt() : -1);
+                                    cv_.notify_all();
+                                  })
+                      .ok());
+    }
+  }
+
+  void TearDown() override {
+    for (auto& publisher : publishers_) {
+      if (publisher != nullptr) publisher->Stop();
+    }
+    if (subscriber_ != nullptr) subscriber_->Stop();
+    NetBusTest::TearDown();
+  }
+
+  static std::string Event(int p) { return "g_burst" + std::to_string(p); }
+
+  std::size_t Received() {
+    std::size_t n = 0;
+    for (const auto& seqs : got_) n += seqs.size();
+    return n;
+  }
+
+  std::unique_ptr<RemoteGedClient> publishers_[kPublishers];
+  std::unique_ptr<RemoteGedClient> subscriber_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::int64_t> got_[kPublishers];  // guarded by mu_
+};
+
+TEST_F(NetBusBurstTest, ConcurrentBurstsArriveOnceAndInPublisherOrder) {
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kPublishers; ++p) {
+    threads.emplace_back([this, p] {
+      for (int seq = 0; seq < kEventsPerPublisher; ++seq) {
+        EXPECT_TRUE(publishers_[p]
+                        ->NotifyMethod("Order", 1, EventModifier::kEnd,
+                                       "void burst(int seq)", Params(seq), 1)
+                        .ok());
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  constexpr std::size_t kTotal = kPublishers * kEventsPerPublisher;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    ASSERT_TRUE(cv_.wait_for(lock, std::chrono::seconds(10),
+                             [&] { return Received() >= kTotal; }))
+        << "received " << Received() << " of " << kTotal;
+  }
+  // A duplicate would only land after the last expected push; give one a
+  // moment to show up before the exact count is checked.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::lock_guard<std::mutex> lock(mu_);
+  for (int p = 0; p < kPublishers; ++p) {
+    ASSERT_EQ(got_[p].size(), static_cast<std::size_t>(kEventsPerPublisher))
+        << "publisher " << p;
+    for (int seq = 0; seq < kEventsPerPublisher; ++seq) {
+      EXPECT_EQ(got_[p][static_cast<std::size_t>(seq)], seq)
+          << "publisher " << p << " delivered out of order";
+    }
+    EXPECT_EQ(publishers_[p]->stats().notifies_dropped, 0u);
+    EXPECT_EQ(publishers_[p]->stats().sheds_received, 0u);
+  }
+  EXPECT_EQ(server_.stats().sheds, 0u);
+  EXPECT_EQ(server_.stats().dispatched, kTotal);
+}
+
 TEST_F(NetBusTest, StatsJsonSmoke) {
   ASSERT_TRUE(StartServer().ok());
   RemoteGedClient client(ClientOptions("appA"));
