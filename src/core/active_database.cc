@@ -44,10 +44,12 @@ Status ActiveDatabase::OpenInMemory(const Options& options) {
 }
 
 Status ActiveDatabase::OpenCommon(const Options& options) {
+  // The tracer is every component's one instrumentation seam; its sinks are
+  // attached before any component receives it.
   span_tracer_.set_flight_recorder(&flight_recorder_);
+  span_tracer_.set_profiler(&profiler_);
   detector_ = std::make_unique<detector::LocalEventDetector>();
   detector_->set_span_tracer(&span_tracer_);
-  detector_->set_profiler(&profiler_);
   if (db_ != nullptr) {
     detector_->set_class_registry(db_->classes());
     cache_ = std::make_unique<oodb::ObjectCache>(db_->engine(), db_->objects(),
@@ -64,15 +66,12 @@ Status ActiveDatabase::OpenCommon(const Options& options) {
         });
     engine->buffer_pool()->set_span_tracer(&span_tracer_);
     engine->log_manager()->set_span_tracer(&span_tracer_);
-    engine->lock_manager()->set_profiler(&profiler_);
-    engine->log_manager()->set_profiler(&profiler_);
   }
   nested_ = std::make_unique<txn::NestedTransactionManager>(options.nested);
   nested_->set_span_tracer(&span_tracer_);
   scheduler_ = std::make_unique<rules::RuleScheduler>(nested_.get(), db_.get(),
                                                       options.scheduler);
   scheduler_->set_span_tracer(&span_tracer_);
-  scheduler_->set_profiler(&profiler_);
   scheduler_->set_postmortem_hook([this](storage::TxnId doomed) {
     (void)DumpPostmortem("abort_top", doomed);
   });

@@ -1,13 +1,18 @@
 #include "detector/event_log.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
+#include "common/crc32.h"
 #include "detector/local_detector.h"
 #include "net/protocol.h"
 
 namespace sentinel::detector {
+
+namespace {
+// Bound on one record's payload: a size field above it is corruption.
+constexpr std::uint32_t kMaxEventRecordSize = 1u << 24;
+}  // namespace
 
 EventLog::~EventLog() {
   if (file_ != nullptr) std::fclose(file_);
@@ -51,11 +56,16 @@ void EventLog::Record(const PrimitiveOccurrence& occurrence) {
   if (file_ != nullptr) {
     // File-backed: the file is the store; no in-memory duplication.
     if (!status_.ok()) return;
-    BytesWriter writer;
-    net::EncodeOccurrence(occurrence, &writer);
-    const std::uint32_t size = static_cast<std::uint32_t>(writer.size());
-    if (std::fwrite(&size, sizeof(size), 1, file_) != 1 ||
-        std::fwrite(writer.data().data(), size, 1, file_) != 1 ||
+    BytesWriter payload;
+    net::EncodeOccurrence(occurrence, &payload);
+    if (payload.size() > kMaxEventRecordSize) {
+      status_ = Status::InvalidArgument("occurrence too large for event log " +
+                                        path_);
+      return;
+    }
+    BytesWriter frame;
+    AppendFrame(payload.data(), &frame);
+    if (std::fwrite(frame.data().data(), frame.size(), 1, file_) != 1 ||
         std::fflush(file_) != 0) {
       status_ = Status::IOError("cannot write event log " + path_ + ": " +
                                 std::strerror(errno));
@@ -70,30 +80,27 @@ Result<std::vector<PrimitiveOccurrence>> EventLog::Load() const {
   if (file_ == nullptr) return memory_;
   std::vector<PrimitiveOccurrence> result;
   std::fflush(file_);
-  std::fseek(file_, 0, SEEK_END);
-  const long end = std::ftell(file_);
   std::fseek(file_, 0, SEEK_SET);
   Status status;
+  std::vector<std::uint8_t> buf;
   for (std::size_t index = 0;; ++index) {
-    std::uint32_t size = 0;
-    if (std::fread(&size, sizeof(size), 1, file_) != 1) break;
-    // The prefix is untrusted: one longer than the rest of the file is a
-    // torn tail, never an allocation request.
-    const long left = std::max(0L, end - std::ftell(file_));
-    if (size > static_cast<unsigned long>(left)) break;
-    std::vector<std::uint8_t> buf(size);
-    if (size > 0 && std::fread(buf.data(), size, 1, file_) != 1) break;
-    BytesReader reader(buf);
-    auto occ = net::DecodeOccurrence(&reader);
-    if (!occ.ok()) {
-      // A complete record that does not decode is corruption, not a torn
-      // tail: stopping here would silently lose every record after it.
-      status = Status::Corruption("event log " + path_ + ": record " +
-                                  std::to_string(index) + " does not decode: " +
-                                  occ.status().ToString());
-      break;
+    // A torn tail (NotFound) ends the log. A complete record that fails its
+    // checks or does not decode is corruption: stopping silently would lose
+    // every record after it.
+    Status read = ReadFrame(file_, kMaxEventRecordSize, &buf);
+    if (read.IsNotFound()) break;
+    if (read.ok()) {
+      BytesReader reader(buf);
+      auto occ = net::DecodeOccurrence(&reader);
+      if (occ.ok()) {
+        result.push_back(std::move(*occ));
+        continue;
+      }
+      read = occ.status();
     }
-    result.push_back(std::move(*occ));
+    status = Status::Corruption("event log " + path_ + ": record " +
+                                std::to_string(index) + ": " + read.ToString());
+    break;
   }
   std::fseek(file_, 0, SEEK_END);
   if (!status.ok()) return status;

@@ -23,11 +23,12 @@ class LocalEventDetector;
 /// re-run detection offline — the same event graph and contexts apply, so
 /// online and batch detection agree.
 ///
-/// File format: a sequence of records, each a native-endian u32 length
-/// followed by one occurrence in the event bus codec
-/// (net::EncodeOccurrence). Loading stops silently at a torn tail (a length
-/// prefix or body that runs past the end of the file) and fails with
-/// Corruption, naming the record, at a complete record that does not decode.
+/// File format: the WAL's framed records (common/crc32.h: u32 size, u32
+/// CRC32, payload), each payload one occurrence in the event bus codec
+/// (net::EncodeOccurrence). Loading stops silently at a torn tail (a record
+/// that runs past the end of the file) and fails with Corruption, naming
+/// the record, at a complete record whose size is implausible, whose CRC
+/// does not match, or that does not decode.
 class EventLog {
  public:
   EventLog() = default;

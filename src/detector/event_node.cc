@@ -24,36 +24,21 @@ std::mutex& AssignBufferStripe() {
                  kBufferStripes];
 }
 
-/// Records one operator-node Emit into the node's cost account on every
-/// exit path (Emit returns early when there are no sinks).
-struct EmitCostScope {
-  obs::Profiler::CostCell* cost = nullptr;
-  std::uint64_t cpu0 = 0;
-  std::uint64_t t0 = 0;
-  ~EmitCostScope() {
-    if (cost != nullptr) {
-      cost->Record(obs::Profiler::ThreadCpuNs() - cpu0,
-                   obs::Profiler::NowNs() - t0);
-    }
-  }
-};
-
 }  // namespace
 
 EventNode::EventNode(std::string name)
     : name_(std::move(name)), buffer_mu_(AssignBufferStripe()) {}
 
-void EventNode::set_profiler(obs::Profiler* profiler) {
-  profiler_ = profiler;
-  // Only operator nodes evaluate anything or mutate buffers; primitives get
-  // the profiler pointer but no accounts.
-  if (profiler != nullptr && composite_) {
-    cost_ = profiler->NodeAccount(name_);
-    buffer_site_ = profiler->GetContentionSite("buffer:" + name_);
-  } else {
-    cost_ = nullptr;
-    buffer_site_ = nullptr;
-  }
+void EventNode::set_span_tracer(obs::SpanTracer* tracer) {
+  span_tracer_ = tracer;
+  // Only operator nodes evaluate anything or mutate buffers, so only they
+  // get a profiler account and a contention site.
+  obs::Profiler* profiler =
+      tracer != nullptr && composite_ ? tracer->profiler() : nullptr;
+  cost_ = profiler != nullptr ? profiler->NodeAccount(name_) : nullptr;
+  buffer_site_ = profiler != nullptr
+                     ? profiler->GetContentionSite("buffer:" + name_)
+                     : nullptr;
 }
 
 void EventNode::AddParent(EventNode* parent, int port) {
@@ -80,11 +65,7 @@ void EventNode::RemoveSink(EventSink* sink) {
 
 void EventNode::AddContextRef(ParamContext context) {
   int& refs = context_refs_[static_cast<int>(context)];
-  ++refs;
-  if (refs == 1) {
-    active_contexts_.fetch_add(1, std::memory_order_release);
-    OnContextActivated(context);
-  }
+  if (++refs == 1) active_contexts_.fetch_add(1, std::memory_order_release);
   for (EventNode* child : Children()) {
     if (child != nullptr) child->AddContextRef(context);
   }
@@ -96,11 +77,7 @@ void EventNode::ReleaseContextRef(ParamContext context) {
     SENTINEL_LOG(kWarn) << "context underflow on node " << name_;
     return;
   }
-  --refs;
-  if (refs == 0) {
-    active_contexts_.fetch_sub(1, std::memory_order_release);
-    OnContextDeactivated(context);
-  }
+  if (--refs == 0) active_contexts_.fetch_sub(1, std::memory_order_release);
   for (EventNode* child : Children()) {
     if (child != nullptr) child->ReleaseContextRef(context);
   }
@@ -108,23 +85,16 @@ void EventNode::ReleaseContextRef(ParamContext context) {
 
 void EventNode::Emit(const Occurrence& occurrence, ParamContext context) {
   metrics_.OnDetected(context);
-  // Operator-evaluation attribution (one relaxed load when profiling is
-  // off): covers the whole downstream cascade, like the composite_detect
-  // span below.
-  EmitCostScope emit_cost;
-  if (cost_ != nullptr && profiler_->enabled()) {
-    emit_cost.cost = cost_;
-    emit_cost.cpu0 = obs::Profiler::ThreadCpuNs();
-    emit_cost.t0 = obs::Profiler::NowNs();
-  }
-  // Operator detections open a composite_detect span covering the whole
-  // cascade (parent deliveries and sink firings below happen inside it, so
-  // rule subtransactions parent into the detection that triggered them).
+  // Operator detections open a composite_detect record covering the whole
+  // cascade, on every exit path: parent deliveries and sink firings below
+  // happen inside it, so rule subtransactions parent into the detection
+  // that triggered them, and the node's profiler account measures it.
   obs::SpanScope detect_span;
   if (composite_ && span_tracer_ != nullptr &&
-      span_tracer_->enabled_for(obs::SpanKind::kCompositeDetect)) {
-    detect_span.Start(span_tracer_, obs::SpanKind::kCompositeDetect,
-                      occurrence.txn, name_);
+      span_tracer_->enabled_for(obs::SpanKind::kCompositeDetect) &&
+      detect_span.Open(span_tracer_, obs::SpanKind::kCompositeDetect,
+                       occurrence.txn, nullptr, cost_)) {
+    detect_span.set_label(name_);
   }
   // parents_ is kept sorted by descending port (AddParent), so higher ports
   // are delivered first without sorting per emission.

@@ -11,11 +11,7 @@
 #include "common/symbol.h"
 #include "detector/event_types.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-
-namespace sentinel::obs {
-class SpanTracer;
-}  // namespace sentinel::obs
+#include "obs/span.h"
 
 namespace sentinel::detector {
 
@@ -114,22 +110,12 @@ class EventNode {
   /// delivery paths with relaxed atomics; read by the stats surfaces.
   obs::NodeMetrics& metrics() const { return metrics_; }
 
-  /// Attaches the causal span tracer (set by the owning detector when the
-  /// node is installed; may be null). Operator nodes record a
-  /// composite_detect span around each Emit so downstream rule firings
-  /// parent into the detection that caused them.
-  void set_span_tracer(obs::SpanTracer* tracer) { span_tracer_ = tracer; }
-  obs::SpanTracer* span_tracer() const { return span_tracer_; }
-
-  /// Attaches the continuous profiler (set by the owning detector under the
-  /// exclusive graph lock, like the span tracer). Operator nodes resolve their
-  /// cost account and buffer-stripe contention site once here, so the Emit
+  /// Attaches the span tracer (set by the owning detector under the
+  /// exclusive graph lock; may be null). Operator nodes record a
+  /// composite_detect record around each Emit, and resolve their profiler
+  /// account and buffer contention site through it once here, so the Emit
   /// and buffer-lock paths never touch an account map.
-  void set_profiler(obs::Profiler* profiler);
-  obs::Profiler* profiler() const { return profiler_; }
-
-  /// True for operator (composite) nodes; set once at construction.
-  bool is_composite() const { return composite_; }
+  void set_span_tracer(obs::SpanTracer* tracer);
 
  protected:
   /// Delivers a detection to all parents and sinks. The sink list is
@@ -138,19 +124,17 @@ class EventNode {
   /// rule removing itself) cannot invalidate the iteration.
   void Emit(const Occurrence& occurrence, ParamContext context);
 
-  /// Called when a context transitions inactive->active / active->inactive.
-  virtual void OnContextActivated(ParamContext context) { (void)context; }
-  virtual void OnContextDeactivated(ParamContext context) { (void)context; }
-
   /// This node's buffer lock (striped across nodes). Leaf lock only.
   std::mutex& buffer_mu() const { return buffer_mu_; }
 
   /// Acquires the buffer lock with try-then-wait contention accounting when
-  /// a profiler is attached and enabled (a plain lock otherwise). Operator
+  /// the tracer's profiler is running (a plain lock otherwise). Operator
   /// buffer mutations should lock through this instead of buffer_mu()
   /// directly.
   std::unique_lock<std::mutex> LockBuffer() const {
-    return obs::Profiler::LockContended(profiler_, buffer_site_, buffer_mu_);
+    return obs::Profiler::LockContended(
+        buffer_site_ != nullptr ? span_tracer_->profiler() : nullptr,
+        buffer_site_, buffer_mu_);
   }
 
   /// Operator-node constructors call this once; Emit then wraps deliveries
@@ -175,7 +159,6 @@ class EventNode {
   std::mutex& buffer_mu_;
   mutable obs::NodeMetrics metrics_;
   obs::SpanTracer* span_tracer_ = nullptr;
-  obs::Profiler* profiler_ = nullptr;
   obs::Profiler::CostCell* cost_ = nullptr;            // operator eval account
   obs::Profiler::ContentionSite* buffer_site_ = nullptr;
   bool composite_ = false;

@@ -57,7 +57,6 @@ Result<EventNode*> LocalEventDetector::InstallLocked(
   }
   EventNode* raw = node.get();
   raw->set_span_tracer(span_tracer_.load(std::memory_order_acquire));
-  raw->set_profiler(profiler_.load(std::memory_order_acquire));
   nodes_[name] = std::move(node);
   return raw;
 }
@@ -643,15 +642,6 @@ void LocalEventDetector::set_span_tracer(obs::SpanTracer* tracer) {
   for (auto& [name, node] : nodes_) {
     (void)name;
     node->set_span_tracer(tracer);
-  }
-}
-
-void LocalEventDetector::set_profiler(obs::Profiler* profiler) {
-  std::unique_lock<std::shared_mutex> lock(graph_mu_);
-  profiler_.store(profiler, std::memory_order_release);
-  for (auto& [name, node] : nodes_) {
-    (void)name;
-    node->set_profiler(profiler);
   }
 }
 

@@ -184,21 +184,13 @@ class LocalEventDetector {
 
   // -- Observability ------------------------------------------------------------
 
-  /// Attaches the causal span tracer: notify spans on the Notify slow path
-  /// (the fast-path returns stay metric-free) and composite_detect spans on
+  /// Attaches the span tracer: notify spans on the Notify slow path (the
+  /// fast-path returns stay metric-free) and composite_detect records on
   /// operator-node detections. Propagated to every installed node and to
   /// nodes installed later; call before signalling starts.
   void set_span_tracer(obs::SpanTracer* tracer);
   obs::SpanTracer* span_tracer() const {
     return span_tracer_.load(std::memory_order_acquire);
-  }
-
-  /// Attaches the continuous profiler: per-node operator accounts and
-  /// buffer-stripe contention sites. Propagated to nodes like
-  /// set_span_tracer.
-  void set_profiler(obs::Profiler* profiler);
-  obs::Profiler* profiler() const {
-    return profiler_.load(std::memory_order_acquire);
   }
 
   /// Event graph in Graphviz DOT, nodes annotated with their per-context
@@ -308,7 +300,6 @@ class LocalEventDetector {
   std::atomic<std::uint64_t> now_ms_{0};
   std::atomic<std::uint64_t> notify_count_{0};
   std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
-  std::atomic<obs::Profiler*> profiler_{nullptr};
 };
 
 }  // namespace sentinel::detector

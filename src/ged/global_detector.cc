@@ -229,31 +229,23 @@ void GlobalEventDetector::Forward(const std::string& app_name,
   // order (the paper defers distributed timestamping to future work).
   occ.class_name = Namespaced(app_name, occ.class_name);
   occ.at = graph_.clock()->Tick();
+  // One ged_forward record covers the injection: a ring span, and the
+  // profiler's ged_forward account while it runs.
   obs::SpanScope forward_span;
   if (obs::SpanTracer* st = graph_.span_tracer();
-      st != nullptr && st->enabled_for(obs::SpanKind::kGedForward)) {
+      st != nullptr && st->enabled_for(obs::SpanKind::kGedForward) &&
+      forward_span.Open(st, obs::SpanKind::kGedForward, occ.txn, nullptr,
+                        nullptr, /*parent_override=*/occ.trace_parent)) {
     // A remote occurrence carries its causal chain: trace_parent is the
     // latest upstream span (the server's admission-wait span — same
     // process, so it pins the local parent directly), trace_id marks the
     // cross-process trace. Downstream composite_detect spans parent here
     // via the scope stack.
-    forward_span.Start(st, obs::SpanKind::kGedForward, occ.txn,
-                       occ.class_name + "::" + occ.method_signature,
-                       /*subtxn=*/0,
-                       /*parent_override=*/occ.trace_parent);
+    forward_span.set_label(occ.class_name + "::" + occ.method_signature);
     if (occ.trace_id != 0) forward_span.AnnotateRemote(occ.trace_id, 0);
     occ.trace_parent = forward_span.id();
   }
-  obs::Profiler* profiler = graph_.profiler();
-  const bool profiling = profiler != nullptr && profiler->enabled();
-  const std::uint64_t prof_cpu0 = profiling ? obs::Profiler::ThreadCpuNs() : 0;
-  const std::uint64_t prof_t0 = profiling ? obs::Profiler::NowNs() : 0;
   graph_.Inject(occ);
-  if (profiling) {
-    profiler->RecordGlobal(obs::Profiler::GlobalSeam::kGedForward,
-                           obs::Profiler::ThreadCpuNs() - prof_cpu0,
-                           obs::Profiler::NowNs() - prof_t0);
-  }
 }
 
 void GlobalEventDetector::WaitQuiescent() {
@@ -283,10 +275,6 @@ bool GlobalEventDetector::IsRegistered(const std::string& app_name) const {
 
 void GlobalEventDetector::set_span_tracer(obs::SpanTracer* tracer) {
   graph_.set_span_tracer(tracer);
-}
-
-void GlobalEventDetector::set_profiler(obs::Profiler* profiler) {
-  graph_.set_profiler(profiler);
 }
 
 std::string GlobalEventDetector::StatsJson() const {

@@ -133,15 +133,11 @@ class GlobalEventDetector {
   /// Bus counters plus the internal graph's per-node stats as JSON.
   std::string StatsJson() const;
 
-  /// Attaches the causal span tracer: a ged_forward span is recorded around
-  /// each injection into the global graph (and the graph's own
-  /// nodes record composite_detect spans).
+  /// Attaches the span tracer: a ged_forward record around each injection
+  /// into the global graph (and the graph's own nodes record
+  /// composite_detect records). A tracer with a profiler (the database's)
+  /// also attributes forwards and node evaluation to it.
   void set_span_tracer(obs::SpanTracer* tracer);
-
-  /// Attaches the continuous profiler: propagated into the internal graph
-  /// (operator-node cost accounts, per-symbol dispatch accounts), and each
-  /// injection is recorded into the ged_forward global seam.
-  void set_profiler(obs::Profiler* profiler);
 
  private:
   class Forwarder;

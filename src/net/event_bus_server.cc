@@ -15,22 +15,7 @@ namespace sentinel::net {
 
 namespace {
 
-std::uint64_t NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Wall-clock ns: the e2e latency anchor (occurrence origin stamps are
-/// wall time so either end of the wire can subtract without knowing the
-/// peer's steady-clock offset).
-std::uint64_t WallNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
+constexpr auto NowNs = &obs::SpanTracer::NowNs;
 
 /// Upper bound on the bytes one FlushSession concatenates into a send.
 constexpr std::size_t kMaxWriteBytes = 64 * 1024;
@@ -241,12 +226,12 @@ void EventBusServer::IoLoop() {
     DispatchAdmitted();
     CheckTimers(NowNs());
     // A session the poll found unwritable with output queued waits for
-    // POLLOUT, so a peer that stopped reading runs into its byte budget.
+    // POLLOUT: its kernel buffer already refused bytes, so only its byte
+    // budget is checked.
     for (std::size_t i = 0; i < polled.size(); ++i) {
       const pollfd& p = pfds[i + 2];
-      if ((p.events & POLLOUT) == 0 || (p.revents & POLLOUT) != 0) {
-        FlushSession(polled[i]);
-      }
+      FlushSession(polled[i],
+                   (p.events & POLLOUT) == 0 || (p.revents & POLLOUT) != 0);
     }
     ReapDoomed();
   }
@@ -342,21 +327,35 @@ void EventBusServer::ReadSession(const std::shared_ptr<Session>& session) {
   }
 }
 
-void EventBusServer::FlushSession(const std::shared_ptr<Session>& session) {
+void EventBusServer::FlushSession(const std::shared_ptr<Session>& session,
+                                  bool writable) {
   std::string doom_why;
   obs::SpanTracer* st = tracer_.load(std::memory_order_acquire);
   const bool trace_waits =
       st != nullptr && st->enabled_for(obs::SpanKind::kNetOutboundWait);
   const bool trace_write =
       st != nullptr && st->enabled_for(obs::SpanKind::kNetWrite);
-  // Queue-wait metadata of frames that finish flushing, recorded as spans
+  // Frames that finish flushing: their queue waits are recorded as spans
   // only after sessions_mu_ is released.
   std::vector<OutFrame> done;
   const std::uint64_t write_start_ns = trace_write ? NowNs() : 0;
   std::size_t wrote = 0;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
+    // Judges a session whose kernel buffer refused bytes.
+    auto doom_if_over_budget = [&] {
+      if (session->out_bytes <= options_.outbound_max_bytes) return;
+      session->doomed = true;
+      session->doom_reason = "slow consumer: outbound queue exceeded " +
+                             std::to_string(options_.outbound_max_bytes) +
+                             " bytes";
+      slow_consumer_disconnects_.fetch_add(1, std::memory_order_relaxed);
+    };
     if (session->out.empty() || session->doomed) return;
+    if (!writable) {
+      doom_if_over_budget();
+      return;
+    }
     // Concatenate whole frames (the first one from its unsent offset) up to
     // kMaxWriteBytes, so the session costs one send per iteration.
     write_buf_.assign(session->out.front().bytes, session->out_offset);
@@ -384,16 +383,15 @@ void EventBusServer::FlushSession(const std::shared_ptr<Session>& session) {
       }
       left -= rest;
       session->out_bytes -= front.bytes.size();
-      if (trace_waits) {
-        OutFrame meta;
-        meta.enqueued_ns = front.enqueued_ns;
-        meta.trace = front.trace;
-        meta.parent_span = front.parent_span;
-        meta.is_push = front.is_push;
-        done.push_back(std::move(meta));
-      }
+      if (trace_waits) done.push_back(std::move(session->out.front()));
       session->out.pop_front();
       session->out_offset = 0;
+    }
+    // Only a send the kernel cut short judges the reader: a backlog left by
+    // the per-send cap alone goes out next iteration.
+    if (r.kind == IoResult::Kind::kWouldBlock ||
+        (r.kind == IoResult::Kind::kOk && r.bytes < write_buf_.size())) {
+      doom_if_over_budget();
     }
   }
   if (st != nullptr && (trace_waits || trace_write)) {
@@ -717,23 +715,15 @@ void EventBusServer::EnqueueFrame(const std::shared_ptr<Session>& session,
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     if (session->doomed || session->fd < 0) return;
-    if (session->out_bytes + frame.size() > options_.outbound_max_bytes) {
-      session->doomed = true;
-      session->doom_reason =
-          "slow consumer: outbound queue exceeded " +
-          std::to_string(options_.outbound_max_bytes) + " bytes";
-      slow_consumer_disconnects_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      session->out_bytes += frame.size();
-      OutFrame out;
-      out.bytes = std::move(frame);
-      out.enqueued_ns = NowNs();
-      out.trace = trace;
-      out.parent_span = parent_span;
-      out.is_push = is_push;
-      session->out.push_back(std::move(out));
-      if (is_push) pushes_sent_.fetch_add(1, std::memory_order_relaxed);
-    }
+    session->out_bytes += frame.size();
+    OutFrame out;
+    out.bytes = std::move(frame);
+    out.enqueued_ns = NowNs();
+    out.trace = trace;
+    out.parent_span = parent_span;
+    out.is_push = is_push;
+    session->out.push_back(std::move(out));
+    if (is_push) pushes_sent_.fetch_add(1, std::memory_order_relaxed);
   }
   // The I/O thread flushes (or reaps) before it polls again; any other
   // thread must wake it.

@@ -79,9 +79,9 @@ struct EventBusServerStats {
 ///
 /// Robustness contract (DESIGN.md §12):
 ///   - every queue is bounded: admission sheds NOTIFY traffic with a typed
-///     RETRY_LATER verdict instead of growing, and a session
-///     whose outbound queue exceeds its byte budget is disconnected as a
-///     slow consumer rather than wedging the push path;
+///     RETRY_LATER verdict instead of growing, and a session whose kernel
+///     buffer refused bytes while its outbound queue exceeds the byte budget
+///     is disconnected as a slow consumer rather than wedging the push path;
 ///   - sessions are limited (connection admission) and heartbeated: a peer
 ///     that stops responding is reaped by the idle timeout;
 ///   - a framing violation (bad magic, CRC mismatch, oversized length)
@@ -111,8 +111,8 @@ class EventBusServer {
     /// server is `overloaded()`; at capacity NOTIFY traffic sheds with
     /// RETRY_LATER.
     std::size_t admission_capacity = 1024;
-    /// Per-session outbound byte budget; past it the session is dropped as
-    /// a slow consumer.
+    /// Per-session outbound byte budget; a session still past it after the
+    /// kernel refused its bytes is dropped as a slow consumer.
     std::size_t outbound_max_bytes = 256 * 1024;
     std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
     std::chrono::milliseconds heartbeat_interval{2000};
@@ -189,8 +189,11 @@ class EventBusServer {
 
   void AcceptPending();
   void ReadSession(const std::shared_ptr<Session>& session);
-  /// One send of the session's queued frames, concatenated up to 64 KiB.
-  void FlushSession(const std::shared_ptr<Session>& session);
+  /// One send of the session's queued frames, concatenated up to 64 KiB,
+  /// when the socket is `writable`. A session whose kernel buffer refused
+  /// bytes (a short send, or an unwritable socket) and whose queue still
+  /// exceeds its byte budget is dropped as a slow consumer.
+  void FlushSession(const std::shared_ptr<Session>& session, bool writable);
   void HandleFrame(const std::shared_ptr<Session>& session,
                    FrameAssembler::Frame& frame);
   void HandleHello(const std::shared_ptr<Session>& session,
@@ -198,10 +201,10 @@ class EventBusServer {
   void HandleNotify(const std::shared_ptr<Session>& session,
                     BytesReader* body, std::uint16_t flags);
   void HandlePong(const std::shared_ptr<Session>& session, BytesReader* body);
-  /// Appends a frame to the session's outbound queue; dooms the session as
-  /// a slow consumer when the byte budget would be exceeded. Safe from any
-  /// thread; off the I/O thread it wakes the poll so the frame is flushed.
-  /// `trace`/`parent_span` annotate the outbound-wait span.
+  /// Appends a frame to the session's outbound queue (its byte budget is
+  /// judged at the next flush). Safe from any thread; off the I/O thread it
+  /// wakes the poll so the frame is flushed. `trace`/`parent_span` annotate
+  /// the outbound-wait span.
   void EnqueueFrame(const std::shared_ptr<Session>& session,
                     std::string frame, bool is_push,
                     std::uint64_t trace = 0, std::uint64_t parent_span = 0);
@@ -216,7 +219,6 @@ class EventBusServer {
   void UpdateOverload(std::size_t depth);
   void CheckTimers(std::uint64_t now_ns);
   void ReapDoomed();
-  void CloseSessionLocked(Session& session);
   /// Tears down GED-side state (subscriptions, app registration) of a
   /// session being closed. Must be called WITHOUT sessions_mu_ held.
   void DetachFromGed(Session& session);

@@ -13,21 +13,7 @@ namespace sentinel::net {
 
 namespace {
 
-std::uint64_t NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Wall-clock ns: the always-on e2e origin stamp (either end of the wire
-/// can subtract without knowing the peer's steady-clock offset).
-std::uint64_t WallNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
+constexpr auto NowNs = &obs::SpanTracer::NowNs;
 
 }  // namespace
 

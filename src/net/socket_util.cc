@@ -132,6 +132,13 @@ void CloseQuietly(int fd) {
   ::close(fd);  // retrying close on EINTR double-closes on Linux; do not
 }
 
+std::uint64_t WallNs() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+}
+
 void ShutdownDrainClose(int fd, int max_wait_ms) {
   if (fd < 0) return;
   (void)::shutdown(fd, SHUT_WR);

@@ -46,6 +46,11 @@ void SetNoDelay(int fd);
 /// close(2) with EINTR ignored; tolerates fd < 0.
 void CloseQuietly(int fd);
 
+/// Wall-clock ns: the e2e latency anchor. Occurrence origin stamps are wall
+/// time so either end of the wire can subtract without knowing the peer's
+/// steady-clock offset.
+std::uint64_t WallNs();
+
 /// Half-closes the write side (SHUT_WR), then drains inbound bytes for up
 /// to `max_wait_ms` (or until EOF) before closing. Use after writing a
 /// final verdict to a socket whose receive buffer may still hold unread

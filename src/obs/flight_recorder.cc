@@ -21,7 +21,6 @@ void FlightRecorder::Record(Span span) {
 }
 
 void FlightRecorder::RecordLog(LogLevel level, const std::string& message) {
-  logs_recorded_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   LogEntry& entry = log_ring_[log_next_ % kLogCapacity];
   entry.at_ns = SpanTracer::NowNs();

@@ -50,9 +50,6 @@ class FlightRecorder {
   void RecordLog(LogLevel level, const std::string& message);
   /// Last warn/error lines, oldest first.
   std::vector<LogEntry> SnapshotLogs() const;
-  std::uint64_t logs_recorded() const {
-    return logs_recorded_.load(std::memory_order_relaxed);
-  }
 
   std::uint64_t recorded() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -74,7 +71,6 @@ class FlightRecorder {
   std::uint64_t next_ = 0;  // total spans ever recorded (ring write position)
   std::vector<LogEntry> log_ring_;  // guarded by mu_, like the span ring
   std::uint64_t log_next_ = 0;
-  std::atomic<std::uint64_t> logs_recorded_{0};
   std::atomic<std::uint64_t> dumps_{0};
 };
 

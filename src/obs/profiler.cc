@@ -8,6 +8,7 @@
 
 #include "obs/json.h"
 #include "obs/prometheus.h"
+#include "obs/span.h"
 
 namespace sentinel::obs {
 
@@ -76,13 +77,6 @@ Profiler::~Profiler() {
   Stop();
 }
 
-std::uint64_t Profiler::NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 std::uint64_t Profiler::ThreadCpuNs() {
 #if defined(CLOCK_THREAD_CPUTIME_ID)
   timespec ts;
@@ -95,31 +89,21 @@ std::uint64_t Profiler::ThreadCpuNs() {
 }
 
 const char* Profiler::RuleSeamName(RuleSeam seam) {
-  switch (seam) {
-    case RuleSeam::kCondition:
-      return "condition";
-    case RuleSeam::kAction:
-      return "action";
-    case RuleSeam::kCommit:
-      return "commit";
-  }
-  return "?";
+  static constexpr const char* kNames[kRuleSeams] = {"condition", "action",
+                                                     "commit"};
+  return kNames[static_cast<int>(seam)];
 }
 
 const char* Profiler::GlobalSeamName(GlobalSeam seam) {
-  switch (seam) {
-    case GlobalSeam::kCommitBarrier:
-      return "commit_barrier";
-    case GlobalSeam::kGedForward:
-      return "ged_forward";
-  }
-  return "?";
+  static constexpr const char* kNames[kGlobalSeams] = {"commit_barrier",
+                                                       "ged_forward"};
+  return kNames[static_cast<int>(seam)];
 }
 
 void Profiler::Start() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (mode_.load(std::memory_order_relaxed) == Mode::kOn) return;
-  enabled_since_ns_.store(NowNs(), std::memory_order_relaxed);
+  enabled_since_ns_.store(SpanTracer::NowNs(), std::memory_order_relaxed);
   mode_.store(Mode::kOn, std::memory_order_relaxed);
   StartSamplerLocked();
 }
@@ -129,7 +113,7 @@ void Profiler::Stop() {
   if (mode_.load(std::memory_order_relaxed) == Mode::kOff) return;
   mode_.store(Mode::kOff, std::memory_order_relaxed);
   active_ns_.fetch_add(
-      NowNs() - enabled_since_ns_.load(std::memory_order_relaxed),
+      SpanTracer::NowNs() - enabled_since_ns_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
   StopSamplerLocked();
 }
@@ -137,7 +121,7 @@ void Profiler::Stop() {
 std::uint64_t Profiler::duration_ns() const {
   std::uint64_t total = active_ns_.load(std::memory_order_relaxed);
   if (enabled()) {
-    total += NowNs() - enabled_since_ns_.load(std::memory_order_relaxed);
+    total += SpanTracer::NowNs() - enabled_since_ns_.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -168,21 +152,24 @@ void Profiler::Reset() {
   }
   samples_.store(0, std::memory_order_relaxed);
   active_ns_.store(0, std::memory_order_relaxed);
-  enabled_since_ns_.store(NowNs(), std::memory_order_relaxed);
+  enabled_since_ns_.store(SpanTracer::NowNs(), std::memory_order_relaxed);
 }
 
 // -- Feed 1: exact attribution -----------------------------------------------
 
-Profiler::RuleCost* Profiler::GetRuleCost(const std::string& name) {
+Profiler::RuleAccount* Profiler::RuleAccountFor(const std::string& rule_name) {
   {
     std::shared_lock lock(rules_mu_);
-    auto it = rules_.find(name);
+    auto it = rules_.find(rule_name);
     if (it != rules_.end()) return it->second.get();
   }
   std::unique_lock lock(rules_mu_);
-  auto& slot = rules_[name];
-  if (slot == nullptr) slot = std::make_unique<RuleCost>();
-  return slot.get();
+  auto [it, inserted] = rules_.try_emplace(rule_name);
+  if (inserted) {
+    it->second = std::make_unique<RuleAccount>();
+    it->second->frame = it->first.c_str();  // map keys never move
+  }
+  return it->second.get();
 }
 
 Profiler::CostCell* Profiler::NodeAccount(const std::string& node_name) {
@@ -197,31 +184,19 @@ Profiler::CostCell* Profiler::NodeAccount(const std::string& node_name) {
   return slot.get();
 }
 
-void Profiler::RecordRuleFiring(const std::string& rule_name,
-                                const CostDelta& condition,
-                                const CostDelta& action,
-                                const CostDelta& commit) {
-  RuleCost* rule = GetRuleCost(rule_name);
-  if (condition.valid) {
-    rule->seams[static_cast<int>(RuleSeam::kCondition)].Record(
-        condition.cpu_ns, condition.wall_ns);
-  }
-  if (action.valid) {
-    rule->seams[static_cast<int>(RuleSeam::kAction)].Record(action.cpu_ns,
-                                                            action.wall_ns);
-  }
-  if (commit.valid) {
-    rule->seams[static_cast<int>(RuleSeam::kCommit)].Record(commit.cpu_ns,
-                                                            commit.wall_ns);
-  }
-}
-
-void Profiler::RecordGlobal(GlobalSeam seam, std::uint64_t cpu,
-                            std::uint64_t wall) {
-  global_[static_cast<int>(seam)].Record(cpu, wall);
-}
-
 // -- Feed 2: lock contention -------------------------------------------------
+
+std::unique_lock<std::mutex> Profiler::LockProfiled(ContentionSite* site,
+                                                    std::mutex& mu) {
+  std::unique_lock<std::mutex> lock(mu, std::try_to_lock);
+  if (!lock.owns_lock()) {
+    const std::uint64_t t0 = SpanTracer::NowNs();
+    lock.lock();
+    RecordSiteWait(site, SpanTracer::NowNs() - t0);
+  }
+  RecordSiteAcquire(site);
+  return lock;
+}
 
 Profiler::ContentionSite* Profiler::GetContentionSite(const std::string& name) {
   {
@@ -302,11 +277,6 @@ Profiler::ThreadAnnotations* Profiler::EnsureThisThread(
   t_registration.owner = this;
   t_registration.owner_uid = uid_;
   return t_registration.annotations;
-}
-
-const char* Profiler::InternFrame(const std::string& frame) {
-  std::lock_guard<std::mutex> lock(frames_mu_);
-  return interned_frames_.insert(frame).first->c_str();
 }
 
 void Profiler::StartSamplerLocked() {

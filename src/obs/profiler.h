@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -25,12 +24,13 @@ class PromWriter;
 /// always cheap when off: every feed is gated on one relaxed load of the
 /// mode, the same budget discipline as SpanTracer. Three feeds:
 ///
-///   1. *Exact attribution* — the seams that already carry spans (condition,
-///      action, operator-node evaluation, commit barrier, GED forward) also
-///      record CPU-ns (CLOCK_THREAD_CPUTIME_ID), wall-ns and invocation
-///      counts into per-rule and per-event-node cost accounts. Accounts
-///      store sharded counters so concurrent scheduler workers never contend
-///      on one cache line.
+///   1. *Exact attribution* — the profiler is a sink of the span tracer
+///      (SpanTracer::set_profiler): while it runs, the tracer's records of
+///      condition, action, operator-node evaluation, commit barrier and GED
+///      forward also record CPU-ns (CLOCK_THREAD_CPUTIME_ID), wall-ns and
+///      invocation counts into per-rule, per-event-node and process-level
+///      cost accounts. Accounts store sharded counters so concurrent
+///      scheduler workers never contend on one cache line.
 ///   2. *Lock contention* — the striped detector buffer mutexes, the storage
 ///      lock manager and the WAL group-commit barrier report try-then-wait
 ///      accounting (acquisitions, contended acquisitions, summed wait-ns)
@@ -56,7 +56,6 @@ class Profiler {
   bool enabled() const {
     return mode_.load(std::memory_order_relaxed) == Mode::kOn;
   }
-  Mode mode() const { return mode_.load(std::memory_order_relaxed); }
 
   /// Enables all three feeds and starts the sampler thread. Idempotent.
   void Start();
@@ -68,19 +67,9 @@ class Profiler {
   /// benign undercount.
   void Reset();
 
-  /// Steady-clock nanoseconds (same clock as SpanTracer::NowNs).
-  static std::uint64_t NowNs();
   /// Per-thread CPU time in nanoseconds (CLOCK_THREAD_CPUTIME_ID; 0 when
   /// the platform lacks it).
   static std::uint64_t ThreadCpuNs();
-
-  /// One measured interval at an attribution seam. `valid` marks whether the
-  /// seam ran at all this firing (a failed condition skips the action).
-  struct CostDelta {
-    std::uint64_t cpu_ns = 0;
-    std::uint64_t wall_ns = 0;
-    bool valid = false;
-  };
 
   struct CostSnapshot {
     std::uint64_t invocations = 0;
@@ -119,20 +108,22 @@ class Profiler {
   static const char* GlobalSeamName(GlobalSeam seam);
 
   // -- Feed 1: exact attribution ---------------------------------------------
+  // Fed by span-tracer records; pointers live as long as the profiler.
+  /// One rule's seam accounts, plus its name as a sampler frame.
+  struct RuleAccount {
+    std::array<CostCell, kRuleSeams> seams;
+    const char* frame = nullptr;
+  };
+  RuleAccount* RuleAccountFor(const std::string& rule_name);
 
-  /// Records one rule firing's seam costs. Call only after enabled()
-  /// passed.
-  void RecordRuleFiring(const std::string& rule_name,
-                        const CostDelta& condition, const CostDelta& action,
-                        const CostDelta& commit);
-
-  /// Per-event-node operator-evaluation account; the returned pointer is
-  /// stable for the profiler's lifetime (nodes cache it at set_profiler
-  /// time so the Emit path never takes the account-map lock).
+  /// Per-event-node operator-evaluation account (nodes cache it when they
+  /// receive the tracer, so the Emit path never takes the account-map lock).
   CostCell* NodeAccount(const std::string& node_name);
 
-  /// Commit-barrier / GED-forward seams. Call only after enabled() passed.
-  void RecordGlobal(GlobalSeam seam, std::uint64_t cpu, std::uint64_t wall);
+  /// Commit-barrier / GED-forward account.
+  CostCell* GlobalAccount(GlobalSeam seam) {
+    return &global_[static_cast<int>(seam)];
+  }
 
   // -- Feed 2: lock contention -----------------------------------------------
 
@@ -150,22 +141,13 @@ class Profiler {
   /// Try-then-wait lock acquisition: uncontended acquisitions cost one
   /// try_lock; contended ones time the blocking wait. Off-mode is a plain
   /// lock (one relaxed load of the gate).
-  template <typename Mutex>
-  static std::unique_lock<Mutex> LockContended(const Profiler* profiler,
-                                               ContentionSite* site,
-                                               Mutex& mu) {
+  static std::unique_lock<std::mutex> LockContended(const Profiler* profiler,
+                                                    ContentionSite* site,
+                                                    std::mutex& mu) {
     if (profiler == nullptr || site == nullptr || !profiler->enabled()) {
-      return std::unique_lock<Mutex>(mu);
+      return std::unique_lock<std::mutex>(mu);
     }
-    std::unique_lock<Mutex> lock(mu, std::try_to_lock);
-    if (!lock.owns_lock()) {
-      const std::uint64_t t0 = NowNs();
-      lock.lock();
-      site->contended.Add(1);
-      site->wait_ns.Add(NowNs() - t0);
-    }
-    site->acquisitions.Add(1);
-    return lock;
+    return LockProfiled(site, mu);
   }
 
   /// Condition-wait sites (lock manager grants, WAL barrier) report their
@@ -193,15 +175,11 @@ class Profiler {
   static constexpr int kMaxAnnotationDepth = 8;
 
   /// One worker thread's annotation stack. Frames are pointers to strings
-  /// with static or profiler-interned storage, pushed/popped only by the
+  /// with static or profiler-owned storage, pushed/popped only by the
   /// owning thread; the sampler reads them with acquire/relaxed loads. A
   /// racing pop/push can make the sampler read a just-replaced frame — the
   /// sample lands one frame off, which sampling tolerates by design.
   class ThreadAnnotations {
-   public:
-    const std::string& name() const { return name_; }
-
-   private:
     friend class Profiler;
     std::string name_;
     std::array<std::atomic<const char*>, kMaxAnnotationDepth> frames_{};
@@ -222,29 +200,27 @@ class Profiler {
   /// profiler).
   ThreadAnnotations* EnsureThisThread(const char* name_prefix);
 
-  /// Interns a dynamic frame label (rule names) into storage that outlives
-  /// every sample referring to it.
-  const char* InternFrame(const std::string& frame);
-
-  /// RAII annotation frame. Inert when the gate is off or the stack is full.
+  /// RAII annotation frame (span-tracer rule records push one while the
+  /// profiler runs). Inert until Push, and when the stack is full.
   class AnnotationScope {
    public:
-    AnnotationScope(const Profiler* profiler, ThreadAnnotations* thread,
-                    const char* frame) {
-      if (profiler == nullptr || thread == nullptr || !profiler->enabled()) {
-        return;
-      }
+    AnnotationScope() = default;
+    ~AnnotationScope() { Pop(); }
+
+    void Push(ThreadAnnotations* thread, const char* frame) {
+      if (thread_ != nullptr || thread == nullptr) return;
       const int depth = thread->depth_.load(std::memory_order_relaxed);
       if (depth >= kMaxAnnotationDepth) return;
       thread->frames_[depth].store(frame, std::memory_order_relaxed);
       thread->depth_.store(depth + 1, std::memory_order_release);
       thread_ = thread;
     }
-    ~AnnotationScope() {
+    void Pop() {
       if (thread_ == nullptr) return;
       thread_->depth_.store(
           thread_->depth_.load(std::memory_order_relaxed) - 1,
           std::memory_order_release);
+      thread_ = nullptr;
     }
 
     AnnotationScope(const AnnotationScope&) = delete;
@@ -296,11 +272,9 @@ class Profiler {
   void WritePrometheus(PromWriter& w) const;
 
  private:
-  struct RuleCost {
-    std::array<CostCell, kRuleSeams> seams;
-  };
-
-  RuleCost* GetRuleCost(const std::string& name);
+  /// LockContended's profiled path: try, then time the blocking wait.
+  static std::unique_lock<std::mutex> LockProfiled(ContentionSite* site,
+                                                   std::mutex& mu);
 
   void SamplerLoop();
   void SampleOnce();
@@ -313,7 +287,7 @@ class Profiler {
   std::atomic<std::uint64_t> active_ns_{0};
 
   mutable std::shared_mutex rules_mu_;
-  std::map<std::string, std::unique_ptr<RuleCost>> rules_;
+  std::map<std::string, std::unique_ptr<RuleAccount>> rules_;
 
   mutable std::shared_mutex nodes_mu_;
   std::map<std::string, std::unique_ptr<CostCell>> nodes_;
@@ -328,9 +302,6 @@ class Profiler {
   mutable std::mutex threads_mu_;
   std::deque<ThreadAnnotations> thread_storage_;
   std::vector<ThreadAnnotations*> active_threads_;
-
-  mutable std::mutex frames_mu_;
-  std::set<std::string> interned_frames_;
 
   mutable std::mutex folded_mu_;
   std::map<std::string, std::uint64_t> folded_;

@@ -1,12 +1,12 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -63,6 +63,11 @@ struct RingCacheEntry {
   void* ring = nullptr;
 };
 thread_local std::vector<RingCacheEntry> g_ring_cache;
+
+// Innermost profiled subtxn record open on this thread. Its firing's
+// condition and action records reuse its rule account instead of a lookup,
+// and their closing thread-CPU reading starts its commit seam.
+thread_local SpanScope* g_open_firing = nullptr;
 
 }  // namespace
 
@@ -135,13 +140,6 @@ void RenderLabel(Span* span) {
     span->label += '.';
     span->label += SpanKindToString(span->kind);
   }
-}
-
-std::uint64_t SpanTracer::NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 SpanTracer::SpanTracer(std::size_t ring_capacity)
@@ -350,10 +348,6 @@ void AppendTraceEvent(JsonWriter& w, const Span& span, std::uint64_t base_ns,
 
 }  // namespace
 
-std::string SpanTracer::ChromeTraceJson() const {
-  return ChromeTraceJson(ExportMeta{});
-}
-
 std::vector<Span> SpanTracer::SnapshotWithOpenTxns() const {
   std::vector<Span> spans = Snapshot();
   std::vector<Span> open = OpenTxnSpans();
@@ -448,10 +442,6 @@ std::string SpanTracer::ChromeTraceJson(const ExportMeta& meta) const {
   return w.Take();
 }
 
-Status SpanTracer::ExportChromeTrace(const std::string& path) const {
-  return ExportChromeTrace(path, ExportMeta{});
-}
-
 Status SpanTracer::ExportChromeTrace(const std::string& path,
                                      const ExportMeta& meta) const {
   std::string json = ChromeTraceJson(meta);
@@ -467,43 +457,119 @@ Status SpanTracer::ExportChromeTrace(const std::string& path,
 void SpanScope::Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
                       std::string label, std::uint64_t subtxn,
                       std::uint64_t parent_override) {
-  if (!Open(tracer, kind, txn, subtxn, parent_override, 0)) return;
-  span_.label = std::move(label);
+  if (OpenRecord(tracer, kind, txn, subtxn, parent_override, nullptr, nullptr,
+                 nullptr)) {
+    span_.label = std::move(label);
+  }
 }
 
 void SpanScope::Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
-                      std::shared_ptr<const std::string> name,
+                      const std::shared_ptr<const std::string>& name,
                       std::uint64_t subtxn, std::uint64_t parent_override,
-                      std::uint64_t start_ns) {
-  if (!Open(tracer, kind, txn, subtxn, parent_override, start_ns)) return;
-  span_.name = std::move(name);
+                      LatencyHistogram* histogram) {
+  if (OpenRecord(tracer, kind, txn, subtxn, parent_override, histogram,
+                 nullptr, &name)) {
+    span_.name = name;
+  }
 }
 
-bool SpanScope::Open(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
-                     std::uint64_t subtxn, std::uint64_t parent_override,
-                     std::uint64_t start_ns) {
-  if (tracer == nullptr || tracer_ != nullptr) return false;
-  tracer_ = tracer;
-  span_.id = tracer->NextSpanId();
-  span_.parent =
-      parent_override != 0 ? parent_override : tracer->ResolveParent(txn);
-  span_.kind = kind;
-  span_.txn = txn;
-  span_.subtxn = subtxn;
-  span_.outcome = SpanOutcome::kNone;
-  span_.start_ns = start_ns != 0 ? start_ns : SpanTracer::NowNs();
-  span_.tid = ThisThreadId();
-  pushed_ = PushScope(tracer->uid_, span_.id);
-  return true;
+bool SpanScope::OpenRecord(SpanTracer* tracer, SpanKind kind,
+                           storage::TxnId txn, std::uint64_t subtxn,
+                           std::uint64_t parent_override,
+                           LatencyHistogram* histogram,
+                           Profiler::CostCell* account,
+                           const std::shared_ptr<const std::string>* name) {
+  if (open_) return false;
+  const bool ring = tracer != nullptr && tracer->ring_wants(kind);
+  const bool profiled = tracer != nullptr && tracer->profiler_wants(kind);
+  if (!ring && !profiled && histogram == nullptr) return false;
+  open_ = true;
+  histogram_ = histogram;
+  account_ = nullptr;
+  rule_ = nullptr;
+  firing_ = nullptr;
+  cpu_mark_ = 0;
+  commit_start_ns_ = 0;
+  if (profiled) {
+    // The profiler's account for this kind; rule records also push the
+    // sampler frame the wall-clock feed attributes their time to.
+    Profiler* profiler = tracer->profiler();
+    switch (kind) {
+      case SpanKind::kCompositeDetect:
+        account_ = account;
+        break;
+      case SpanKind::kWalFsync:
+        account_ = profiler->GlobalAccount(Profiler::GlobalSeam::kCommitBarrier);
+        break;
+      case SpanKind::kGedForward:
+        account_ = profiler->GlobalAccount(Profiler::GlobalSeam::kGedForward);
+        break;
+      default:  // the rule seams
+        if (name == nullptr || *name == nullptr) break;
+        SpanScope* const firing =
+            g_open_firing != nullptr && g_open_firing->rule_name_ == name->get()
+                ? g_open_firing
+                : nullptr;
+        Profiler::RuleAccount* rule =
+            firing != nullptr ? firing->rule_ : profiler->RuleAccountFor(**name);
+        Profiler::ThreadAnnotations* thread =
+            profiler->EnsureThisThread("rule-exec");
+        if (kind == SpanKind::kSubTxn) {
+          rule_ = rule;
+          rule_name_ = name->get();
+          outer_firing_ = std::exchange(g_open_firing, this);
+          frame_.Push(thread, rule->frame);
+        } else {
+          firing_ = firing;
+          const bool condition = kind == SpanKind::kCondition;
+          account_ = &rule->seams[static_cast<int>(
+              condition ? Profiler::RuleSeam::kCondition
+                        : Profiler::RuleSeam::kAction)];
+          frame_.Push(thread, condition ? "condition" : "action");
+        }
+        break;
+    }
+  }
+  if (ring) {
+    tracer_ = tracer;
+    span_.id = tracer->NextSpanId();
+    span_.parent =
+        parent_override != 0 ? parent_override : tracer->ResolveParent(txn);
+    span_.kind = kind;
+    span_.txn = txn;
+    span_.subtxn = subtxn;
+    span_.outcome = SpanOutcome::kNone;
+    span_.tid = ThisThreadId();
+    pushed_ = PushScope(tracer->uid_, span_.id);
+  }
+  cpu0_ = account_ != nullptr ? Profiler::ThreadCpuNs() : 0;
+  span_.start_ns = SpanTracer::NowNs();
+  return ring;
 }
 
-void SpanScope::End(std::uint64_t end_ns) {
-  if (tracer_ == nullptr) return;
+std::uint64_t SpanScope::Close(std::uint64_t end_ns) {
+  open_ = false;
+  const std::uint64_t end = end_ns != 0 ? end_ns : SpanTracer::NowNs();
+  const std::uint64_t wall = end - span_.start_ns;
+  if (histogram_ != nullptr) histogram_->Record(wall);
+  if (account_ != nullptr || commit_start_ns_ != 0) {
+    const std::uint64_t cpu = Profiler::ThreadCpuNs();
+    if (account_ != nullptr) account_->Record(cpu - cpu0_, wall);
+    if (firing_ != nullptr) firing_->cpu_mark_ = cpu;
+    if (commit_start_ns_ != 0) {
+      rule_->seams[static_cast<int>(Profiler::RuleSeam::kCommit)].Record(
+          cpu - cpu_mark_, end - commit_start_ns_);
+    }
+  }
+  frame_.Pop();
+  if (rule_ != nullptr) g_open_firing = outer_firing_;
+  if (tracer_ == nullptr) return wall;
   if (pushed_) PopScope(tracer_->uid_, span_.id);
-  span_.end_ns = end_ns != 0 ? end_ns : SpanTracer::NowNs();
+  span_.end_ns = end;
   tracer_->Commit(std::move(span_));
   tracer_ = nullptr;
   pushed_ = false;
+  return wall;
 }
 
 void TxnAnchorScope::Start(SpanTracer* tracer, storage::TxnId txn) {

@@ -2,6 +2,7 @@
 #define SENTINEL_OBS_SPAN_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/profiler.h"
 #include "storage/log_record.h"
 
 namespace sentinel::obs {
@@ -44,6 +46,25 @@ enum class SpanKind : std::uint8_t {
 };
 
 const char* SpanKindToString(SpanKind kind);
+
+/// Kind sets for the gate, one bit per kind.
+constexpr std::uint32_t KindBit(SpanKind kind) {
+  return 1u << static_cast<unsigned>(kind);
+}
+/// The flight ring skips the per-event hot kinds: notify, composite_detect
+/// and every net wire kind (they fire once per frame).
+constexpr std::uint32_t kFlightKinds =
+    KindBit(SpanKind::kTxn) | KindBit(SpanKind::kCondition) |
+    KindBit(SpanKind::kAction) | KindBit(SpanKind::kSubTxn) |
+    KindBit(SpanKind::kLockWait) | KindBit(SpanKind::kWalFsync) |
+    KindBit(SpanKind::kPageRead) | KindBit(SpanKind::kGedForward);
+/// Kinds with a profiler account: operator-node evaluation, the rule seams
+/// (a subtxn record carries the commit seam and the rule's sampler frame),
+/// the commit barrier and GED forwarding.
+constexpr std::uint32_t kProfiledKinds =
+    KindBit(SpanKind::kCompositeDetect) | KindBit(SpanKind::kCondition) |
+    KindBit(SpanKind::kAction) | KindBit(SpanKind::kSubTxn) |
+    KindBit(SpanKind::kWalFsync) | KindBit(SpanKind::kGedForward);
 
 /// Recording level. kFlightOnly (the default) feeds the crash flight
 /// recorder but skips the per-event hot kinds (notify, composite_detect) so
@@ -108,16 +129,16 @@ static_assert(sizeof(Span) == 10 * sizeof(std::uint64_t) +
 /// every consumer sees the same label strings.
 void RenderLabel(Span* span);
 
-/// Causal span tracer, and the one record of how events, rules and their
-/// subtransactions interact (DESIGN.md §9). A single relaxed load decides
-/// "off", and every instrumentation site builds its label only after that
-/// gate passes. Closed spans go to per-thread rings (pooled under the
-/// tracer, relaxed-atomic sequence numbers; each ring is written only by its
-/// owning thread, so its mutex is uncontended and exists for snapshot safety
-/// under TSan). Parent links come from a thread-local scope stack, falling
-/// back to the open-transaction anchor table for spans recorded outside any
-/// scope (e.g. a scheduler worker picking up a firing for a transaction
-/// begun on the app thread).
+/// Causal span tracer, and the one instrumentation seam (DESIGN.md §9–10):
+/// every instrumented site opens one record (SpanScope). A single relaxed
+/// load decides "off", and every site builds its label only once a ring
+/// wants the record. Closed spans go to per-thread rings (pooled
+/// under the tracer, relaxed-atomic sequence numbers; each ring is written
+/// only by its owning thread, so its mutex is uncontended and exists for
+/// snapshot safety under TSan). Parent links come from a thread-local scope
+/// stack, falling back to the open-transaction anchor table for spans
+/// recorded outside any scope (e.g. a scheduler worker picking up a firing
+/// for a transaction begun on the app thread).
 class SpanTracer {
  public:
   static constexpr std::size_t kDefaultRingCapacity = 8192;
@@ -133,21 +154,34 @@ class SpanTracer {
     mode_.store(mode, std::memory_order_relaxed);
   }
 
-  /// The instrumentation gate: one relaxed load when tracing is off.
+  /// The instrumentation gate: true when a ring or the running profiler
+  /// wants `kind`. One relaxed load decides a kind the profiler never
+  /// measures; a second (the profiler's mode) decides the rest.
   bool enabled_for(SpanKind kind) const {
-    TraceMode m = mode_.load(std::memory_order_relaxed);
-    if (m == TraceMode::kOff) return false;
-    if (m == TraceMode::kFull) return true;
-    // Flight-recorder-only: skip the per-event hot kinds (including every
-    // net wire kind — they fire once per frame).
-    return kind != SpanKind::kNotify && kind != SpanKind::kCompositeDetect &&
-           kind < SpanKind::kNetFrameEncode;
+    return ring_wants(kind) || profiler_wants(kind);
+  }
+  bool ring_wants(SpanKind kind) const {
+    const TraceMode m = mode_.load(std::memory_order_relaxed);
+    return m == TraceMode::kFull ||
+           (m == TraceMode::kFlightOnly && (kFlightKinds & KindBit(kind)));
+  }
+  bool profiler_wants(SpanKind kind) const {
+    return (kProfiledKinds & KindBit(kind)) != 0 && profiling();
   }
 
   /// Every committed span is also copied into `recorder` (the always-on
   /// last-N history consulted by postmortems).
   void set_flight_recorder(FlightRecorder* recorder) {
     flight_.store(recorder, std::memory_order_release);
+  }
+
+  /// Makes `profiler` a sink of the records of the kinds it measures. Call
+  /// before the tracer is handed to any component: components resolve their
+  /// contention sites through profiler() when they receive the tracer.
+  void set_profiler(Profiler* profiler) { profiler_ = profiler; }
+  Profiler* profiler() const { return profiler_; }
+  bool profiling() const {
+    return profiler_ != nullptr && profiler_->enabled();
   }
 
   /// Transaction anchors: a txn span opens at Begin and closes at
@@ -168,13 +202,6 @@ class SpanTracer {
   std::vector<Span> Snapshot() const;
   void Clear();
 
-  /// Chrome trace-event JSON ("X" complete events, pid = transaction id,
-  /// tid = recording thread) — loads directly in ui.perfetto.dev or
-  /// chrome://tracing. Open transactions are included with `now` as their
-  /// provisional end.
-  std::string ChromeTraceJson() const;
-  Status ExportChromeTrace(const std::string& path) const;
-
   /// Transaction `txn`'s span tree as text: one line per span, indented by
   /// depth, giving kind, label and (for subtxn spans) outcome. Spans hang
   /// under their parents whatever their own txn, so storage leaves show too.
@@ -190,9 +217,17 @@ class SpanTracer {
     std::string process;
     std::int64_t clock_offset_ns = 0;
   };
+  /// Chrome trace-event JSON ("X" complete events, pid = transaction id,
+  /// tid = recording thread) — loads directly in ui.perfetto.dev or
+  /// chrome://tracing. Open transactions are included with `now` as their
+  /// provisional end.
   std::string ChromeTraceJson(const ExportMeta& meta) const;
+  std::string ChromeTraceJson() const { return ChromeTraceJson(ExportMeta{}); }
   Status ExportChromeTrace(const std::string& path,
                            const ExportMeta& meta) const;
+  Status ExportChromeTrace(const std::string& path) const {
+    return ExportChromeTrace(path, ExportMeta{});
+  }
 
   /// Commits an already-timed span (both timestamps supplied by the caller)
   /// and returns its id. Queue-wait spans need this: the wait starts on the
@@ -210,11 +245,19 @@ class SpanTracer {
   /// triggered it before the firing migrates to a worker thread.
   static std::uint64_t CurrentSpanIdFor(const SpanTracer* tracer);
 
-  static std::uint64_t NowNs();
+  /// Steady-clock nanoseconds: the one clock every span, histogram and
+  /// profiler wall time is read from.
+  static std::uint64_t NowNs() {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+  }
 
  private:
   friend class SpanScope;
   friend class TxnAnchorScope;
+
 
   struct ThreadRing {
     std::mutex mu;
@@ -239,6 +282,7 @@ class SpanTracer {
   const std::uint64_t uid_;  // validates thread-local ring/stack caches
   std::atomic<TraceMode> mode_{TraceMode::kFlightOnly};
   std::atomic<FlightRecorder*> flight_{nullptr};
+  Profiler* profiler_ = nullptr;  // set once, before the tracer is shared
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> dropped_{0};
@@ -250,10 +294,14 @@ class SpanTracer {
   std::unordered_map<storage::TxnId, Span> open_txns_;
 };
 
-/// RAII span. Default-constructed scopes are inert; call Start() only after
-/// the tracer's enabled_for() gate passed, so label construction never runs
-/// when tracing is off. End() (or destruction) closes the span and commits
-/// it to the rings.
+/// RAII record at one instrumented site; default-constructed scopes are
+/// inert. Start() (or Open()) reads the steady clock once; End() (or
+/// destruction) reads it once more and feeds that wall time to every sink
+/// that wants the record's kind: the latency histogram named at Start (even
+/// without a tracer), the running profiler's account (with thread-CPU time),
+/// and the flight or full ring. Only a record a ring wants takes a span id
+/// and a scope-stack entry, so ring spans never parent under records the
+/// rings did not keep. A record nothing wants reads no clock.
 class SpanScope {
  public:
   SpanScope() = default;
@@ -267,37 +315,77 @@ class SpanScope {
   void Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
              std::string label, std::uint64_t subtxn = 0,
              std::uint64_t parent_override = 0);
-  /// Rule span: holds `name` by reference (the label is rendered at
-  /// snapshot time). A nonzero `start_ns` is a steady-clock reading the
-  /// caller already took; 0 reads the clock.
+  /// Rule record (subtxn, condition, action): holds `name` by reference
+  /// (the label is rendered at snapshot time) and keys the rule's profiler
+  /// account by it.
   void Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
-             std::shared_ptr<const std::string> name, std::uint64_t subtxn,
-             std::uint64_t parent_override = 0, std::uint64_t start_ns = 0);
-  /// Closes the span at `end_ns` when nonzero, else at the current time.
-  void End(std::uint64_t end_ns = 0);
+             const std::shared_ptr<const std::string>& name,
+             std::uint64_t subtxn, std::uint64_t parent_override = 0,
+             LatencyHistogram* histogram = nullptr);
+  /// Record whose label costs something to build: returns true when a ring
+  /// wants it, and the caller then names it with set_label(). `account` is
+  /// the profiler account of a composite_detect record (its node's).
+  bool Open(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
+            LatencyHistogram* histogram = nullptr,
+            Profiler::CostCell* account = nullptr,
+            std::uint64_t parent_override = 0) {
+    return OpenRecord(tracer, kind, txn, 0, parent_override, histogram,
+                      account, nullptr);
+  }
+  void set_label(std::string label) { span_.label = std::move(label); }
+
+  /// Closes the record at `end_ns` when nonzero, else at the current time,
+  /// and returns the wall time it fed its sinks (0 when it was inert).
+  std::uint64_t End(std::uint64_t end_ns = 0) {
+    return open_ ? Close(end_ns) : 0;
+  }
+
+  /// Subtxn records: the subtransaction's commit began at `start_ns`, a
+  /// reading the caller took for its commit histogram. End() then records
+  /// the commit into the rule's profiler account as well; its CPU time
+  /// starts at the closing reading of the firing's condition or action.
+  void MarkCommit(std::uint64_t start_ns) {
+    if (rule_ == nullptr) return;
+    commit_start_ns_ = start_ns;
+    if (cpu_mark_ == 0) cpu_mark_ = Profiler::ThreadCpuNs();
+  }
 
   /// Records how the span's subtransaction ended (ignored when inert).
   void set_outcome(SpanOutcome outcome) { span_.outcome = outcome; }
 
   /// Marks an open span as part of distributed trace `trace`, causally
   /// parented by `remote_parent` (a span id possibly from another process;
-  /// 0 = trace membership only). No-op on an inert scope.
+  /// 0 = trace membership only). No-op unless a ring wants the record.
   void AnnotateRemote(std::uint64_t trace, std::uint64_t remote_parent) {
     if (tracer_ == nullptr) return;
     span_.trace = trace;
     span_.remote_parent = remote_parent;
   }
 
-  bool active() const { return tracer_ != nullptr; }
   std::uint64_t id() const { return span_.id; }
 
  private:
-  /// Shared part of both Start forms; false when the scope stays inert.
-  bool Open(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
-            std::uint64_t subtxn, std::uint64_t parent_override,
-            std::uint64_t start_ns);
+  std::uint64_t Close(std::uint64_t end_ns);
+  /// Shared part of every Start form; true when a ring wants the record.
+  bool OpenRecord(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
+                  std::uint64_t subtxn, std::uint64_t parent_override,
+                  LatencyHistogram* histogram, Profiler::CostCell* account,
+                  const std::shared_ptr<const std::string>* name);
 
-  SpanTracer* tracer_ = nullptr;
+  SpanTracer* tracer_ = nullptr;  // set while a ring wants the record
+  LatencyHistogram* histogram_ = nullptr;
+  Profiler::CostCell* account_ = nullptr;
+  // Subtxn records: the rule's account and name, the firing record this one
+  // hides, and the thread-CPU reading the commit seam starts at.
+  Profiler::RuleAccount* rule_ = nullptr;
+  const std::string* rule_name_ = nullptr;
+  SpanScope* outer_firing_ = nullptr;
+  std::uint64_t cpu_mark_ = 0;
+  SpanScope* firing_ = nullptr;  // condition/action: their subtxn record
+  Profiler::AnnotationScope frame_;  // rule records: sampler frame
+  std::uint64_t cpu0_ = 0;
+  std::uint64_t commit_start_ns_ = 0;
+  bool open_ = false;
   bool pushed_ = false;
   Span span_;
 };

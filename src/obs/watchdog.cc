@@ -4,17 +4,13 @@
 
 #include "common/logging.h"
 #include "obs/json.h"
+#include "obs/span.h"
 
 namespace sentinel::obs {
 
 namespace {
 
-std::uint64_t NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+constexpr auto NowNs = &SpanTracer::NowNs;
 
 }  // namespace
 

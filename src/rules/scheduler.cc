@@ -1,12 +1,10 @@
 #include "rules/scheduler.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "detector/local_detector.h"
-#include "obs/profiler.h"
 #include "obs/span.h"
 
 namespace sentinel::rules {
@@ -15,13 +13,6 @@ namespace {
 
 thread_local RuleScheduler::Frame* t_frame = nullptr;
 thread_local RuleScheduler::BatchScope* t_batch_scope = nullptr;
-
-std::uint64_t NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Lexicographic priority order: larger element wins; a path extending a
 /// prefix wins over the prefix (depth-first).
@@ -92,7 +83,6 @@ void RuleScheduler::EnqueueBatch(std::vector<Firing> firings) {
   std::lock_guard<std::mutex> lock(mu_);
   for (Firing& firing : firings) pending_.push_back(std::move(firing));
   pending_count_.store(pending_.size(), std::memory_order_release);
-  batch_enqueues_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void RuleScheduler::EnqueueDetached(Firing firing) {
@@ -206,26 +196,6 @@ void RuleScheduler::Execute(Firing firing) {
   if (rule == nullptr || !rule->enabled()) return;
 
   obs::SpanTracer* span_tracer = span_tracer_.load(std::memory_order_acquire);
-  const bool spans =
-      span_tracer != nullptr &&
-      span_tracer->enabled_for(obs::SpanKind::kSubTxn);
-
-  // Continuous profiling (one relaxed load when off): the condition/action/
-  // commit seams below reuse the wall timestamps already taken for the rule
-  // histograms and add a thread-CPU clock reading, so the profiler's
-  // per-rule accounts agree with the histograms by construction.
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
-  const bool profiling = profiler != nullptr && profiler->enabled();
-  obs::Profiler::CostDelta prof_condition;
-  obs::Profiler::CostDelta prof_action;
-  obs::Profiler::CostDelta prof_commit;
-  obs::Profiler::ThreadAnnotations* annotations = nullptr;
-  const char* rule_frame = nullptr;
-  if (profiling) {
-    annotations = profiler->EnsureThisThread("rule-exec");
-    rule_frame = profiler->InternFrame(rule->name());
-  }
-  obs::Profiler::AnnotationScope exec_frame(profiler, annotations, rule_frame);
 
   RuleContext ctx;
   ctx.occurrence = &firing.occurrence;
@@ -254,17 +224,16 @@ void RuleScheduler::Execute(Firing firing) {
   }
   ctx.subtxn = sub;
 
-  // Subtxn span: parented under the triggering detection's span (captured
+  // Subtxn record: parented under the triggering detection's span (captured
   // into the firing when it was enqueued — the execution usually happens on
   // a different thread, so the per-thread scope stack cannot supply it).
-  // The scope stays open across commit/abort below so the span covers the
-  // whole subtransaction; condition/action child spans nest inside it via
-  // this thread's scope stack.
+  // The record stays open across commit/abort below so the span covers the
+  // whole subtransaction; condition/action records nest inside it via this
+  // thread's scope stack, each feeding the rule's histogram and profiler
+  // account from one wall reading.
   obs::SpanScope subtxn_span;
-  if (spans) {
-    subtxn_span.Start(span_tracer, obs::SpanKind::kSubTxn, firing.txn,
-                      rule->shared_name(), sub, firing.trigger_span);
-  }
+  subtxn_span.Start(span_tracer, obs::SpanKind::kSubTxn, firing.txn,
+                    rule->shared_name(), sub, firing.trigger_span);
 
   // Publish this firing as the current frame so nested triggers (raised from
   // the action) inherit txn/priority/depth.
@@ -298,45 +267,18 @@ void RuleScheduler::Execute(Firing firing) {
         // Conditions are side-effect free: suppress event signalling while
         // the condition function runs (§3.2.1).
         detector::LocalEventDetector::SuppressScope guard;
-        obs::Profiler::AnnotationScope cond_frame(profiler, annotations,
-                                                  "condition");
-        const std::uint64_t cpu0 =
-            profiling ? obs::Profiler::ThreadCpuNs() : 0;
-        // The condition span reuses the histogram's clock readings.
-        const std::uint64_t t0 = NowNs();
         obs::SpanScope cond_span;
-        if (spans && span_tracer->enabled_for(obs::SpanKind::kCondition)) {
-          cond_span.Start(span_tracer, obs::SpanKind::kCondition, firing.txn,
-                          rule->shared_name(), sub, 0, t0);
-        }
+        cond_span.Start(span_tracer, obs::SpanKind::kCondition, firing.txn,
+                        rule->shared_name(), sub, 0,
+                        &rule->metrics().condition_ns);
         condition_held = rule->condition()(ctx);
-        const std::uint64_t t1 = NowNs();
-        cond_span.End(t1);
-        const std::uint64_t wall = t1 - t0;
-        rule->metrics().condition_ns.Record(wall);
-        if (profiling) {
-          prof_condition = {obs::Profiler::ThreadCpuNs() - cpu0, wall, true};
-        }
       }
       if (condition_held && rule->action()) {
-        obs::Profiler::AnnotationScope action_frame(profiler, annotations,
-                                                    "action");
-        const std::uint64_t cpu0 =
-            profiling ? obs::Profiler::ThreadCpuNs() : 0;
-        const std::uint64_t t0 = NowNs();
         obs::SpanScope action_span;
-        if (spans && span_tracer->enabled_for(obs::SpanKind::kAction)) {
-          action_span.Start(span_tracer, obs::SpanKind::kAction, firing.txn,
-                            rule->shared_name(), sub, 0, t0);
-        }
+        action_span.Start(span_tracer, obs::SpanKind::kAction, firing.txn,
+                          rule->shared_name(), sub, 0,
+                          &rule->metrics().action_ns);
         rule->action()(ctx);
-        const std::uint64_t t1 = NowNs();
-        action_span.End(t1);
-        const std::uint64_t wall = t1 - t0;
-        rule->metrics().action_ns.Record(wall);
-        if (profiling) {
-          prof_action = {obs::Profiler::ThreadCpuNs() - cpu0, wall, true};
-        }
       }
     } catch (const std::exception& e) {
       failure = Status::Internal("rule " + rule->name() +
@@ -356,16 +298,11 @@ void RuleScheduler::Execute(Firing firing) {
     // accumulated by the lock table; harvest it before the subtxn finishes.
     rule->metrics().lock_wait_ns.Record(nested_->LockWaitNs(sub));
     if (failure.ok()) {
-      const std::uint64_t cpu0 = profiling ? obs::Profiler::ThreadCpuNs() : 0;
-      const std::uint64_t t0 = NowNs();
+      const std::uint64_t t0 = obs::SpanTracer::NowNs();
+      subtxn_span.MarkCommit(t0);
       Status commit = nested_->Commit(sub);
-      subtxn_end_ns = NowNs();
-      const std::uint64_t commit_wall = subtxn_end_ns - t0;
-      rule->metrics().commit_ns.Record(commit_wall);
-      if (profiling) {
-        prof_commit = {obs::Profiler::ThreadCpuNs() - cpu0, commit_wall,
-                       true};
-      }
+      subtxn_end_ns = obs::SpanTracer::NowNs();
+      rule->metrics().commit_ns.Record(subtxn_end_ns - t0);
       subtxn_span.set_outcome(commit.ok() ? obs::SpanOutcome::kCommit
                                           : obs::SpanOutcome::kCommitFailed);
       if (!commit.ok()) {
@@ -374,9 +311,9 @@ void RuleScheduler::Execute(Firing firing) {
         sub_status = commit;
       }
     } else {
-      const std::uint64_t t0 = NowNs();
+      const std::uint64_t t0 = obs::SpanTracer::NowNs();
       Status aborted = nested_->Abort(sub);
-      subtxn_end_ns = NowNs();
+      subtxn_end_ns = obs::SpanTracer::NowNs();
       rule->metrics().abort_ns.Record(subtxn_end_ns - t0);
       subtxn_span.set_outcome(obs::SpanOutcome::kAbort);
       if (!aborted.ok()) {
@@ -385,14 +322,10 @@ void RuleScheduler::Execute(Firing firing) {
       }
     }
   }
-  // The subtxn span closes with the commit/abort, at the reading taken for
-  // its histogram, so a postmortem dumped by the contingency below sees it.
+  // The subtxn record closes with the commit/abort, at the reading taken
+  // for its histogram (and the profiler's commit seam), so a postmortem
+  // dumped by the contingency below sees the span.
   subtxn_span.End(subtxn_end_ns);
-
-  if (profiling) {
-    profiler->RecordRuleFiring(rule->name(), prof_condition, prof_action,
-                               prof_commit);
-  }
 
   if (failure.ok()) {
     if (condition_held) {

@@ -14,7 +14,6 @@
 #include "rules/thread_pool.h"
 
 namespace sentinel::obs {
-class Profiler;
 class SpanTracer;
 }  // namespace sentinel::obs
 
@@ -151,11 +150,6 @@ class RuleScheduler {
   std::size_t detached_pending_count() const {
     return detached_count_.load(std::memory_order_acquire);
   }
-  /// EnqueueBatch calls (BatchScope flushes included) — each one replaced
-  /// buffered.size() individual lock round-trips with one.
-  std::uint64_t batch_enqueues() const {
-    return batch_enqueues_.load(std::memory_order_relaxed);
-  }
   std::uint64_t condition_rejections() const { return rejected_; }
   /// Firings whose condition/action threw or whose subtransaction failed.
   /// Failures are contained: the rule's subtransaction is aborted and the
@@ -179,18 +173,12 @@ class RuleScheduler {
     contingency_.store(policy, std::memory_order_relaxed);
   }
 
-  /// Attaches the causal span tracer; each firing records a subtxn span
-  /// (with condition/action child spans) parented under its trigger_span.
+  /// Attaches the span tracer, the seam every firing is measured through:
+  /// a subtxn record (with condition/action child records) parented under
+  /// its trigger_span, which also feeds the tracer's profiler while it runs.
+  /// Without a tracer the rule histograms are still recorded.
   void set_span_tracer(obs::SpanTracer* tracer) {
     span_tracer_.store(tracer, std::memory_order_release);
-  }
-
-  /// Attaches the continuous profiler; while it is enabled, each firing's
-  /// condition/action/commit seams record CPU+wall cost into per-rule
-  /// accounts and the executing thread is annotated for the wall-clock
-  /// sampler.
-  void set_profiler(obs::Profiler* profiler) {
-    profiler_.store(profiler, std::memory_order_release);
   }
 
   /// Invoked (with the doomed transaction id) when the kAbortTop contingency
@@ -224,7 +212,6 @@ class RuleScheduler {
   oodb::Database* db_;
   std::unique_ptr<ThreadPool> pool_;
   std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
-  std::atomic<obs::Profiler*> profiler_{nullptr};
   PostmortemHook postmortem_hook_;  // guarded by mu_
 
   std::mutex mu_;
@@ -245,7 +232,6 @@ class RuleScheduler {
   std::thread detached_worker_;
 
   std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> batch_enqueues_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> abort_top_{0};

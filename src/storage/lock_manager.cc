@@ -58,9 +58,9 @@ bool LockManager::WouldDeadlockLocked(TxnId txn, const LockKey& key,
 }
 
 Status LockManager::Acquire(TxnId txn, const LockKey& key, LockMode mode) {
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
+  obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);
   obs::Profiler::ContentionSite* site =
-      (profiler != nullptr && profiler->enabled())
+      (st != nullptr && st->profiling())
           ? site_.load(std::memory_order_relaxed)
           : nullptr;
   std::unique_lock<std::mutex> lock(mu_);
@@ -77,26 +77,27 @@ Status LockManager::Acquire(TxnId txn, const LockKey& key, LockMode mode) {
   }
 
   // The deadline is read from the clock only once the request has to wait.
+  // One lock_wait record times the wait for the span, the wait histogram
+  // and the contention site.
   std::chrono::steady_clock::time_point deadline;
-  obs::SpanScope wait_span;
-  std::uint64_t wait_start_ns = 0;
+  obs::SpanScope wait;
+  bool waiting = false;
+  auto end_wait = [&] {
+    const std::uint64_t waited = wait.End();
+    if (site != nullptr) obs::Profiler::RecordSiteWait(site, waited);
+  };
   while (!CanGrantLocked(state, txn, mode)) {
-    if (wait_start_ns == 0) {
-      // First blocked iteration: open the wait window.
+    if (!waiting) {
+      waiting = true;
       deadline = std::chrono::steady_clock::now() + options_.timeout;
-      wait_start_ns = obs::SpanTracer::NowNs();
       waits_.fetch_add(1, std::memory_order_relaxed);
-      obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);
-      if (st != nullptr && st->enabled_for(obs::SpanKind::kLockWait)) {
-        wait_span.Start(st, obs::SpanKind::kLockWait, txn, key);
+      if (wait.Open(st, obs::SpanKind::kLockWait, txn, &wait_ns_)) {
+        wait.set_label(key);
       }
     }
     if (WouldDeadlockLocked(txn, key, mode)) {
       deadlocks_.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t waited = obs::SpanTracer::NowNs() - wait_start_ns;
-      wait_ns_.Record(waited);
-      if (site != nullptr) obs::Profiler::RecordSiteWait(site, waited);
-      wait_span.End();
+      end_wait();
       DeadlockHook hook = deadlock_hook_;
       lock.unlock();  // the hook snapshots this table; don't hold the latch
       if (hook) hook(txn, key);
@@ -109,18 +110,12 @@ Status LockManager::Acquire(TxnId txn, const LockKey& key, LockMode mode) {
     if (wait_status == std::cv_status::timeout &&
         !CanGrantLocked(state, txn, mode)) {
       timeouts_.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t waited = obs::SpanTracer::NowNs() - wait_start_ns;
-      wait_ns_.Record(waited);
-      if (site != nullptr) obs::Profiler::RecordSiteWait(site, waited);
+      end_wait();
       return Status::LockTimeout("txn " + std::to_string(txn) +
                                  " timed out waiting for " + key);
     }
   }
-  if (wait_start_ns != 0) {
-    const std::uint64_t waited = obs::SpanTracer::NowNs() - wait_start_ns;
-    wait_ns_.Record(waited);
-    if (site != nullptr) obs::Profiler::RecordSiteWait(site, waited);
-  }
+  if (waiting) end_wait();
   if (site != nullptr) obs::Profiler::RecordSiteAcquire(site);
   state.holders[txn] = mode;
   return Status::OK();

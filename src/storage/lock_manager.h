@@ -15,12 +15,8 @@
 
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/span.h"
 #include "storage/log_record.h"
-
-namespace sentinel::obs {
-class SpanTracer;
-}  // namespace sentinel::obs
 
 namespace sentinel::storage {
 
@@ -61,22 +57,17 @@ class LockManager {
   /// Number of distinct keys currently locked (tests/benchmarks).
   std::size_t locked_key_count() const;
 
-  /// Attaches the causal span tracer; blocking acquisitions record
-  /// lock_wait spans covering the full wait.
+  /// Attaches the span tracer: a blocking acquisition's lock_wait record
+  /// times the wait for the span and the wait histogram, and while the
+  /// tracer's profiler runs, acquisitions report into its "lock_manager"
+  /// contention site (reusing that reading: no extra clock reads).
   void set_span_tracer(obs::SpanTracer* tracer) {
-    span_tracer_.store(tracer, std::memory_order_release);
-  }
-
-  /// Attaches the continuous profiler: granted acquisitions and blocking
-  /// waits report into the "lock_manager" contention site (the wait window
-  /// already measured for the wait histogram is reused, so profiling adds no
-  /// extra clock reads on the wait path).
-  void set_profiler(obs::Profiler* profiler) {
+    obs::Profiler* profiler = tracer != nullptr ? tracer->profiler() : nullptr;
     site_.store(profiler != nullptr
                     ? profiler->GetContentionSite("lock_manager")
                     : nullptr,
                 std::memory_order_relaxed);
-    profiler_.store(profiler, std::memory_order_release);
+    span_tracer_.store(tracer, std::memory_order_release);
   }
 
   /// Invoked (outside the table latch) when `txn` is chosen as a deadlock
@@ -141,7 +132,6 @@ class LockManager {
   DeadlockHook deadlock_hook_;  // guarded by mu_
 
   std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
-  std::atomic<obs::Profiler*> profiler_{nullptr};
   std::atomic<obs::Profiler::ContentionSite*> site_{nullptr};
   std::atomic<std::uint64_t> waits_{0};
   std::atomic<std::uint64_t> deadlocks_{0};

@@ -12,8 +12,6 @@
 namespace sentinel::storage {
 
 Status RecoveryManager::Recover() {
-  redo_count_ = undo_count_ = loser_count_ = beyond_watermark_count_ = 0;
-
   // Durability bound: nothing past the fsync watermark participates in
   // recovery. Open() sets the watermark to the scanned tail, so this is
   // normally every surviving record; the explicit check keeps async-commit
@@ -26,7 +24,6 @@ Status RecoveryManager::Recover() {
   std::vector<LogRecord> all;
   SENTINEL_RETURN_NOT_OK(engine_->log_->Scan([&](const LogRecord& rec) {
     if (rec.lsn > durable) {
-      ++beyond_watermark_count_;
       SENTINEL_LOG(kWarn) << "recovery: skipping lsn " << rec.lsn
                           << " beyond durable watermark " << durable;
       return Status::OK();
@@ -53,7 +50,6 @@ Status RecoveryManager::Recover() {
     (void)lsn;
     if (finished.find(txn) == finished.end()) losers.insert(txn);
   }
-  loser_count_ = losers.size();
 
   // ---- Pass 2: redo (repeat history) ----------------------------------------
   for (const LogRecord& rec : all) {
@@ -123,7 +119,6 @@ Status RecoveryManager::Recover() {
       return st;
     }
     SENTINEL_RETURN_NOT_OK(heap.SetPageLsn(rec.rid.page_id, rec.lsn));
-    ++redo_count_;
   }
 
   // ---- Pass 3: undo losers ---------------------------------------------------
@@ -147,7 +142,6 @@ Status RecoveryManager::Recover() {
           engine_->log_->Append(std::move(abort_rec)).status());
       engine_->active_.erase(loser);
     }
-    ++undo_count_;
   }
 
   SENTINEL_RETURN_NOT_OK(engine_->pool_->FlushAll());

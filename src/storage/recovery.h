@@ -31,22 +31,8 @@ class RecoveryManager {
   /// Runs the three recovery passes. Called from StorageEngine::Open.
   Status Recover();
 
-  // Statistics from the last Recover() call (for tests and benchmarks).
-  std::uint64_t redo_count() const { return redo_count_; }
-  std::uint64_t undo_count() const { return undo_count_; }
-  std::uint64_t loser_count() const { return loser_count_; }
-  /// Log records skipped because their LSN exceeded the durable watermark
-  /// at recovery start (0 after a normal reopen).
-  std::uint64_t beyond_watermark_count() const {
-    return beyond_watermark_count_;
-  }
-
  private:
   StorageEngine* engine_;
-  std::uint64_t redo_count_ = 0;
-  std::uint64_t undo_count_ = 0;
-  std::uint64_t loser_count_ = 0;
-  std::uint64_t beyond_watermark_count_ = 0;
 };
 
 }  // namespace sentinel::storage

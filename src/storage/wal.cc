@@ -29,25 +29,8 @@ LogManager::~LogManager() {
 }
 
 Result<LogRecord> LogManager::ReadFrameLocked() {
-  std::uint32_t size = 0;
-  if (std::fread(&size, sizeof(size), 1, file_) != 1) {
-    return Status::NotFound("end of log");
-  }
-  if (size == 0 || size > kMaxLogRecordSize) {
-    return Status::Corruption("implausible log record size " +
-                              std::to_string(size));
-  }
-  std::uint32_t stored_crc = 0;
-  if (std::fread(&stored_crc, sizeof(stored_crc), 1, file_) != 1) {
-    return Status::Corruption("torn log record header");
-  }
-  std::vector<std::uint8_t> buf(size);
-  if (std::fread(buf.data(), size, 1, file_) != 1) {
-    return Status::Corruption("torn log record payload");
-  }
-  if (Crc32(buf.data(), buf.size()) != stored_crc) {
-    return Status::Corruption("log record checksum mismatch");
-  }
+  std::vector<std::uint8_t> buf;
+  SENTINEL_RETURN_NOT_OK(ReadFrame(file_, kMaxLogRecordSize, &buf));
   BytesReader reader(buf);
   auto rec = LogRecord::Deserialize(&reader);
   if (!rec.ok()) {
@@ -128,12 +111,8 @@ Result<Lsn> LogManager::Append(LogRecord record, CommitDurability durability) {
   record.lsn = next_lsn_++;
   BytesWriter payload;
   record.Serialize(&payload);
-  const std::uint32_t size = static_cast<std::uint32_t>(payload.size());
-  const std::uint32_t crc = Crc32(payload.data().data(), payload.size());
   BytesWriter frame;
-  frame.PutU32(size);
-  frame.PutU32(crc);
-  frame.PutRaw(payload.data().data(), payload.size());
+  AppendFrame(payload.data(), &frame);
 
   if (FailPointRegistry::AnyActive()) {
     FailPointAction action =
@@ -195,22 +174,23 @@ Status LogManager::WaitDurableLocked(std::unique_lock<std::mutex>& lock,
   if (wedged_) return WedgedStatusLocked();
   // Any caller reaching here blocks for a barrier: report the full wait
   // window (lead or follow) into the "wal.barrier" contention site.
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
+  obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);
   obs::Profiler::ContentionSite* site =
-      (profiler != nullptr && profiler->enabled())
+      (st != nullptr && st->profiling())
           ? site_.load(std::memory_order_relaxed)
           : nullptr;
   const std::uint64_t wait_t0 =
       site != nullptr ? obs::SpanTracer::NowNs() : 0;
+  auto record_wait = [&] {
+    if (site == nullptr) return;
+    obs::Profiler::RecordSiteAcquire(site);
+    obs::Profiler::RecordSiteWait(site, obs::SpanTracer::NowNs() - wait_t0);
+  };
   if (!group_thread_.joinable()) {
     // No group thread: run the barrier inline under the lock (the classic
     // one-fsync-per-commit path).
     Status inline_status = BarrierLocked(lock, /*release_during_fsync=*/false);
-    if (site != nullptr) {
-      obs::Profiler::RecordSiteAcquire(site);
-      obs::Profiler::RecordSiteWait(site,
-                                    obs::SpanTracer::NowNs() - wait_t0);
-    }
+    record_wait();
     return inline_status;
   }
   group_commit_waits_.fetch_add(1, std::memory_order_relaxed);
@@ -222,11 +202,7 @@ Status LogManager::WaitDurableLocked(std::unique_lock<std::mutex>& lock,
   // commit appended while the previous fsync ran.
   for (;;) {
     if (durable_lsn_.load(std::memory_order_relaxed) >= lsn) {
-      if (site != nullptr) {
-        obs::Profiler::RecordSiteAcquire(site);
-        obs::Profiler::RecordSiteWait(site,
-                                      obs::SpanTracer::NowNs() - wait_t0);
-      }
+      record_wait();
       return Status::OK();
     }
     if (wedged_) return WedgedStatusLocked();
@@ -266,16 +242,13 @@ Status LogManager::BarrierLocked(std::unique_lock<std::mutex>& lock,
       return injected;
     }
   }
+  // One wal_fsync record times the barrier for the fsync histogram, the
+  // profiler's commit_barrier seam and the rings alike.
   obs::SpanScope fsync_span;
-  if (obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);
-      st != nullptr && st->enabled_for(obs::SpanKind::kWalFsync)) {
-    fsync_span.Start(st, obs::SpanKind::kWalFsync, kInvalidTxnId,
-                     "wal.fsync");
+  if (fsync_span.Open(span_tracer_.load(std::memory_order_acquire),
+                      obs::SpanKind::kWalFsync, kInvalidTxnId, &fsync_ns_)) {
+    fsync_span.set_label("wal.fsync");
   }
-  obs::Profiler* profiler = profiler_.load(std::memory_order_acquire);
-  const bool profiling = profiler != nullptr && profiler->enabled();
-  const std::uint64_t cpu0 = profiling ? obs::Profiler::ThreadCpuNs() : 0;
-  const std::uint64_t start_ns = obs::SpanTracer::NowNs();
   if (std::fflush(file_) != 0) {
     Status failed = Status::IOError("cannot flush log");
     WedgeLocked(failed);
@@ -308,12 +281,7 @@ Status LogManager::BarrierLocked(std::unique_lock<std::mutex>& lock,
   if (target > durable_lsn_.load(std::memory_order_relaxed)) {
     durable_lsn_.store(target, std::memory_order_release);
   }
-  const std::uint64_t barrier_wall = obs::SpanTracer::NowNs() - start_ns;
-  fsync_ns_.Record(barrier_wall);
-  if (profiling) {
-    profiler->RecordGlobal(obs::Profiler::GlobalSeam::kCommitBarrier,
-                           obs::Profiler::ThreadCpuNs() - cpu0, barrier_wall);
-  }
+  fsync_span.End();
   sync_count_.fetch_add(1, std::memory_order_relaxed);
   durable_cv_.notify_all();
   return Status::OK();

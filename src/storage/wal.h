@@ -12,12 +12,8 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/span.h"
 #include "storage/log_record.h"
-
-namespace sentinel::obs {
-class SpanTracer;
-}  // namespace sentinel::obs
 
 namespace sentinel::storage {
 
@@ -152,29 +148,25 @@ class LogManager {
     return wedged_;
   }
 
-  /// Latency distribution of the fsync barriers counted by sync_count().
+  /// Latency distribution of the fsync barriers: those counted by
+  /// sync_count(), plus a failed one that wedged the log.
   const obs::LatencyHistogram& fsync_histogram() const { return fsync_ns_; }
 
-  /// Attaches the causal span tracer; each fsync barrier records a
-  /// wal_fsync span.
+  /// Attaches the span tracer: each fsync barrier is one wal_fsync record
+  /// (fsync histogram, profiler commit_barrier seam, rings); forced appends
+  /// that block for a barrier report into the "wal.barrier" site.
   void set_span_tracer(obs::SpanTracer* tracer) {
+    obs::Profiler* profiler = tracer != nullptr ? tracer->profiler() : nullptr;
+    site_.store(profiler != nullptr ? profiler->GetContentionSite("wal.barrier")
+                                    : nullptr,
+                std::memory_order_relaxed);
     span_tracer_.store(tracer, std::memory_order_release);
   }
 
-  /// Attaches the continuous profiler: each completed fsync barrier records
-  /// into the commit_barrier global seam, and forced appends that block for
-  /// a barrier report into the "wal.barrier" contention site.
-  void set_profiler(obs::Profiler* profiler) {
-    site_.store(profiler != nullptr
-                    ? profiler->GetContentionSite("wal.barrier")
-                    : nullptr,
-                std::memory_order_relaxed);
-    profiler_.store(profiler, std::memory_order_release);
-  }
-
  private:
-  /// Reads one frame at the current position; distinguishes a good record
-  /// from a bad/absent tail (bad == Corruption, clean EOF == NotFound).
+  /// Reads one frame at the current position (ReadFrame); distinguishes a
+  /// good record from a bad tail (Corruption) or the end of the log, torn or
+  /// clean (NotFound).
   Result<LogRecord> ReadFrameLocked();
 
   /// Runs one fsync barrier covering everything appended so far. Evaluates
@@ -216,7 +208,6 @@ class LogManager {
   std::atomic<std::uint64_t> group_commit_waits_{0};
   std::atomic<std::uint64_t> async_commits_{0};
   std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
-  std::atomic<obs::Profiler*> profiler_{nullptr};
   std::atomic<obs::Profiler::ContentionSite*> site_{nullptr};
   obs::LatencyHistogram fsync_ns_;
 };

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/crc32.h"
 #include "detector/local_detector.h"
 #include "detector_test_util.h"
 #include "net/protocol.h"
@@ -176,11 +177,12 @@ TEST_F(EventLogTest, OutOfRangeModifierEndsTheLog) {
                                   bad.class_name.size() + sizeof(std::uint64_t);
   ASSERT_LT(modifier_at, record.size());
   record[modifier_at] = 0xFF;
+  // Framed with a matching CRC, so only the decoder can refuse it.
+  BytesWriter frame;
+  AppendFrame(record, &frame);
   std::FILE* f = std::fopen(path_.c_str(), "ab");
   ASSERT_NE(f, nullptr);
-  const std::uint32_t size = static_cast<std::uint32_t>(record.size());
-  ASSERT_EQ(std::fwrite(&size, sizeof(size), 1, f), 1u);
-  ASSERT_EQ(std::fwrite(record.data(), record.size(), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(frame.data().data(), frame.size(), 1, f), 1u);
   std::fclose(f);
 
   EventLog reloaded;
@@ -214,17 +216,54 @@ TEST_F(EventLogTest, CorruptMiddleRecordIsReportedNotTruncated) {
     Fire(&det, "C", "void fa()", 3);
     ASSERT_TRUE(log.Close().ok());
   }
-  // Record 1's body starts right after record 0 and its own length prefix;
-  // an event_name length running past the record's end makes it undecodable.
+  // Record 1's body starts right after record 0 and its own 8-byte header
+  // (size, CRC); overwriting its event_name length fails the record's CRC.
+  constexpr long kHeader = 2 * sizeof(std::uint32_t);
   std::FILE* f = std::fopen(path_.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
   std::uint32_t size0 = 0;
   ASSERT_EQ(std::fread(&size0, sizeof(size0), 1, f), 1u);
-  ASSERT_EQ(std::fseek(f, static_cast<long>(size0 + sizeof(std::uint32_t) * 2),
-                       SEEK_SET),
+  ASSERT_EQ(std::fseek(f, static_cast<long>(size0) + 2 * kHeader, SEEK_SET),
             0);
   const std::uint32_t huge = 0xFFFFFFF0u;  // event_name length
   ASSERT_EQ(std::fwrite(&huge, sizeof(huge), 1, f), 1u);
+  std::fclose(f);
+
+  EventLog reloaded;
+  ASSERT_TRUE(reloaded.OpenFile(path_).ok());
+  auto occurrences = reloaded.Load();
+  ASSERT_TRUE(occurrences.status().IsCorruption()) << occurrences.status();
+  EXPECT_NE(occurrences.status().ToString().find("record 1"),
+            std::string::npos)
+      << occurrences.status();
+  ASSERT_TRUE(reloaded.Close().ok());
+}
+
+// A flipped byte inside a complete record's string parameter still decodes,
+// so only the record's CRC can catch it: Load fails naming the record
+// instead of replaying the altered value.
+TEST_F(EventLogTest, FlippedParameterByteFailsTheRecordChecksum) {
+  {
+    EventLog log;
+    ASSERT_TRUE(log.OpenFile(path_).ok());
+    for (const char* value : {"first", "middle", "last"}) {
+      PrimitiveOccurrence occ;
+      occ.event_name = "e";
+      auto params = std::make_shared<ParamList>();
+      params->Insert("s", oodb::Value::String(value));
+      occ.params = params;
+      log.Record(occ);
+    }
+    ASSERT_TRUE(log.Close().ok());
+  }
+  std::FILE* f = std::fopen(path_.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  std::string bytes(4096, '\0');
+  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+  const std::size_t at = bytes.find("middle");
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(at), SEEK_SET), 0);
+  ASSERT_EQ(std::fputc('n', f), 'n');  // "middle" -> "niddle"
   std::fclose(f);
 
   EventLog reloaded;

@@ -496,8 +496,12 @@ TEST_F(NetBusTest, SlowConsumerIsDisconnectedNotWedged) {
   ASSERT_TRUE(ack.ok());
   ASSERT_EQ(ack->type, MessageType::kStatusReply);
 
-  // 16 KiB per detection, never read: the kernel buffers fill, the
-  // outbound queue passes its budget, and the hog is cut loose.
+  // 16 KiB per detection, never read. The kernel's socket buffers take the
+  // first pushes (several MiB on loopback: up to the tcp_wmem maximum plus
+  // the reader's receive buffer); once a send comes back short the queue
+  // passes its budget and the hog is cut loose. Push until then, up to
+  // 64 MiB — well above any loopback buffering — so the verdict does not
+  // depend on the host's buffer sizes.
   auto params = std::make_shared<detector::ParamList>();
   params->Insert("blob", oodb::Value::String(std::string(16 * 1024, 'x')));
   detector::PrimitiveOccurrence occ;
@@ -507,10 +511,11 @@ TEST_F(NetBusTest, SlowConsumerIsDisconnectedNotWedged) {
   occ.oid = 1;
   occ.txn = 1;
   occ.params = params;
-  for (int i = 0; i < 256 && server_.stats().slow_consumer_disconnects == 0;
-       ++i) {
+  constexpr int kMaxPushes = 4096;  // 64 MiB of pushes
+  for (int i = 0;
+       i < kMaxPushes && server_.stats().slow_consumer_disconnects == 0; ++i) {
     ASSERT_TRUE(producer.Notify(occ).ok());
-    if (i % 32 == 31) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (i % 32 == 31) std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
   EXPECT_TRUE(
@@ -526,6 +531,58 @@ TEST_F(NetBusTest, SlowConsumerIsDisconnectedNotWedged) {
                   .ok());
   EXPECT_TRUE(WaitUntil([&] { return server_.stats().dispatched > before; },
                         std::chrono::seconds(10)));
+  producer.Stop();
+}
+
+TEST_F(NetBusTest, ReaderThatKeepsUpOutlastsOneOverBudgetBatch) {
+  // One injection fans out to four 16 KiB pushes for one reader, more than
+  // its 16 KiB budget in a single poll iteration. The reader keeps up, so
+  // the kernel never refuses a byte and the session must survive.
+  EventBusServer::Options opts;
+  opts.outbound_max_bytes = 16 * 1024;
+  ASSERT_TRUE(StartServer(opts).ok());
+
+  RemoteGedClient producer(ClientOptions("producer"));
+  ASSERT_TRUE(producer.Start().ok());
+  ASSERT_TRUE(producer.WaitConnected(std::chrono::milliseconds(5000)));
+  ASSERT_TRUE(producer
+                  .DefineGlobalPrimitive("g_fan", "Order",
+                                         EventModifier::kEnd, "void fan()")
+                  .ok());
+
+  RawClient reader;
+  ASSERT_TRUE(reader.Connect(server_.port()).ok());
+  ASSERT_TRUE(RawHello(&reader, "reader").ok());
+  constexpr int kContexts = detector::kNumContexts;
+  for (int c = 0; c < kContexts; ++c) {
+    SubscribeMsg sub;
+    sub.seq = static_cast<std::uint32_t>(2 + c);
+    sub.event = "g_fan";
+    sub.context = static_cast<ParamContext>(c);
+    ASSERT_TRUE(reader.Send(sub.Encode()).ok());
+    auto ack = reader.Expect(std::chrono::milliseconds(2000));
+    ASSERT_TRUE(ack.ok());
+    ASSERT_EQ(ack->type, MessageType::kStatusReply);
+  }
+
+  constexpr int kInjections = 3;
+  int pushes = 0;
+  for (int i = 0; i < kInjections; ++i) {
+    auto params = std::make_shared<detector::ParamList>();
+    params->Insert("blob", oodb::Value::String(std::string(16 * 1024, 'x')));
+    ASSERT_TRUE(producer
+                    .NotifyMethod("Order", i + 1, EventModifier::kEnd,
+                                  "void fan()", params, 1)
+                    .ok());
+    while (pushes < (i + 1) * kContexts) {
+      auto frame = reader.Expect(std::chrono::milliseconds(10000));
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString() << " after "
+                              << pushes << " pushes";
+      if (frame->type == MessageType::kEventPush) ++pushes;
+    }
+  }
+  EXPECT_EQ(pushes, kInjections * kContexts);
+  EXPECT_EQ(server_.stats().slow_consumer_disconnects, 0u);
   producer.Stop();
 }
 

@@ -2,9 +2,9 @@
 // value or fail with a Corruption status — never crash, over-read or make
 // one allocation larger than the frame bound. Deterministic per seed.
 //
-// This file replaces the global allocation functions to see the decoders'
-// allocations, so it builds into its own test binary (net_decode_fuzz_tests,
-// see tests/CMakeLists.txt): the replacement must not reach sentinel_tests,
+// The allocation probe replaces the global allocation functions, so this
+// file builds into its own test binary (net_decode_fuzz_tests, see
+// tests/CMakeLists.txt): the replacement must not reach sentinel_tests,
 // where the sanitizers' own operator new/delete checks stay in force. The
 // ASan/UBSan CI job runs both binaries through ctest.
 
@@ -12,68 +12,19 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "allocation_probe.h"
 #include "common/bytes.h"
 #include "detector/event_types.h"
 #include "net/protocol.h"
 #include "oodb/value.h"
 
-namespace {
-
-// Largest single heap allocation this thread made while tracking is on. The
-// global allocation functions below route through Allocate so the decoders'
-// own allocations are seen.
-thread_local bool g_tracking = false;
-thread_local std::size_t g_largest = 0;
-
-void* Allocate(std::size_t n) {
-  if (g_tracking && n > g_largest) g_largest = n;
-  return std::malloc(n == 0 ? 1 : n);
-}
-
-void* AllocateOrThrow(std::size_t n) {
-  if (void* p = Allocate(n)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return AllocateOrThrow(n); }
-void* operator new[](std::size_t n) { return AllocateOrThrow(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return Allocate(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return Allocate(n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
 namespace sentinel::net {
 namespace {
-
-/// Records the largest allocation made on this thread while in scope.
-class AllocationProbe {
- public:
-  AllocationProbe() {
-    g_largest = 0;
-    g_tracking = true;
-  }
-  ~AllocationProbe() { g_tracking = false; }
-  std::size_t largest() const { return g_largest; }
-};
 
 /// The most one allocation may take while decoding a frame body, whatever
 /// its bytes: the frame bound the assembler validates against.

@@ -16,13 +16,18 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/active_database.h"
+#include "ged/global_detector.h"
+#include "obs/flight_recorder.h"
 #include "obs/profiler.h"
 #include "obs/watchdog.h"
 #include "rules/rule.h"
@@ -239,6 +244,173 @@ TEST(ObsProfilerTest, ConcurrentNotifyStormKeepsExactTotals) {
 }
 
 // ---------------------------------------------------------------------------
+// The span tracer is the seam: the profiler is one of its sinks
+// ---------------------------------------------------------------------------
+
+/// Declares submit/confirm primitives on Order, SEQ(submit; confirm), and a
+/// rule with a condition on the sequence.
+void InstallSeqRule(ActiveDatabase* db, std::atomic<int>* fired) {
+  auto submit = db->DeclareEvent("ev_submit", "Order", EventModifier::kEnd,
+                                 "void submit()");
+  auto confirm = db->DeclareEvent("ev_confirm", "Order", EventModifier::kEnd,
+                                  "void confirm()");
+  ASSERT_TRUE(submit.ok());
+  ASSERT_TRUE(confirm.ok());
+  ASSERT_TRUE(db->detector()->DefineSeq("ev_seq", *submit, *confirm).ok());
+  ASSERT_TRUE(db->rule_manager()
+                  ->DefineRule(
+                      "r_seq", "ev_seq", [](const RuleContext&) { return true; },
+                      [fired](const RuleContext&) { ++*fired; })
+                  .ok());
+}
+
+/// Raises `pairs` submit/confirm pairs in one transaction and commits it.
+void RunSeqPairs(ActiveDatabase* db, int pairs) {
+  auto txn = db->Begin();
+  ASSERT_TRUE(txn.ok());
+  auto params = std::make_shared<detector::ParamList>();
+  for (int i = 0; i < pairs; ++i) {
+    db->NotifyMethod("Order", 1, EventModifier::kEnd, "void submit()", params,
+                     *txn);
+    db->NotifyMethod("Order", 1, EventModifier::kEnd, "void confirm()",
+                     params, *txn);
+  }
+  if (db->database() != nullptr) {
+    ASSERT_TRUE(db->CreateObject(*txn, "Order").ok());  // a WAL write
+  }
+  ASSERT_TRUE(db->Commit(*txn).ok());
+}
+
+std::uint64_t NodeInvocations(const Profiler& prof, const std::string& node) {
+  for (const auto& snap : prof.NodeSnapshots()) {
+    if (snap.name == node) return snap.eval.invocations;
+  }
+  return 0;
+}
+
+TEST(ObsProfilerTest, TracingOffStillFeedsEveryProfilerAccount) {
+  const std::string prefix =
+      (std::filesystem::temp_directory_path() /
+       ("sentinel_prof_seam_" + std::to_string(::getpid())))
+          .string();
+  std::remove((prefix + ".db").c_str());
+  std::remove((prefix + ".wal").c_str());
+  {
+    ActiveDatabase db;
+    ASSERT_TRUE(db.Open(prefix).ok());
+    ASSERT_TRUE(db.database()
+                    ->classes()
+                    ->Register(oodb::ClassDef("Order", "")
+                                   .AddMethod("void submit()", {})
+                                   .AddMethod("void confirm()", {}))
+                    .ok());
+    std::atomic<int> fired{0};
+    InstallSeqRule(&db, &fired);
+    db.span_tracer()->set_mode(obs::TraceMode::kOff);
+    db.profiler()->Start();
+
+    constexpr int kPairs = 10;
+    RunSeqPairs(&db, kPairs);
+    ASSERT_EQ(fired, kPairs);
+
+    // Rule accounts: the histograms and the profiler are fed from one
+    // record, so counts and wall sums agree exactly.
+    auto rule = db.rule_manager()->Find("r_seq");
+    ASSERT_TRUE(rule.ok());
+    const auto rules = db.profiler()->RuleSnapshots();
+    const auto it = std::find_if(
+        rules.begin(), rules.end(),
+        [](const auto& r) { return r.name == "r_seq"; });
+    ASSERT_NE(it, rules.end());
+    const auto& cond =
+        it->seams[static_cast<int>(Profiler::RuleSeam::kCondition)];
+    const auto& act = it->seams[static_cast<int>(Profiler::RuleSeam::kAction)];
+    const auto& commit =
+        it->seams[static_cast<int>(Profiler::RuleSeam::kCommit)];
+    const auto cond_hist = (*rule)->metrics().condition_ns.TakeSnapshot();
+    const auto act_hist = (*rule)->metrics().action_ns.TakeSnapshot();
+    const auto commit_hist = (*rule)->metrics().commit_ns.TakeSnapshot();
+    EXPECT_EQ(cond.invocations, static_cast<std::uint64_t>(kPairs));
+    EXPECT_EQ(cond.invocations, cond_hist.count);
+    EXPECT_EQ(cond.wall_ns, cond_hist.sum_ns);
+    EXPECT_EQ(act.invocations, act_hist.count);
+    EXPECT_EQ(act.wall_ns, act_hist.sum_ns);
+    EXPECT_EQ(commit.invocations, commit_hist.count);
+    EXPECT_EQ(commit.wall_ns, commit_hist.sum_ns);
+
+    // Node and commit-barrier accounts fill without any ring.
+    EXPECT_GE(NodeInvocations(*db.profiler(), "ev_seq"),
+              static_cast<std::uint64_t>(kPairs));
+    EXPECT_GT(
+        db.profiler()->GlobalSnapshot(Profiler::GlobalSeam::kCommitBarrier)
+            .invocations,
+        0u);
+    EXPECT_EQ(db.span_tracer()->recorded(), 0u);
+    EXPECT_TRUE(db.flight_recorder()->Snapshot().empty());
+    ASSERT_TRUE(db.Close().ok());
+  }
+  std::remove((prefix + ".db").c_str());
+  std::remove((prefix + ".wal").c_str());
+}
+
+TEST(ObsProfilerTest, FlightTracingMeasuresNodesWithoutRecordingThem) {
+  ActiveDatabase db;
+  ASSERT_TRUE(db.OpenInMemory().ok());
+  std::atomic<int> fired{0};
+  InstallSeqRule(&db, &fired);
+  ASSERT_EQ(db.span_tracer()->mode(), obs::TraceMode::kFlightOnly);
+  db.profiler()->Start();
+
+  // Few enough spans that the 256-span flight ring drops none.
+  constexpr int kPairs = 8;
+  RunSeqPairs(&db, kPairs);
+  ASSERT_EQ(fired, kPairs);
+  EXPECT_GE(NodeInvocations(*db.profiler(), "ev_seq"),
+            static_cast<std::uint64_t>(kPairs));
+
+  const auto spans = db.flight_recorder()->Snapshot();
+  ASSERT_FALSE(spans.empty());
+  ASSERT_LT(spans.size(), 256u);
+  std::set<std::uint64_t> ids;
+  for (const auto& span : spans) ids.insert(span.id);
+  for (const auto& span : db.span_tracer()->OpenTxnSpans()) {
+    ids.insert(span.id);
+  }
+  for (const auto& span : spans) {
+    EXPECT_NE(span.kind, obs::SpanKind::kCompositeDetect);
+    // A parent the flight ring never kept would be a dangling link.
+    if (span.parent != 0) {
+      EXPECT_EQ(ids.count(span.parent), 1u)
+          << obs::SpanKindToString(span.kind) << " span " << span.id
+          << " has unrecorded parent " << span.parent;
+    }
+  }
+  ASSERT_TRUE(db.Close().ok());
+}
+
+TEST(ObsProfilerTest, GedOnTheDatabaseTracerAttributesForwards) {
+  ActiveDatabase db;
+  ASSERT_TRUE(db.OpenInMemory().ok());
+  ged::GlobalEventDetector ged;
+  ged.set_span_tracer(db.span_tracer());
+  ASSERT_TRUE(ged.RegisterApplication("app", &db).ok());
+  db.profiler()->Start();
+
+  auto params = std::make_shared<detector::ParamList>();
+  for (int i = 0; i < 3; ++i) {
+    db.NotifyMethod("Order", 1, EventModifier::kEnd, "void submit()", params,
+                    1);
+  }
+  ged.WaitQuiescent();
+  EXPECT_GE(
+      db.profiler()->GlobalSnapshot(Profiler::GlobalSeam::kGedForward)
+          .invocations,
+      3u);
+  ged.Shutdown();
+  ASSERT_TRUE(db.Close().ok());
+}
+
+// ---------------------------------------------------------------------------
 // Contention profiling
 // ---------------------------------------------------------------------------
 
@@ -312,10 +484,12 @@ TEST(ObsProfilerTest, SamplerProducesFoldedStacks) {
   Profiler prof;
   prof.Start();
   auto* self = prof.RegisterThread("worker-0");
-  const char* outer = prof.InternFrame("rule:r_hot");
+  const char* outer = prof.RuleAccountFor("rule:r_hot")->frame;
   {
-    Profiler::AnnotationScope a(&prof, self, outer);
-    Profiler::AnnotationScope b(&prof, self, "action");
+    Profiler::AnnotationScope a;
+    a.Push(self, outer);
+    Profiler::AnnotationScope b;
+    b.Push(self, "action");
     // Hold the annotated stack until the ~1kHz sampler has seen it.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
