@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "storage/btree.h"
 #include "storage/recovery.h"
 #include "storage/storage_engine.h"
 
@@ -142,47 +141,6 @@ void BM_AbortUndo(benchmark::State& state) {
   Cleanup(prefix);
 }
 BENCHMARK(BM_AbortUndo)->Arg(16)->Arg(128);
-
-void BM_BTreeIndexLookup(benchmark::State& state) {
-  const int keys = static_cast<int>(state.range(0));
-  const std::string prefix = TempPrefix("btree");
-  Cleanup(prefix);
-  StorageEngine engine;
-  (void)engine.Open(prefix);
-  auto root = storage::BTree::Create(engine.buffer_pool());
-  storage::BTree tree(engine.buffer_pool(), *root);
-  for (int i = 0; i < keys; ++i) {
-    (void)tree.Insert(static_cast<std::uint64_t>(i),
-                      Rid{static_cast<storage::PageId>(i + 1), 0});
-  }
-  std::uint64_t k = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.Lookup(k++ % static_cast<std::uint64_t>(keys)).ok());
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["height"] = static_cast<double>(*tree.Height());
-  (void)engine.Close();
-  Cleanup(prefix);
-}
-BENCHMARK(BM_BTreeIndexLookup)->Arg(100)->Arg(10000)->Arg(100000);
-
-void BM_BTreeInsert(benchmark::State& state) {
-  const std::string prefix = TempPrefix("btree_ins");
-  Cleanup(prefix);
-  StorageEngine engine;
-  (void)engine.Open(prefix);
-  auto root = storage::BTree::Create(engine.buffer_pool());
-  storage::BTree tree(engine.buffer_pool(), *root);
-  std::uint64_t k = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Insert(k++, Rid{1, 0}).ok());
-  }
-  state.SetItemsProcessed(state.iterations());
-  (void)engine.Close();
-  Cleanup(prefix);
-}
-BENCHMARK(BM_BTreeInsert);
 
 void BM_RecoveryReplay(benchmark::State& state) {
   const int committed_txns = static_cast<int>(state.range(0));

@@ -170,11 +170,13 @@ IoResult RecvSome(int fd, void* buf, std::size_t n, const char* failpoint) {
   }
   for (;;) {
     const ssize_t got = ::recv(fd, buf, n, 0);
-    if (got > 0) return {IoResult::Kind::kOk, static_cast<std::size_t>(got)};
-    if (got == 0) return {IoResult::Kind::kClosed, 0};
+    if (got > 0) {
+      return {IoResult::Kind::kOk, static_cast<std::size_t>(got), {}};
+    }
+    if (got == 0) return {IoResult::Kind::kClosed, 0, {}};
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return {IoResult::Kind::kWouldBlock, 0};
+      return {IoResult::Kind::kWouldBlock, 0, {}};
     }
     return {IoResult::Kind::kError, 0, Errno("recv")};
   }
@@ -209,11 +211,11 @@ IoResult SendSome(int fd, const void* buf, std::size_t n,
         return {IoResult::Kind::kError, static_cast<std::size_t>(sent),
                 "injected torn write"};
       }
-      return {IoResult::Kind::kOk, static_cast<std::size_t>(sent)};
+      return {IoResult::Kind::kOk, static_cast<std::size_t>(sent), {}};
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return {IoResult::Kind::kWouldBlock, 0};
+      return {IoResult::Kind::kWouldBlock, 0, {}};
     }
     return {IoResult::Kind::kError, 0, Errno("send")};
   }

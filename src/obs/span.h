@@ -333,6 +333,7 @@ class SpanScope {
                       account, nullptr);
   }
   void set_label(std::string label) { span_.label = std::move(label); }
+  void set_subtxn(std::uint64_t subtxn) { span_.subtxn = subtxn; }
 
   /// Closes the record at `end_ns` when nonzero, else at the current time,
   /// and returns the wall time it fed its sinks (0 when it was inert).

@@ -5,11 +5,11 @@ namespace sentinel::oodb {
 namespace {
 // The object and name catalogs live in the first two heap files ever
 // created, which deterministically occupy pages 1 and 2 (page 0 is the disk
-// manager's header); the OID index's B+-tree root is the third allocation,
-// page 3. On reopen the same handles are reused.
+// manager's header). On reopen the same handles are reused. Files written
+// when the OID index was an on-disk B+-tree also hold its pages; they are
+// never read again.
 constexpr storage::PageId kObjectsFile = 1;
 constexpr storage::PageId kNamesFile = 2;
-constexpr storage::PageId kOidIndexRoot = 3;
 }  // namespace
 
 Database::~Database() { (void)Close(); }
@@ -30,16 +30,11 @@ Status Database::Open(const std::string& path_prefix, const Options& options) {
     if (!objects_file.ok()) return objects_file.status();
     auto names_file = engine_->CreateHeapFile();
     if (!names_file.ok()) return names_file.status();
-    auto index_root = storage::BTree::Create(engine_->buffer_pool());
-    if (!index_root.ok()) return index_root.status();
-    SENTINEL_RETURN_NOT_OK(engine_->buffer_pool()->FlushPage(*index_root));
-    if (*objects_file != kObjectsFile || *names_file != kNamesFile ||
-        *index_root != kOidIndexRoot) {
+    if (*objects_file != kObjectsFile || *names_file != kNamesFile) {
       return Status::Internal("catalog files not at expected pages");
     }
   }
-  objects_ = std::make_unique<PersistenceManager>(engine_.get(), kObjectsFile,
-                                                  kOidIndexRoot);
+  objects_ = std::make_unique<PersistenceManager>(engine_.get(), kObjectsFile);
   names_ = std::make_unique<NameManager>(engine_.get(), kNamesFile);
   SENTINEL_RETURN_NOT_OK(objects_->Bootstrap());
   SENTINEL_RETURN_NOT_OK(names_->Bootstrap());
@@ -47,10 +42,10 @@ Status Database::Open(const std::string& path_prefix, const Options& options) {
 }
 
 bool Database::HasCatalogFiles() {
-  // Pages 1..3 exist iff a previous open created the catalogs + OID index.
-  auto page = engine_->buffer_pool()->FetchPage(kOidIndexRoot);
+  // Pages 1 and 2 exist iff a previous open created both catalogs.
+  auto page = engine_->buffer_pool()->FetchPage(kNamesFile);
   if (!page.ok()) return false;
-  (void)engine_->buffer_pool()->UnpinPage(kOidIndexRoot, false);
+  (void)engine_->buffer_pool()->UnpinPage(kNamesFile, false);
   return true;
 }
 

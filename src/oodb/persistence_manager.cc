@@ -1,42 +1,27 @@
 #include "oodb/persistence_manager.h"
 
-#include "common/logging.h"
-
 namespace sentinel::oodb {
 
 Status PersistenceManager::Bootstrap() {
   std::lock_guard<std::mutex> lock(mu_);
   overlays_.clear();
+  index_.clear();
   Oid max_oid = 0;
-  if (engine_->WasCleanShutdown()) {
-    // The index was flushed at the previous clean close: trust it and only
-    // recover the OID counter from the last (largest) key.
-    SENTINEL_RETURN_NOT_OK(
-        index_.Scan(0, UINT64_MAX, [&max_oid](std::uint64_t key,
-                                              const storage::Rid&) {
-          if (key > max_oid) max_oid = key;
-          return Status::OK();
-        }));
-  } else {
-    // Crash: rebuild the index from the object heap (the WAL already
-    // recovered the heap itself).
-    SENTINEL_RETURN_NOT_OK(index_.Clear());
-    auto txn = engine_->Begin();
-    if (!txn.ok()) return txn.status();
-    Status st = engine_->Scan(
-        *txn, file_,
-        [&](const storage::Rid& rid, const std::vector<std::uint8_t>& rec) {
-          BytesReader reader(rec);
-          auto obj = PersistentObject::Deserialize(&reader);
-          if (!obj.ok()) return obj.status();
-          SENTINEL_RETURN_NOT_OK(index_.Insert(obj->oid(), rid));
-          if (obj->oid() > max_oid) max_oid = obj->oid();
-          return Status::OK();
-        });
-    Status end = st.ok() ? engine_->Commit(*txn) : engine_->Abort(*txn);
-    SENTINEL_RETURN_NOT_OK(st);
-    SENTINEL_RETURN_NOT_OK(end);
-  }
+  auto txn = engine_->Begin();
+  if (!txn.ok()) return txn.status();
+  Status st = engine_->Scan(
+      *txn, file_,
+      [&](const storage::Rid& rid, const std::vector<std::uint8_t>& rec) {
+        BytesReader reader(rec);
+        auto obj = PersistentObject::Deserialize(&reader);
+        if (!obj.ok()) return obj.status();
+        index_[obj->oid()] = rid;
+        if (obj->oid() > max_oid) max_oid = obj->oid();
+        return Status::OK();
+      });
+  Status end = st.ok() ? engine_->Commit(*txn) : engine_->Abort(*txn);
+  SENTINEL_RETURN_NOT_OK(st);
+  SENTINEL_RETURN_NOT_OK(end);
   next_oid_.store(max_oid + 1);
   return Status::OK();
 }
@@ -48,9 +33,9 @@ std::optional<storage::Rid> PersistenceManager::Locate(TxnId txn,
     auto entry = overlay_it->second.find(oid);
     if (entry != overlay_it->second.end()) return entry->second;
   }
-  auto rid = index_.Lookup(oid);
-  if (!rid.ok()) return std::nullopt;
-  return *rid;
+  auto it = index_.find(oid);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
 }
 
 Result<Oid> PersistenceManager::Put(TxnId txn, PersistentObject object,
@@ -154,15 +139,10 @@ void PersistenceManager::OnCommit(TxnId txn) {
   auto it = overlays_.find(txn);
   if (it == overlays_.end()) return;
   for (const auto& [oid, rid] : it->second) {
-    Status st;
     if (rid.has_value()) {
-      st = index_.Insert(oid, *rid);
+      index_[oid] = *rid;
     } else {
-      st = index_.Delete(oid);
-    }
-    if (!st.ok() && !st.IsNotFound()) {
-      SENTINEL_LOG(kWarn) << "OID index update failed for oid " << oid << ": "
-                          << st.ToString();
+      index_.erase(oid);
     }
   }
   overlays_.erase(it);
@@ -175,8 +155,7 @@ void PersistenceManager::OnAbort(TxnId txn) {
 
 std::size_t PersistenceManager::object_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto size = index_.Size();
-  return size.ok() ? *size : 0;
+  return index_.size();
 }
 
 }  // namespace sentinel::oodb

@@ -11,7 +11,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "oodb/object.h"
-#include "storage/btree.h"
 #include "storage/storage_engine.h"
 
 namespace sentinel::oodb {
@@ -19,25 +18,24 @@ namespace sentinel::oodb {
 using TxnId = storage::TxnId;
 
 /// Object store over one heap file: serializes PersistentObjects to records,
-/// assigns OIDs, and maintains a durable OID -> RID B+-tree index.
+/// assigns OIDs, and keeps an in-memory OID -> RID index.
 ///
 /// The index is transaction-aware: changes made by a transaction live in a
 /// per-transaction overlay (visible to that transaction only) and are
-/// applied to the B+-tree at commit, or discarded at abort — record-level
-/// isolation itself is enforced by the storage engine's 2PL.
+/// applied to the committed map at commit, or discarded at abort —
+/// record-level isolation itself is enforced by the storage engine's 2PL.
 ///
-/// The index is not WAL-logged; Bootstrap() trusts it after a clean
-/// shutdown and rebuilds it from a heap scan after a crash.
+/// The heap is the only durable copy: Bootstrap() rebuilds the index from
+/// one heap scan at every open, as NameManager does for its catalog.
 class PersistenceManager {
  public:
-  PersistenceManager(storage::StorageEngine* engine, storage::PageId file,
-                     storage::PageId index_root)
-      : engine_(engine), file_(file), index_(engine->buffer_pool(), index_root) {}
+  PersistenceManager(storage::StorageEngine* engine, storage::PageId file)
+      : engine_(engine), file_(file) {}
 
   PersistenceManager(const PersistenceManager&) = delete;
   PersistenceManager& operator=(const PersistenceManager&) = delete;
 
-  /// Prepares the OID index (trust or rebuild) and recovers the OID counter.
+  /// Rebuilds the OID index from the heap and recovers the OID counter.
   Status Bootstrap();
 
   /// Inserts (oid unset) or updates (oid set) an object; returns its OID.
@@ -69,10 +67,9 @@ class PersistenceManager {
   void OnCommit(TxnId txn);
   void OnAbort(TxnId txn);
 
-  /// Number of committed objects (walks the index leaf chain).
+  /// Number of committed objects.
   std::size_t object_count() const;
   storage::PageId file() const { return file_; }
-  const storage::BTree& index() const { return index_; }
 
  private:
   // nullopt == deleted by this transaction.
@@ -84,7 +81,7 @@ class PersistenceManager {
   storage::PageId file_;
 
   mutable std::mutex mu_;
-  mutable storage::BTree index_;
+  std::unordered_map<Oid, storage::Rid> index_;
   std::unordered_map<TxnId, Overlay> overlays_;
   std::atomic<Oid> next_oid_{1};
 };

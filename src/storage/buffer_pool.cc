@@ -4,11 +4,13 @@
 
 #include "common/failpoint.h"
 #include "obs/span.h"
+#include "storage/wal.h"
 
 namespace sentinel::storage {
 
-BufferPool::BufferPool(DiskManager* disk, std::size_t capacity)
-    : disk_(disk), capacity_(capacity), frames_(capacity) {
+BufferPool::BufferPool(DiskManager* disk, std::size_t capacity,
+                       LogManager* log)
+    : disk_(disk), log_(log), capacity_(capacity), frames_(capacity) {
   free_frames_.reserve(capacity);
   for (std::size_t i = capacity; i > 0; --i) {
     free_frames_.push_back(&frames_[i - 1]);
@@ -86,21 +88,14 @@ Status BufferPool::FlushPage(PageId page_id) {
   auto it = page_table_.find(page_id);
   if (it == page_table_.end()) return Status::OK();
   Page* page = &it->second->page;
-  if (page->is_dirty()) {
-    SENTINEL_RETURN_NOT_OK(disk_->WritePage(*page));
-    page->set_dirty(false);
-  }
-  return Status::OK();
+  return page->is_dirty() ? WriteBackLocked(page) : Status::OK();
 }
 
 Status BufferPool::FlushAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [page_id, frame] : page_table_) {
     Page* page = &frame->page;
-    if (page->is_dirty()) {
-      SENTINEL_RETURN_NOT_OK(disk_->WritePage(*page));
-      page->set_dirty(false);
-    }
+    if (page->is_dirty()) SENTINEL_RETURN_NOT_OK(WriteBackLocked(page));
   }
   return Status::OK();
 }
@@ -120,6 +115,13 @@ std::size_t BufferPool::dirty_count() const {
   return dirty;
 }
 
+Status BufferPool::WriteBackLocked(Page* page) {
+  if (log_ != nullptr) SENTINEL_RETURN_NOT_OK(log_->FlushThrough(page->lsn()));
+  SENTINEL_RETURN_NOT_OK(disk_->WritePage(*page));
+  page->set_dirty(false);
+  return Status::OK();
+}
+
 Result<BufferPool::Frame*> BufferPool::GetFreeFrameLocked() {
   if (!free_frames_.empty()) {
     Frame* frame = free_frames_.back();
@@ -135,8 +137,7 @@ Result<BufferPool::Frame*> BufferPool::GetFreeFrameLocked() {
       // Eviction writes a dirty page outside any commit path; a failure
       // here must surface to the caller, never silently drop the page.
       SENTINEL_FAILPOINT("bufferpool.evict");
-      SENTINEL_RETURN_NOT_OK(disk_->WritePage(*page));
-      page->set_dirty(false);
+      SENTINEL_RETURN_NOT_OK(WriteBackLocked(page));
     }
     evictions_.fetch_add(1, std::memory_order_relaxed);
     page_table_.erase(page->page_id());

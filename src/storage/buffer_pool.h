@@ -19,6 +19,8 @@ class SpanTracer;
 
 namespace sentinel::storage {
 
+class LogManager;
+
 /// Fixed-capacity page cache with LRU replacement of unpinned frames.
 /// Resident frames sit in an intrusive recency list, so a hit moves a frame
 /// to the front without allocating; eviction takes the least recently
@@ -28,9 +30,16 @@ namespace sentinel::storage {
 /// never evicted. Thread-safe via a single pool latch (adequate for the
 /// workloads Sentinel drives through it; the active layer is the hot path,
 /// not the buffer pool).
+///
+/// With a log attached, every dirty-page write (eviction, FlushPage,
+/// FlushAll) first hands the log through the page's LSN to the OS, so no
+/// page reaches the data file ahead of the records recovery needs to undo
+/// it. Lock order is pool latch, then log mutex; the log never calls into
+/// the pool.
 class BufferPool {
  public:
-  BufferPool(DiskManager* disk, std::size_t capacity);
+  BufferPool(DiskManager* disk, std::size_t capacity,
+             LogManager* log = nullptr);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -84,8 +93,11 @@ class BufferPool {
   // Picks a frame to (re)use, evicting the LRU unpinned page if needed.
   // Requires mu_ held.
   Result<Frame*> GetFreeFrameLocked();
+  // Writes a dirty page back after the log through its LSN. Requires mu_.
+  Status WriteBackLocked(Page* page);
 
   DiskManager* disk_;
+  LogManager* log_;
   std::size_t capacity_;
   mutable std::mutex mu_;
   std::vector<Frame> frames_;  // sized once; frames never move

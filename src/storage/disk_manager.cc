@@ -209,39 +209,6 @@ PageId DiskManager::page_count() const {
   return page_count_;
 }
 
-Status DiskManager::SetCleanShutdown(bool clean) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) return Status::IOError("disk manager not open");
-  SENTINEL_FAILPOINT("disk.header");
-  // Flag lives just after the page count on the header page.
-  const long offset =
-      PageOffset(0) + static_cast<long>(Page::kPayloadOffset + sizeof(PageId));
-  std::uint8_t flag = clean ? 1 : 0;
-  SENTINEL_RETURN_NOT_OK(RetryTransientIo([&]() -> Status {
-    if (std::fseek(file_, offset, SEEK_SET) != 0 ||
-        std::fwrite(&flag, sizeof(flag), 1, file_) != 1) {
-      return Status::IOError("cannot write clean-shutdown flag");
-    }
-    return Status::OK();
-  }));
-  // The marker is a durability barrier: readers trust non-WAL-logged
-  // structures based on it, so it must actually be on stable storage.
-  return RetryTransientIo([&]() -> Status { return SyncLocked(); });
-}
-
-Result<bool> DiskManager::GetCleanShutdown() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) return Status::IOError("disk manager not open");
-  const long offset =
-      PageOffset(0) + static_cast<long>(Page::kPayloadOffset + sizeof(PageId));
-  std::uint8_t flag = 0;
-  if (std::fseek(file_, offset, SEEK_SET) != 0 ||
-      std::fread(&flag, sizeof(flag), 1, file_) != 1) {
-    return Status::IOError("cannot read clean-shutdown flag");
-  }
-  return flag != 0;
-}
-
 Status DiskManager::ReadPageCountLocked() {
   if (std::fseek(file_, PageOffset(0) + Page::kPayloadOffset, SEEK_SET) != 0) {
     return Status::IOError("cannot seek to header page");

@@ -18,8 +18,8 @@ namespace sentinel::storage {
 /// reserved for the database header (catalog root, page count). Thread-safe.
 ///
 /// Fault model: transient I/O errors are retried with bounded exponential
-/// backoff; Sync() and the clean-shutdown marker reach stable storage via
-/// ::fsync (fflush alone only moves bytes to the OS). Failpoints
+/// backoff; Sync() reaches stable storage via ::fsync (fflush alone only
+/// moves bytes to the OS). Failpoints
 /// (`disk.open`, `disk.read`, `disk.write`, `disk.extend`, `disk.sync`,
 /// `disk.sync.after`, `disk.header`) cover every choke point — see
 /// DESIGN.md "Fault model & failpoints".
@@ -54,13 +54,6 @@ class DiskManager {
 
   /// Number of pages allocated so far.
   PageId page_count() const;
-
-  /// Clean-shutdown marker, stored on the header page. The storage engine
-  /// clears it at open and sets it at close; consumers (e.g. the OID index)
-  /// use it to decide whether non-WAL-logged structures can be trusted.
-  /// Durable: the marker is fsync'd before returning.
-  Status SetCleanShutdown(bool clean);
-  Result<bool> GetCleanShutdown();
 
   /// Times a transient I/O error was absorbed by the retry loop.
   std::uint64_t io_retries() const {

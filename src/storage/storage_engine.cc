@@ -19,18 +19,13 @@ Status StorageEngine::Open(const std::string& path_prefix,
   }
   disk_ = std::make_unique<DiskManager>();
   SENTINEL_RETURN_NOT_OK(disk_->Open(path_prefix + ".db"));
-  pool_ = std::make_unique<BufferPool>(disk_.get(), options.buffer_pool_pages);
   log_ = std::make_unique<LogManager>(options.wal_options);
+  pool_ = std::make_unique<BufferPool>(disk_.get(), options.buffer_pool_pages,
+                                       log_.get());
   SENTINEL_RETURN_NOT_OK(log_->Open(path_prefix + ".wal"));
   commit_durability_.store(options.commit_durability,
                            std::memory_order_relaxed);
   lock_manager_ = std::make_unique<LockManager>(options.lock_options);
-
-  auto clean = disk_->GetCleanShutdown();
-  if (!clean.ok()) return clean.status();
-  was_clean_shutdown_ = *clean;
-  // Pessimistically mark dirty until the next clean Close().
-  SENTINEL_RETURN_NOT_OK(disk_->SetCleanShutdown(false));
 
   RecoveryManager recovery(this);
   SENTINEL_RETURN_NOT_OK(recovery.Recover());
@@ -51,7 +46,6 @@ Status StorageEngine::Close() {
   for (TxnId txn : live) (void)Abort(txn);
   SENTINEL_RETURN_NOT_OK(pool_->FlushAll());
   SENTINEL_RETURN_NOT_OK(log_->Close());
-  SENTINEL_RETURN_NOT_OK(disk_->SetCleanShutdown(true));
   SENTINEL_RETURN_NOT_OK(disk_->Close());
   disk_.reset();
   pool_.reset();

@@ -49,9 +49,8 @@ class StorageEngine {
   Status Close();
 
   /// Test/benchmark hook: simulates a process crash. Dirty pages are
-  /// abandoned (never written), in-flight transactions stay unresolved in
-  /// the WAL, and the clean-shutdown marker is NOT set — the next Open runs
-  /// full recovery and auxiliary-index rebuild.
+  /// abandoned (never written) and in-flight transactions stay unresolved
+  /// in the WAL, so the next Open runs full recovery.
   void SimulateCrash();
 
   // -- Transactions --------------------------------------------------------
@@ -107,11 +106,6 @@ class StorageEngine {
   LogManager* log_manager() { return log_.get(); }
   DiskManager* disk_manager() { return disk_.get(); }
 
-  /// True if the previous session closed cleanly (flush + marker). When
-  /// false, non-WAL-logged auxiliary structures (the OID index) must be
-  /// rebuilt from primary data.
-  bool WasCleanShutdown() const { return was_clean_shutdown_; }
-
  private:
   friend class RecoveryManager;
 
@@ -153,7 +147,6 @@ class StorageEngine {
   std::unordered_map<TxnId, TxnState> active_;
   std::atomic<TxnId> next_txn_{1};
   std::atomic<CommitDurability> commit_durability_{CommitDurability::kSync};
-  bool was_clean_shutdown_ = false;
 };
 
 }  // namespace sentinel::storage

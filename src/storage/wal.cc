@@ -84,8 +84,10 @@ Status LogManager::Open(const std::string& path) {
     std::fseek(file_, 0, SEEK_END);
   }
   // Every surviving record is on stable storage (it was read back from the
-  // file): the durable and appended watermarks start at the scanned tail.
+  // file): the durable, written and appended watermarks start at the
+  // scanned tail.
   appended_lsn_.store(next_lsn_ - 1, std::memory_order_release);
+  written_lsn_.store(next_lsn_ - 1, std::memory_order_release);
   durable_lsn_.store(next_lsn_ - 1, std::memory_order_release);
   requested_lsn_ = next_lsn_ - 1;
   StartGroupThreadLocked();
@@ -254,6 +256,7 @@ Status LogManager::BarrierLocked(std::unique_lock<std::mutex>& lock,
     WedgeLocked(failed);
     return failed;
   }
+  written_lsn_.store(target, std::memory_order_release);
   const int fd = ::fileno(file_);
   bool synced = false;
   if (release_during_fsync) {
@@ -353,6 +356,7 @@ Status LogManager::Truncate() {
   // every assigned LSN vacuously durable.
   const Lsn tail = next_lsn_ - 1;
   appended_lsn_.store(tail, std::memory_order_release);
+  written_lsn_.store(tail, std::memory_order_release);
   if (tail > durable_lsn_.load(std::memory_order_relaxed)) {
     durable_lsn_.store(tail, std::memory_order_release);
   }
@@ -367,6 +371,22 @@ Status LogManager::Flush() {
   if (wedged_) return WedgedStatusLocked();
   return WaitDurableLocked(lock,
                            appended_lsn_.load(std::memory_order_relaxed));
+}
+
+Status LogManager::FlushThrough(Lsn lsn) {
+  if (lsn <= written_lsn_.load(std::memory_order_acquire)) return Status::OK();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (file_ == nullptr) return Status::IOError("log manager not open");
+  // A wedged log still pushes its complete frames: the page write behind
+  // this call needs them in the file, and Open() truncates any torn tail.
+  const Lsn target = appended_lsn_.load(std::memory_order_relaxed);
+  if (std::fflush(file_) != 0) {
+    Status failed = Status::IOError("cannot flush log");
+    WedgeLocked(failed);
+    return failed;
+  }
+  written_lsn_.store(target, std::memory_order_release);
+  return Status::OK();
 }
 
 Status LogManager::WaitDurable(Lsn lsn) {

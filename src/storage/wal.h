@@ -48,8 +48,9 @@ enum class CommitDurability {
 /// it as the per-commit-fsync baseline).
 ///
 /// Durability watermarks: appended_lsn() is the highest LSN whose frame is
-/// fully in the stdio buffer; durable_lsn() is the highest LSN covered by a
-/// completed fsync barrier. A barrier is skipped entirely when its target
+/// fully in the stdio buffer; written_lsn() is the highest LSN fflushed to
+/// the OS; durable_lsn() is the highest LSN covered by a completed fsync
+/// barrier. A barrier is skipped entirely when its target
 /// is already durable (an explicit Flush() raced in, or a concurrent
 /// commit's barrier covered it), so sync_count() counts only real fsyncs.
 ///
@@ -97,6 +98,13 @@ class LogManager {
   /// the buffer holds nothing beyond the durable watermark.
   Status Flush();
 
+  /// Hands every buffered record to the OS (fflush, no fsync) unless
+  /// written_lsn() already covers `lsn`. The buffer pool calls it before it
+  /// writes a dirty page, so a page never reaches the data file ahead of
+  /// the log records that describe it; with nothing buffered past `lsn` it
+  /// takes no lock.
+  Status FlushThrough(Lsn lsn);
+
   /// Blocks until durable_lsn() >= lsn (or the log wedges/closes). Used to
   /// converge async commits before a checkpoint or shutdown.
   Status WaitDurable(Lsn lsn);
@@ -116,6 +124,11 @@ class LogManager {
   /// Highest LSN whose frame is fully in the WAL buffer.
   Lsn appended_lsn() const {
     return appended_lsn_.load(std::memory_order_acquire);
+  }
+  /// Highest LSN handed to the OS (survives a process crash, not power
+  /// loss).
+  Lsn written_lsn() const {
+    return written_lsn_.load(std::memory_order_acquire);
   }
   /// Highest LSN covered by a completed fsync barrier. Lock-free: safe to
   /// read from metrics/watchdog samplers.
@@ -196,6 +209,7 @@ class LogManager {
   bool wedged_ = false;
   std::string wedge_reason_;
   std::atomic<Lsn> appended_lsn_{0};
+  std::atomic<Lsn> written_lsn_{0};
   std::atomic<Lsn> durable_lsn_{0};
   Lsn requested_lsn_ = 0;  // highest LSN with registered barrier demand
   bool barrier_in_flight_ = false;

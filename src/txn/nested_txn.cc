@@ -95,16 +95,18 @@ Status NestedTransactionManager::Acquire(SubTxnId sub,
   if (!CanGrantLocked(state, sub, mode)) {
     // Block. The LockState reference stays valid while we wait: entries are
     // never erased while waiters > 0, and unordered_map rehashes do not move
-    // the pointed-to unique_ptr targets.
-    obs::SpanScope wait_span;
-    if (obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);
-        st != nullptr && st->enabled_for(obs::SpanKind::kLockWait)) {
-      wait_span.Start(st, obs::SpanKind::kLockWait, sub_it->second.top, key,
-                      sub);
+    // the pointed-to unique_ptr targets. One lock_wait record times the wait
+    // for the span, the wait histogram and this subtransaction's
+    // lock_wait_ns.
+    obs::SpanScope wait;
+    if (wait.Open(span_tracer_.load(std::memory_order_acquire),
+                  obs::SpanKind::kLockWait, sub_it->second.top, &wait_ns_)) {
+      wait.set_label(key);
+      wait.set_subtxn(sub);
     }
     ++state.waiters;
-    const auto wait_start = std::chrono::steady_clock::now();
-    const auto deadline = wait_start + options_.lock_timeout;
+    const auto deadline =
+        std::chrono::steady_clock::now() + options_.lock_timeout;
     while (!CanGrantLocked(state, sub, mode)) {
       if (state.cv.wait_until(lock, deadline) == std::cv_status::timeout &&
           !CanGrantLocked(state, sub, mode)) {
@@ -113,10 +115,7 @@ Status NestedTransactionManager::Acquire(SubTxnId sub,
       }
     }
     --state.waiters;
-    const std::uint64_t waited_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wait_start)
-            .count());
+    const std::uint64_t waited_ns = wait.End();
     // The wait released mu_, so our subs_ iterator may be stale (rehash) or
     // the subtransaction may have been torn down by EndTop; re-resolve.
     sub_it = subs_.find(sub);

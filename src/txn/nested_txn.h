@@ -83,6 +83,10 @@ class NestedTransactionManager {
   /// accounting for the rule metrics; harvested before commit/abort).
   std::uint64_t LockWaitNs(SubTxnId sub) const;
 
+  /// Latency distribution of blocked nested acquisitions (the waits summed
+  /// into each subtransaction's lock_wait_ns).
+  const obs::LatencyHistogram& wait_histogram() const { return wait_ns_; }
+
   /// Attaches the causal span tracer; blocking nested acquisitions record
   /// lock_wait spans.
   void set_span_tracer(obs::SpanTracer* tracer) {
@@ -149,6 +153,7 @@ class NestedTransactionManager {
   std::unordered_map<TopTxnId, std::vector<std::string>> retained_keys_;
   SubTxnId next_id_ = 1;
   std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
+  obs::LatencyHistogram wait_ns_;
 };
 
 }  // namespace sentinel::txn

@@ -513,5 +513,101 @@ TEST_F(CrashMatrixFixtureBase, AsyncCommitCrashKeepsDurableWatermarkPrefix) {
   }
 }
 
+// WAL rule on page write-back: a dirty page evicted while its log record
+// still sits in the WAL's stdio buffer must not reach the data file first.
+// The child updates record A without committing, evicts A's page through a
+// 4-frame pool by reading other pages, and dies via std::_Exit (the stdio
+// buffer is lost). Recovery must then find the update's log record and
+// roll it back; otherwise A keeps the uncommitted bytes.
+TEST_F(CrashMatrixFixtureBase, EvictedUncommittedUpdateRollsBackAfterCrash) {
+  const std::string prefix = dir_ + "/db";
+  const std::string progress_path = dir_ + "/progress";
+  constexpr int kRecords = 12;  // two per page: six heap pages
+  const std::string filler(1500, 'f');
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int fd = ::open(progress_path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
+    if (fd < 0) std::_Exit(7);
+    StorageEngine::Options options;
+    options.buffer_pool_pages = 4;
+    options.commit_durability = storage::CommitDurability::kSync;
+    StorageEngine engine;
+    if (!engine.Open(prefix, options).ok()) std::_Exit(7);
+    auto file = engine.CreateHeapFile();
+    if (!file.ok()) std::_Exit(7);
+    std::vector<storage::Rid> rids;
+    auto txn = engine.Begin();
+    if (!txn.ok()) std::_Exit(7);
+    for (int i = 0; i < kRecords; ++i) {
+      const std::string rec = "committed-" + std::to_string(i) + filler;
+      auto rid = engine.Insert(*txn, *file, Bytes(rec));
+      if (!rid.ok()) std::_Exit(7);
+      rids.push_back(*rid);
+    }
+    if (!engine.Commit(*txn).ok() || !engine.Checkpoint().ok()) std::_Exit(7);
+    RecordProgress(fd, "file " + std::to_string(*file));
+
+    auto writer = engine.Begin();
+    if (!writer.ok() ||
+        !engine.Update(*writer, *file, rids[0], Bytes("uncommitted" + filler))
+             .ok()) {
+      std::_Exit(7);
+    }
+    // Touch every other page: A's page becomes the LRU victim and is
+    // written back while the update's log record is still buffered.
+    auto reader = engine.Begin();
+    if (!reader.ok()) std::_Exit(7);
+    for (const storage::Rid& rid : rids) {
+      if (rid.page_id == rids[0].page_id) continue;
+      if (!engine.Read(*reader, *file, rid).ok()) std::_Exit(7);
+    }
+    RecordProgress(fd, "evicted");
+    std::_Exit(0);
+  }
+
+  int wait_status = 0;
+  ASSERT_EQ(::waitpid(pid, &wait_status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wait_status));
+  ASSERT_EQ(WEXITSTATUS(wait_status), 0);
+  PageId file = storage::kInvalidPageId;
+  bool evicted = false;
+  std::ifstream progress(progress_path);
+  std::string line;
+  while (std::getline(progress, line)) {
+    std::istringstream in(line);
+    std::string verb, arg;
+    in >> verb >> arg;
+    if (verb == "file") file = static_cast<PageId>(std::stoul(arg));
+    if (verb == "evicted") evicted = true;
+  }
+  ASSERT_NE(file, storage::kInvalidPageId);
+  ASSERT_TRUE(evicted);
+
+  StorageEngine engine;
+  ASSERT_TRUE(engine.Open(prefix).ok());
+  auto txn = engine.Begin();
+  ASSERT_TRUE(txn.ok());
+  std::set<std::string> visible;
+  ASSERT_TRUE(engine
+                  .Scan(*txn, file,
+                        [&](const storage::Rid&,
+                            const std::vector<std::uint8_t>& rec) {
+                          visible.insert(std::string(
+                              rec.begin(),
+                              rec.end() - static_cast<long>(filler.size())));
+                          return Status::OK();
+                        })
+                  .ok());
+  ASSERT_TRUE(engine.Commit(*txn).ok());
+  ASSERT_TRUE(engine.Close().ok());
+
+  EXPECT_FALSE(visible.count("uncommitted"))
+      << "uncommitted update reached disk ahead of its log record";
+  EXPECT_TRUE(visible.count("committed-0"));
+  EXPECT_EQ(visible.size(), static_cast<std::size_t>(kRecords));
+}
+
 }  // namespace
 }  // namespace sentinel

@@ -186,6 +186,11 @@ TEST(NestedTxnTest, LockWaitTimeIsAccounted) {
   waiter.join();
   // s2 blocked for ~50ms; the accounting only needs to be non-zero and sane.
   EXPECT_GT(ntm.LockWaitNs(*s2), 1000000u);  // > 1ms
+  // One lock_wait record timed that wait: the histogram holds exactly it,
+  // even with no span tracer attached.
+  const auto waits = ntm.wait_histogram().TakeSnapshot();
+  EXPECT_EQ(waits.count, 1u);
+  EXPECT_EQ(waits.sum_ns, ntm.LockWaitNs(*s2));
 }
 
 TEST(NestedTxnTest, EndTopCleansEverything) {

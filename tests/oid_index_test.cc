@@ -1,11 +1,13 @@
-// OID B+-tree index integration: trusted after clean shutdown, rebuilt after
-// a crash, and always consistent with the object heap.
+// OID index integration: the index lives in memory and every open rebuilds
+// it from the object heap, so a clean close and a crash reopen to the same
+// index and OID counter.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "oodb/database.h"
 
@@ -26,83 +28,110 @@ class OidIndexTest : public ::testing::Test {
     std::remove((prefix_ + ".db").c_str());
     std::remove((prefix_ + ".wal").c_str());
   }
+
+  /// Commits one object that a second transaction deletes, then `n` Part
+  /// objects (field n = 0..n-1); returns the live OIDs in insert order and
+  /// the deleted one in `*deleted`.
+  std::vector<Oid> Populate(Database* db, int n, Oid* deleted) {
+    std::vector<Oid> oids;
+    auto txn = db->Begin();
+    *deleted = *db->objects()->Put(*txn, PersistentObject(kInvalidOid, "Gone"));
+    for (int i = 0; i < n; ++i) {
+      PersistentObject obj(kInvalidOid, "Part");
+      obj.Set("n", Value::Int(i));
+      oids.push_back(*db->objects()->Put(*txn, std::move(obj)));
+    }
+    EXPECT_TRUE(db->Commit(*txn).ok());
+    auto txn2 = db->Begin();
+    EXPECT_TRUE(db->objects()->Delete(*txn2, *deleted).ok());
+    EXPECT_TRUE(db->Commit(*txn2).ok());
+    return oids;
+  }
+
+  /// Reopens the database and checks the rebuilt index against `oids`.
+  void ExpectRebuilt(const std::vector<Oid>& oids, Oid deleted) {
+    Database db;
+    ASSERT_TRUE(db.Open(prefix_).ok());
+    EXPECT_EQ(db.objects()->object_count(), oids.size());
+    auto txn = db.Begin();
+    for (std::size_t i = 0; i < oids.size(); ++i) {
+      auto obj = db.objects()->Get(*txn, oids[i]);
+      ASSERT_TRUE(obj.ok()) << i;
+      EXPECT_EQ(obj->Get("n")->AsInt(), static_cast<std::int64_t>(i));
+    }
+    EXPECT_FALSE(db.objects()->Exists(*txn, deleted));
+    EXPECT_TRUE(db.objects()->Get(*txn, deleted).status().IsNotFound());
+    // The OID counter resumes right after the largest live OID.
+    auto next = db.objects()->Put(*txn, PersistentObject(kInvalidOid, "P"));
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(*next, oids.back() + 1);
+    ASSERT_TRUE(db.Abort(*txn).ok());
+    ASSERT_TRUE(db.Close().ok());
+  }
+
   std::string prefix_;
 };
 
-TEST_F(OidIndexTest, CleanShutdownMarksAndReopenTrustsIndex) {
+TEST_F(OidIndexTest, CleanCloseReopenRebuildsIndexFromHeap) {
   std::vector<Oid> oids;
+  Oid deleted = kInvalidOid;
   {
     Database db;
     ASSERT_TRUE(db.Open(prefix_).ok());
-    EXPECT_FALSE(db.engine()->WasCleanShutdown());  // fresh file
-    auto txn = db.Begin();
-    for (int i = 0; i < 600; ++i) {  // forces index splits
-      PersistentObject obj(kInvalidOid, "Part");
-      obj.Set("n", Value::Int(i));
-      oids.push_back(*db.objects()->Put(*txn, std::move(obj)));
-    }
-    ASSERT_TRUE(db.Commit(*txn).ok());
+    oids = Populate(&db, 600, &deleted);  // spans many heap pages
     ASSERT_TRUE(db.Close().ok());
   }
-  Database db;
-  ASSERT_TRUE(db.Open(prefix_).ok());
-  EXPECT_TRUE(db.engine()->WasCleanShutdown());
-  EXPECT_EQ(db.objects()->object_count(), 600u);
-  auto txn = db.Begin();
-  for (int i = 0; i < 600; i += 37) {
-    auto obj = db.objects()->Get(*txn, oids[static_cast<std::size_t>(i)]);
-    ASSERT_TRUE(obj.ok()) << i;
-    EXPECT_EQ(obj->Get("n")->AsInt(), i);
-  }
-  ASSERT_TRUE(db.Commit(*txn).ok());
-  ASSERT_TRUE(db.Close().ok());
+  ExpectRebuilt(oids, deleted);
 }
 
-TEST_F(OidIndexTest, CrashTriggersRebuildFromHeap) {
+TEST_F(OidIndexTest, CrashReopenRebuildsIndexFromHeap) {
   std::vector<Oid> oids;
+  Oid deleted = kInvalidOid;
   {
     Database db;
     ASSERT_TRUE(db.Open(prefix_).ok());
-    auto txn = db.Begin();
-    for (int i = 0; i < 50; ++i) {
-      PersistentObject obj(kInvalidOid, "Part");
-      obj.Set("n", Value::Int(i));
-      oids.push_back(*db.objects()->Put(*txn, std::move(obj)));
-    }
-    ASSERT_TRUE(db.Commit(*txn).ok());
-    // Crash: the clean flag stays false and the index pages may never have
-    // reached disk.
+    oids = Populate(&db, 600, &deleted);
+    // Dirty heap pages are dropped; recovery replays them from the WAL.
     db.SimulateCrash();
   }
-  Database db;
-  ASSERT_TRUE(db.Open(prefix_).ok());
-  EXPECT_FALSE(db.engine()->WasCleanShutdown());
-  EXPECT_EQ(db.objects()->object_count(), 50u);  // rebuilt from the heap
-  auto txn = db.Begin();
-  for (std::size_t i = 0; i < oids.size(); ++i) {
-    auto obj = db.objects()->Get(*txn, oids[i]);
-    ASSERT_TRUE(obj.ok()) << i;
-  }
-  ASSERT_TRUE(db.Commit(*txn).ok());
-  ASSERT_TRUE(db.Close().ok());
+  ExpectRebuilt(oids, deleted);
 }
 
-TEST_F(OidIndexTest, OidCounterRecoveredFromIndexAfterCleanClose) {
-  Oid last;
+TEST_F(OidIndexTest, RebuildIsTheSameAfterCleanCloseAndAfterCrash) {
+  std::vector<Oid> oids;
+  Oid deleted = kInvalidOid;
   {
     Database db;
     ASSERT_TRUE(db.Open(prefix_).ok());
-    auto txn = db.Begin();
-    last = *db.objects()->Put(*txn, PersistentObject(kInvalidOid, "P"));
-    ASSERT_TRUE(db.Commit(*txn).ok());
+    oids = Populate(&db, 50, &deleted);
     ASSERT_TRUE(db.Close().ok());
+  }
+  ExpectRebuilt(oids, deleted);
+  {
+    // Reopen, add nothing, crash: the next open rebuilds the same index.
+    Database db;
+    ASSERT_TRUE(db.Open(prefix_).ok());
+    db.SimulateCrash();
+  }
+  ExpectRebuilt(oids, deleted);
+}
+
+TEST_F(OidIndexTest, UncommittedInsertIsAbsentAfterCrash) {
+  std::vector<Oid> oids;
+  Oid deleted = kInvalidOid;
+  {
+    Database db;
+    ASSERT_TRUE(db.Open(prefix_).ok());
+    oids = Populate(&db, 10, &deleted);
+    auto txn = db.Begin();
+    ASSERT_TRUE(
+        db.objects()->Put(*txn, PersistentObject(kInvalidOid, "L")).ok());
+    ASSERT_TRUE(db.engine()->log_manager()->Flush().ok());
+    db.SimulateCrash();  // the loser's insert is rolled back by recovery
   }
   Database db;
   ASSERT_TRUE(db.Open(prefix_).ok());
-  auto txn = db.Begin();
-  auto next = db.objects()->Put(*txn, PersistentObject(kInvalidOid, "P"));
-  EXPECT_GT(*next, last);
-  ASSERT_TRUE(db.Commit(*txn).ok());
+  EXPECT_EQ(db.objects()->object_count(), oids.size());
   ASSERT_TRUE(db.Close().ok());
 }
 

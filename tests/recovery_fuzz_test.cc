@@ -117,7 +117,7 @@ TEST_P(RecoveryFuzzTest, CommittedStateExactlySurvivesCrash) {
       }
     }
     ASSERT_TRUE(engine.log_manager()->Flush().ok());
-    // Crash: buffered pages are lost, clean-shutdown marker stays unset.
+    // Crash: buffered pages are lost.
     engine.SimulateCrash();
   }
 

@@ -176,5 +176,51 @@ TEST_F(BufferPoolTest, FlushAllPersistsAcrossReopen) {
   ASSERT_TRUE(disk2.Close().ok());
 }
 
+// WAL rule: every dirty-page write (FlushPage, eviction, FlushAll) first
+// hands the log through the page's LSN to the OS.
+TEST_F(BufferPoolTest, WriteBackFlushesTheLogThroughThePageLsn) {
+  const std::string wal_path = path_ + ".wal";
+  std::remove(wal_path.c_str());
+  LogManager log(LogManager::Options{/*group_commit=*/false});
+  ASSERT_TRUE(log.Open(wal_path).ok());
+  BufferPool pool(&disk_, 1, &log);
+  // Appends an unforced record and stamps `page_id` with its LSN.
+  auto dirty_with_buffered_record = [&](PageId page_id) -> Lsn {
+    LogRecord rec;
+    rec.txn_id = 1;
+    rec.type = LogRecordType::kInsert;
+    auto lsn = log.Append(std::move(rec));
+    EXPECT_TRUE(lsn.ok());
+    EXPECT_LT(log.written_lsn(), *lsn);
+    auto page = pool.FetchPage(page_id);
+    EXPECT_TRUE(page.ok());
+    (*page)->RaiseLsn(*lsn);
+    EXPECT_TRUE(pool.UnpinPage(page_id, true).ok());
+    return *lsn;
+  };
+  auto first_page = pool.NewPage();
+  ASSERT_TRUE(first_page.ok());
+  const PageId first = (*first_page)->page_id();
+  ASSERT_TRUE(pool.UnpinPage(first, true).ok());
+
+  const Lsn flushed = dirty_with_buffered_record(first);
+  ASSERT_TRUE(pool.FlushPage(first).ok());
+  EXPECT_GE(log.written_lsn(), flushed);
+  EXPECT_GT(std::filesystem::file_size(wal_path), 0u);
+
+  const Lsn evicted = dirty_with_buffered_record(first);
+  auto second_page = pool.NewPage();  // one frame: evicts the first page
+  ASSERT_TRUE(second_page.ok());
+  EXPECT_GE(log.written_lsn(), evicted);
+  const PageId second = (*second_page)->page_id();
+  ASSERT_TRUE(pool.UnpinPage(second, true).ok());
+
+  const Lsn closed = dirty_with_buffered_record(second);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_GE(log.written_lsn(), closed);
+  ASSERT_TRUE(log.Close().ok());
+  std::remove(wal_path.c_str());
+}
+
 }  // namespace
 }  // namespace sentinel::storage
