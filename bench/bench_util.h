@@ -33,16 +33,16 @@ inline void FireMethod(core::ActiveDatabase* db, const std::string& class_name,
                    OneIntParam(v), txn);
 }
 
-/// Writes `db`'s pipeline metrics snapshot to
-/// $SENTINEL_BENCH_METRICS_DIR/<name>.json when that env var is set; no-op
-/// otherwise. Lets a bench run leave per-benchmark observability artifacts
-/// (tools/run_benches.sh wires the directory up).
+/// Writes `db`'s Prometheus exposition (PrometheusText, what /metrics
+/// serves) to $SENTINEL_BENCH_METRICS_DIR/<name>.prom when that env var is
+/// set; no-op otherwise. Lets a bench run leave per-benchmark observability
+/// artifacts (tools/run_benches.sh wires the directory up).
 inline void DumpMetricsSnapshot(core::ActiveDatabase* db,
                                 const std::string& name) {
   const char* dir = std::getenv("SENTINEL_BENCH_METRICS_DIR");
   if (dir == nullptr || *dir == '\0' || db == nullptr) return;
-  std::ofstream out(std::string(dir) + "/" + name + ".json");
-  if (out) out << db->StatsJson() << "\n";
+  std::ofstream out(std::string(dir) + "/" + name + ".prom");
+  if (out) out << db->PrometheusText();
 }
 
 /// Delta-since-baseline counter capture. Benchmarks must never Reset() the

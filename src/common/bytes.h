@@ -76,6 +76,14 @@ class BytesReader {
     return s;
   }
 
+  /// Copies the next `n` bytes to `dst` (which may be null when `n` is 0).
+  Status ReadRaw(void* dst, std::size_t n) {
+    if (n > remaining()) return Status::Corruption("read past end of buffer");
+    if (n != 0) std::memcpy(dst, data_ + pos_, n);
+    pos_ += n;
+    return Status::OK();
+  }
+
   std::size_t remaining() const { return size_ - pos_; }
   std::size_t position() const { return pos_; }
   bool AtEnd() const { return pos_ == size_; }

@@ -316,109 +316,6 @@ void ActiveDatabase::AdvanceTime(std::uint64_t now_ms) {
   scheduler_->Drain();
 }
 
-std::string ActiveDatabase::StatsJson() const {
-  obs::JsonWriter w;
-  w.BeginObject();
-  if (detector_ != nullptr) {
-    w.Key("detector").Raw(detector_->StatsJson());
-  }
-  if (scheduler_ != nullptr) {
-    w.Key("scheduler").BeginObject();
-    w.Field("policy", static_cast<int>(scheduler_->policy()));
-    w.Field("contingency",
-            rules::ContingencyPolicyToString(scheduler_->contingency()));
-    w.Field("executed", scheduler_->executed_count());
-    w.Field("condition_rejections", scheduler_->condition_rejections());
-    w.Field("failed", scheduler_->failed_count());
-    w.Field("abort_top", scheduler_->abort_top_count());
-    w.Field("max_depth", scheduler_->max_depth_seen());
-    w.EndObject();
-  }
-  if (rule_manager_ != nullptr) {
-    w.Key("rules").BeginArray();
-    for (const std::string& name : rule_manager_->RuleNames()) {
-      auto rule = rule_manager_->Find(name);
-      if (!rule.ok()) continue;
-      const obs::RuleMetrics& m = (*rule)->metrics();
-      w.BeginObject();
-      w.Field("name", name);
-      w.Field("event", (*rule)->declared_event());
-      w.Field("coupling", rules::CouplingModeToString((*rule)->coupling()));
-      w.Field("fired", (*rule)->fired_count());
-      w.Key("condition_ns").Raw(obs::HistogramJson(m.condition_ns.TakeSnapshot()));
-      w.Key("action_ns").Raw(obs::HistogramJson(m.action_ns.TakeSnapshot()));
-      w.Key("commit_ns").Raw(obs::HistogramJson(m.commit_ns.TakeSnapshot()));
-      w.Key("abort_ns").Raw(obs::HistogramJson(m.abort_ns.TakeSnapshot()));
-      w.Key("lock_wait_ns")
-          .Raw(obs::HistogramJson(m.lock_wait_ns.TakeSnapshot()));
-      w.EndObject();
-    }
-    w.EndArray();
-  }
-  if (nested_ != nullptr) {
-    w.Key("nested_txn").BeginObject();
-    w.Field("active_subtxns", nested_->active_count());
-    w.Field("locked_keys", nested_->locked_key_count());
-    w.EndObject();
-  }
-  if (db_ != nullptr) {
-    // Unified storage-layer telemetry: every cache/WAL/lock counter in one
-    // place instead of scattered over component accessors.
-    storage::StorageEngine* engine = db_->engine();
-    w.Key("storage").BeginObject();
-    storage::BufferPool* pool = engine->buffer_pool();
-    w.Key("buffer_pool").BeginObject();
-    w.Field("hits", pool->hit_count());
-    w.Field("misses", pool->miss_count());
-    w.Field("evictions", pool->eviction_count());
-    w.Field("resident", pool->resident_count());
-    w.Field("capacity", pool->capacity());
-    w.EndObject();
-    if (cache_ != nullptr) {
-      w.Key("object_cache").BeginObject();
-      w.Field("hits", cache_->hit_count());
-      w.Field("misses", cache_->miss_count());
-      w.Field("resident", cache_->size());
-      w.EndObject();
-    }
-    storage::LogManager* wal = engine->log_manager();
-    w.Key("wal").BeginObject();
-    w.Field("sync_count", wal->sync_count());
-    w.Field("truncated_bytes", wal->truncated_bytes());
-    w.Field("wedged", wal->wedged());
-    w.Field("appended_lsn", wal->appended_lsn());
-    w.Field("durable_lsn", wal->durable_lsn());
-    w.Field("group_commit_waits", wal->group_commit_waits());
-    w.Field("async_commits", wal->async_commits());
-    w.Key("fsync_ns").Raw(obs::HistogramJson(wal->fsync_histogram().TakeSnapshot()));
-    w.EndObject();
-    storage::DiskManager* disk = engine->disk_manager();
-    w.Key("disk").BeginObject();
-    w.Field("sync_count", disk->sync_count());
-    w.Field("io_retries", disk->io_retries());
-    w.Field("pages", disk->page_count());
-    w.Key("fsync_ns").Raw(obs::HistogramJson(disk->fsync_histogram().TakeSnapshot()));
-    w.EndObject();
-    storage::LockManager* locks = engine->lock_manager();
-    w.Key("lock_manager").BeginObject();
-    w.Field("waits", locks->wait_count());
-    w.Field("deadlocks", locks->deadlock_count());
-    w.Field("timeouts", locks->timeout_count());
-    w.Key("wait_ns").Raw(obs::HistogramJson(locks->wait_histogram().TakeSnapshot()));
-    w.EndObject();
-    w.EndObject();
-  }
-  w.Key("span_trace").BeginObject();
-  w.Field("mode", obs::TraceModeToString(span_tracer_.mode()));
-  w.Field("recorded", span_tracer_.recorded());
-  w.Field("dropped", span_tracer_.dropped());
-  w.Field("flight_recorded", flight_recorder_.recorded());
-  w.Field("postmortems", flight_recorder_.dumps());
-  w.EndObject();
-  w.EndObject();
-  return w.Take();
-}
-
 Status ActiveDatabase::ExportTrace(const std::string& path) {
   return span_tracer_.ExportChromeTrace(path);
 }
@@ -577,12 +474,6 @@ Result<int> ActiveDatabase::StartMonitoring(
     obs::MonitorServer::Response r;
     r.content_type = "text/plain; version=0.0.4; charset=utf-8";
     r.body = PrometheusText();
-    return r;
-  });
-  monitor_->Route("/stats", [this] {
-    obs::MonitorServer::Response r;
-    r.content_type = "application/json";
-    r.body = StatsJson();
     return r;
   });
   monitor_->Route("/graph", [this] {
@@ -753,9 +644,18 @@ std::string ActiveDatabase::PrometheusText() {
              "Occurrences buffered at an event node.", "gauge");
     p.Family("sentinel_event_context_refs",
              "Subscriber reference count per parameter context.", "gauge");
+    p.Family("sentinel_event_sinks",
+             "Sinks (rules, GED forwarders) subscribed to an event node.",
+             "gauge");
+    p.Family("sentinel_event_flushed_total",
+             "Buffered occurrences an event node dropped on transaction "
+             "flushes.",
+             "counter");
     for (const auto& node : detector_->SnapshotNodes()) {
       const Labels node_labels = {{"event", node.name}, {"kind", node.kind}};
       p.Sample("sentinel_event_buffered", node_labels, node.buffered);
+      p.Sample("sentinel_event_sinks", node_labels, node.sinks);
+      p.Sample("sentinel_event_flushed_total", node_labels, node.flushed);
       for (int c = 0; c < detector::kNumContexts; ++c) {
         const auto& ctx = node.contexts[c];
         if (ctx.refs == 0 && ctx.received == 0 && ctx.detected == 0) continue;
@@ -796,17 +696,31 @@ std::string ActiveDatabase::PrometheusText() {
     p.Gauge("sentinel_scheduler_max_depth",
             "Deepest cascaded-rule nesting observed.", {},
             scheduler_->max_depth_seen());
+    p.Gauge("sentinel_scheduler_info",
+            "Scheduler configuration: rule-priority policy and the "
+            "contingency applied to failed rules.",
+            {{"policy", std::to_string(static_cast<int>(scheduler_->policy()))},
+             {"contingency",
+              rules::ContingencyPolicyToString(scheduler_->contingency())}},
+            1);
   }
 
   // Per-rule firing counters and latency histograms.
   if (rule_manager_ != nullptr) {
     p.Family("sentinel_rule_fired_total", "Firings per rule.", "counter");
+    p.Family("sentinel_rule_info",
+             "Rule definition: triggering event and coupling mode.", "gauge");
     for (const std::string& name : rule_manager_->RuleNames()) {
       auto rule = rule_manager_->Find(name);
       if (!rule.ok()) continue;
       const Labels labels = {{"rule", name},
                              {"event", (*rule)->declared_event()}};
       p.Sample("sentinel_rule_fired_total", labels, (*rule)->fired_count());
+      p.Sample("sentinel_rule_info",
+               {{"rule", name},
+                {"event", (*rule)->declared_event()},
+                {"coupling", rules::CouplingModeToString((*rule)->coupling())}},
+               1);
       const obs::RuleMetrics& m = (*rule)->metrics();
       const Labels rl = {{"rule", name}};
       p.Histogram("sentinel_rule_condition_ns",
@@ -927,6 +841,11 @@ std::string ActiveDatabase::PrometheusText() {
             span_tracer_.recorded());
   p.Counter("sentinel_spans_dropped_total",
             "Spans dropped by full trace rings.", {}, span_tracer_.dropped());
+  p.Gauge("sentinel_span_trace_info", "Span tracer mode.",
+          {{"mode", obs::TraceModeToString(span_tracer_.mode())}}, 1);
+  p.Counter("sentinel_flight_recorded_total",
+            "Spans kept by the flight recorder's ring.", {},
+            flight_recorder_.recorded());
   p.Counter("sentinel_postmortems_total", "Postmortem dumps written.", {},
             flight_recorder_.dumps());
 
@@ -960,118 +879,8 @@ std::string ActiveDatabase::PrometheusText() {
   }
 
   // Network plane: event-bus server (daemon side) and remote client.
-  if (event_bus_ != nullptr) {
-    const net::EventBusServerStats n = event_bus_->stats();
-    p.Counter("sentinel_net_accepted_total",
-              "Connections accepted by the event-bus server.", {},
-              n.accepted);
-    p.Counter("sentinel_net_rejected_sessions_total",
-              "Connections refused at the session limit.", {},
-              n.rejected_sessions);
-    p.Counter("sentinel_net_superseded_sessions_total",
-              "Sessions superseded by a reconnect of the same application.",
-              {}, n.superseded_sessions);
-    p.Gauge("sentinel_net_open_sessions", "Open event-bus sessions.", {},
-            n.open_sessions);
-    p.Counter("sentinel_net_notifies_received_total",
-              "NOTIFY frames decoded by the event-bus server.", {},
-              n.notifies_received);
-    p.Counter("sentinel_net_dispatched_total",
-              "Occurrences handed from the admission queue to the GED.", {},
-              n.dispatched);
-    p.Counter("sentinel_net_sheds_total",
-              "NOTIFY frames shed by admission control (RETRY_LATER).", {},
-              n.sheds);
-    p.Counter("sentinel_net_frame_errors_total",
-              "Framing/CRC violations observed on client streams.", {},
-              n.frame_errors);
-    p.Counter("sentinel_net_slow_consumer_disconnects_total",
-              "Sessions dropped for exceeding their outbound byte budget.",
-              {}, n.slow_consumer_disconnects);
-    p.Counter("sentinel_net_idle_disconnects_total",
-              "Sessions reaped by the idle/heartbeat timeout.", {},
-              n.idle_disconnects);
-    p.Counter("sentinel_net_pushes_sent_total",
-              "EVENT_PUSH frames queued to subscribers.", {}, n.pushes_sent);
-    p.Counter("sentinel_net_bytes_in_total",
-              "Bytes received by the event-bus server.", {}, n.bytes_in);
-    p.Counter("sentinel_net_bytes_out_total",
-              "Bytes sent by the event-bus server.", {}, n.bytes_out);
-    p.Gauge("sentinel_net_admission_depth",
-            "Admission-control queue depth.", {}, n.admission_depth);
-    p.Gauge("sentinel_net_admission_peak",
-            "Deepest the admission queue has been.", {}, n.admission_peak);
-    p.Gauge("sentinel_net_outbound_queued_bytes",
-            "Bytes queued across all session outbound buffers.", {},
-            n.outbound_queued_bytes);
-    p.Gauge("sentinel_net_overloaded",
-            "1 while the admission queue sits past its high-water mark.", {},
-            n.overloaded ? 1 : 0);
-    // Always-on end-to-end latency (client origin stamp → server-side
-    // milestone; wall clock, so cross-host skew shows up here, not in the
-    // steady-clock trace export).
-    p.Histogram("sentinel_net_e2e_delivery_ns",
-                "Origin-stamped occurrence to GED dispatch (ns).", {},
-                n.e2e_delivery_ns);
-    p.Histogram("sentinel_net_e2e_detect_ns",
-                "Origin-stamped occurrence to global detection push (ns).", {},
-                n.e2e_detect_ns);
-    p.Counter("sentinel_net_rtt_samples_total",
-              "Heartbeat round-trip samples collected.", {}, n.rtt_samples);
-    p.Histogram("sentinel_net_rtt_us",
-                "Heartbeat round-trip time across all sessions (us).", {},
-                n.rtt_us);
-    for (const net::SessionClockStats& sc : event_bus_->SessionClocks()) {
-      const obs::PromWriter::Labels labels = {
-          {"app", sc.app}, {"session", std::to_string(sc.session_id)}};
-      p.Histogram("sentinel_net_session_rtt_us",
-                  "Heartbeat round-trip time per session (us).", labels,
-                  sc.rtt_us);
-      p.GaugeF("sentinel_net_clock_offset_us",
-               "EWMA steady-clock offset of the client vs this server (us; "
-               "may be negative).",
-               labels, static_cast<double>(sc.clock_offset_us));
-    }
-  }
-  if (remote_client_ != nullptr) {
-    const net::RemoteGedClient::Stats c = remote_client_->stats();
-    p.Gauge("sentinel_net_client_connected",
-            "1 while the remote GED session is established.", {},
-            c.connected ? 1 : 0);
-    p.Counter("sentinel_net_client_connect_attempts_total",
-              "Dial attempts (including reconnects).", {},
-              c.connect_attempts);
-    p.Counter("sentinel_net_client_sessions_total",
-              "Sessions successfully established.", {},
-              c.sessions_established);
-    p.Counter("sentinel_net_client_disconnects_total",
-              "Established sessions that ended.", {}, c.disconnects);
-    p.Counter("sentinel_net_client_notifies_sent_total",
-              "NOTIFY frames written to the wire.", {}, c.notifies_sent);
-    p.Counter("sentinel_net_client_notifies_dropped_total",
-              "Events dropped by the bounded send buffer.", {},
-              c.notifies_dropped);
-    p.Counter("sentinel_net_client_pushes_received_total",
-              "EVENT_PUSH frames received.", {}, c.pushes_received);
-    p.Counter("sentinel_net_client_sheds_received_total",
-              "RETRY_LATER shed notices received.", {}, c.sheds_received);
-    p.Counter("sentinel_net_client_journal_replays_total",
-              "Journal entries replayed after reconnects.", {},
-              c.journal_replays);
-    p.Counter("sentinel_net_client_rtt_samples_total",
-              "Heartbeat round-trip samples collected by the client.", {},
-              c.rtt_samples);
-    p.Histogram("sentinel_net_client_rtt_us",
-                "Client-observed heartbeat round-trip time (us).", {},
-                c.rtt_us);
-    p.GaugeF("sentinel_net_client_clock_offset_us",
-             "EWMA steady-clock offset of the server vs this client (us; "
-             "may be negative).",
-             {}, static_cast<double>(c.clock_offset_us));
-    p.Histogram("sentinel_net_client_e2e_action_ns",
-                "Origin-stamped occurrence to push-handler completion (ns).",
-                {}, c.e2e_action_ns);
-  }
+  if (event_bus_ != nullptr) event_bus_->WritePrometheus(p);
+  if (remote_client_ != nullptr) remote_client_->WritePrometheus(p);
 
   // Continuous profiling plane (sentinel_profile_* families; the mode,
   // duration and seam families are always present, per-account families

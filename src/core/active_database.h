@@ -174,19 +174,12 @@ class ActiveDatabase {
                                      storage::TxnId txn = storage::kInvalidTxnId,
                                      const std::string& path = "");
 
-  /// Pipeline-wide metrics snapshot (detector per-node counters, per-rule
-  /// latency histograms, scheduler totals, nested-txn gauges, tracer
-  /// counters, and — in persistent mode — the unified storage telemetry:
-  /// buffer pool / object cache hit rates, WAL + disk fsync histograms,
-  /// lock-manager wait/deadlock stats) as one JSON object.
-  std::string StatsJson() const;
-
   // -- Live monitoring plane ----------------------------------------------------
 
   /// Starts the health watchdog and, when `port >= 0`, the embedded HTTP
   /// monitor server on 127.0.0.1:`port` (0 = ephemeral; `port < 0` runs the
   /// watchdog alone). Endpoints: /metrics (Prometheus text exposition),
-  /// /healthz (200/503 + JSON detail), /stats, /graph (DOT), /trace
+  /// /healthz (200/503 + JSON detail), /graph (DOT), /trace
   /// (Perfetto JSON), /postmortem. Returns the bound port (-1 when no
   /// server was requested). Also started automatically by Open when
   /// $SENTINEL_MONITOR_PORT is set ($SENTINEL_WATCHDOG_MS overrides the
@@ -195,9 +188,10 @@ class ActiveDatabase {
                               obs::Watchdog::Options watchdog_options = {});
   void StopMonitoring();
 
-  /// Full metric surface in Prometheus text exposition format: every
-  /// counter/gauge/histogram StatsJson reports, as sentinel_* families with
+  /// The one export of the pipeline's counters, gauges and histograms, in
+  /// Prometheus text exposition format: sentinel_* families with
   /// rule/event/context labels (see DESIGN.md §11 for the naming scheme).
+  /// /metrics serves it, and the shell's `metrics` prints it.
   std::string PrometheusText();
 
   /// Health verdict as JSON; sets `*http_status` (when non-null) to 200 for

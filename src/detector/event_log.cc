@@ -1,9 +1,12 @@
 #include "detector/event_log.h"
 
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstring>
 
 #include "common/crc32.h"
+#include "common/failpoint.h"
 #include "detector/local_detector.h"
 #include "net/protocol.h"
 
@@ -12,6 +15,16 @@ namespace sentinel::detector {
 namespace {
 // Bound on one record's payload: a size field above it is corruption.
 constexpr std::uint32_t kMaxEventRecordSize = 1u << 24;
+
+// Flushes stdio's buffer and forces the file to stable storage.
+Status SyncFile(std::FILE* file, const std::string& path) {
+  SENTINEL_FAILPOINT("eventlog.sync");
+  if (std::fflush(file) != 0 || ::fsync(::fileno(file)) != 0) {
+    return Status::IOError("cannot sync event log " + path + ": " +
+                           std::strerror(errno));
+  }
+  return Status::OK();
+}
 }  // namespace
 
 EventLog::~EventLog() {
@@ -31,6 +44,8 @@ Status EventLog::OpenFile(const std::string& path) {
 Status EventLog::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   if (file_ != nullptr) {
+    Status synced = SyncFile(file_, path_);
+    if (!synced.ok() && status_.ok()) status_ = std::move(synced);
     if (std::fclose(file_) != 0 && status_.ok()) {
       status_ = Status::IOError("cannot close event log " + path_ + ": " +
                                 std::strerror(errno));

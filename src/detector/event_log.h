@@ -39,11 +39,15 @@ class EventLog {
 
   /// Opens (appending) a log file; without a file the log is memory-only.
   Status OpenFile(const std::string& path);
-  /// Closes the file; returns the first write failure, if any (see status()).
+  /// Syncs the file to stable storage (fflush + fsync; the `eventlog.sync`
+  /// failpoint fails it) and closes it; returns the first write or sync
+  /// failure, if any (see status()). Record flushes each record to the OS
+  /// but does not fsync, so occurrences recorded since the last Close are
+  /// not durable across a power loss.
   Status Close();
 
-  /// The first failure to write or flush the file. It is sticky: once set,
-  /// Record stops writing, so the file stays a readable prefix.
+  /// The first failure to write, flush or sync the file. It is sticky: once
+  /// set, Record stops writing, so the file stays a readable prefix.
   Status status() const;
 
   /// Registers this log as a raw observer of `detector`.

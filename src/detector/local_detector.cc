@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/pool.h"
-#include "obs/json.h"
 #include "obs/span.h"
 
 namespace sentinel::detector {
@@ -691,49 +690,6 @@ std::string LocalEventDetector::DumpGraph() const {
   return out;
 }
 
-std::string LocalEventDetector::StatsJson() const {
-  std::shared_lock<std::shared_mutex> lock(graph_mu_);
-  obs::JsonWriter w;
-  w.BeginObject();
-  w.Field("notify_count", notify_count_.load(std::memory_order_relaxed));
-  w.Field("node_count", nodes_.size());
-  std::size_t buffered = 0;
-  for (const auto& [name, node] : nodes_) {
-    (void)name;
-    buffered += node->BufferedCount();
-  }
-  w.Field("buffered", buffered);
-  w.Key("events").BeginArray();
-  for (const auto& [name, node] : nodes_) {
-    const obs::NodeMetrics& m = node->metrics();
-    w.BeginObject();
-    w.Field("name", name);
-    w.Field("kind", NodeKind(node.get()));
-    w.Field("sinks", node->sink_count());
-    w.Field("buffered", node->BufferedCount());
-    w.Field("flushed", m.flushed());
-    w.Field("received", m.received_total());
-    w.Field("detected", m.detected_total());
-    w.Key("contexts").BeginObject();
-    for (int c = 0; c < kNumContexts; ++c) {
-      const auto context = static_cast<ParamContext>(c);
-      const auto snap = m.ForContext(context);
-      const int refs = node->ContextRefs(context);
-      if (refs == 0 && snap.received == 0 && snap.detected == 0) continue;
-      w.Key(ParamContextToString(context)).BeginObject();
-      w.Field("refs", static_cast<std::uint64_t>(refs));
-      w.Field("received", snap.received);
-      w.Field("detected", snap.detected);
-      w.EndObject();
-    }
-    w.EndObject();  // contexts
-    w.EndObject();  // event
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.Take();
-}
-
 std::vector<LocalEventDetector::NodeStat> LocalEventDetector::SnapshotNodes()
     const {
   std::shared_lock<std::shared_mutex> lock(graph_mu_);
@@ -747,8 +703,6 @@ std::vector<LocalEventDetector::NodeStat> LocalEventDetector::SnapshotNodes()
     stat.sinks = node->sink_count();
     stat.buffered = node->BufferedCount();
     stat.flushed = m.flushed();
-    stat.received = m.received_total();
-    stat.detected = m.detected_total();
     for (int c = 0; c < kNumContexts; ++c) {
       const auto context = static_cast<ParamContext>(c);
       const auto snap = m.ForContext(context);

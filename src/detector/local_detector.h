@@ -197,19 +197,14 @@ class LocalEventDetector {
   /// reference counts and detection counters.
   std::string DumpGraph() const;
 
-  /// Per-node / per-context counters plus detector totals as a JSON object.
-  std::string StatsJson() const;
-
-  /// Structured counter snapshot of one graph node, for renderers that need
-  /// more than the pre-baked JSON (the Prometheus exposition).
+  /// Counter snapshot of one graph node: what the Prometheus exposition's
+  /// sentinel_event_* families read.
   struct NodeStat {
     std::string name;
     std::string kind;
     std::size_t sinks = 0;
     std::size_t buffered = 0;
     std::uint64_t flushed = 0;
-    std::uint64_t received = 0;
-    std::uint64_t detected = 0;
     struct Context {
       int refs = 0;
       std::uint64_t received = 0;

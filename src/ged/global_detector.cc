@@ -1,7 +1,6 @@
 #include "ged/global_detector.h"
 
 #include "common/logging.h"
-#include "obs/json.h"
 #include "obs/span.h"
 
 namespace sentinel::ged {
@@ -191,7 +190,6 @@ void GlobalEventDetector::Pump(const std::string& app_name,
     }
     bus_.emplace_back(app_name, occ);
     ++forwarded_;
-    if (bus_.size() > bus_peak_) bus_peak_ = bus_.size();
   }
   // notify_all: a WaitQuiescent caller waits on the same condition variable
   // and must not swallow the worker's wake-up.
@@ -275,25 +273,6 @@ bool GlobalEventDetector::IsRegistered(const std::string& app_name) const {
 
 void GlobalEventDetector::set_span_tracer(obs::SpanTracer* tracer) {
   graph_.set_span_tracer(tracer);
-}
-
-std::string GlobalEventDetector::StatsJson() const {
-  obs::JsonWriter w;
-  w.BeginObject();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    w.Field("forwarded", forwarded_);
-    w.Field("dropped", dropped_);
-    w.Field("bus_depth", bus_.size());
-    w.Field("bus_peak", bus_peak_);
-    w.Field("applications", apps_.size());
-    w.Field("remote_applications", remote_apps_.size());
-    w.Field("shut_down", stop_);
-  }
-  // The internal graph has its own lock; do not hold mu_ across it.
-  w.Key("graph").Raw(graph_.StatsJson());
-  w.EndObject();
-  return w.Take();
 }
 
 }  // namespace sentinel::ged

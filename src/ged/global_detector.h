@@ -130,9 +130,6 @@ class GlobalEventDetector {
   std::size_t application_count() const;
   bool IsRegistered(const std::string& app_name) const;
 
-  /// Bus counters plus the internal graph's per-node stats as JSON.
-  std::string StatsJson() const;
-
   /// Attaches the span tracer: a ged_forward record around each injection
   /// into the global graph (and the graph's own nodes record
   /// composite_detect records). A tracer with a profiler (the database's)
@@ -163,8 +160,7 @@ class GlobalEventDetector {
   bool stop_ = false;
   std::uint64_t forwarded_ = 0;
   std::uint64_t dropped_ = 0;
-  std::size_t bus_peak_ = 0;  // deepest the bus has been (backlog gauge)
-  std::mutex shutdown_mu_;    // serializes the worker join (see Shutdown)
+  std::mutex shutdown_mu_;  // serializes the worker join (see Shutdown)
   std::thread worker_;
 
   // Sinks created by DeliverTo (owned).

@@ -8,7 +8,7 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "detector/event_node.h"
-#include "obs/json.h"
+#include "obs/prometheus.h"
 #include "obs/span.h"
 
 namespace sentinel::net {
@@ -57,7 +57,6 @@ struct EventBusServer::Session {
   // atomics are read by stats scrapers from other threads; the EWMA state
   // (offset_ewma_ns / offset_primed) is I/O-thread-only.
   obs::LatencyHistogram rtt_us;
-  std::atomic<std::uint64_t> rtt_samples{0};
   std::atomic<std::int64_t> clock_offset_ns{0};
   std::int64_t offset_ewma_ns = 0;
   bool offset_primed = false;
@@ -647,7 +646,6 @@ void EventBusServer::HandlePong(const std::shared_ptr<Session>& session,
   const std::uint64_t rtt_ns = t2 - t0;
   session->rtt_us.Record(rtt_ns / 1000);
   rtt_us_.Record(rtt_ns / 1000);
-  session->rtt_samples.fetch_add(1, std::memory_order_relaxed);
   rtt_samples_.fetch_add(1, std::memory_order_relaxed);
   // NTP-style offset sample: responder clock minus the midpoint of our
   // send/receive pair, EWMA-smoothed (alpha 1/8) against jitter. Both
@@ -896,7 +894,6 @@ std::vector<SessionClockStats> EventBusServer::SessionClocks() const {
     SessionClockStats c;
     c.session_id = id;
     c.app = session->app_name;
-    c.rtt_samples = session->rtt_samples.load(std::memory_order_relaxed);
     c.clock_offset_us =
         session->clock_offset_ns.load(std::memory_order_relaxed) / 1000;
     c.rtt_us = session->rtt_us.TakeSnapshot();
@@ -905,52 +902,79 @@ std::vector<SessionClockStats> EventBusServer::SessionClocks() const {
   return out;
 }
 
-std::string EventBusServer::StatsJson() const {
-  const EventBusServerStats s = stats();
-  obs::JsonWriter w;
-  w.BeginObject();
-  w.Field("running", running());
-  w.Field("port", port());
-  w.Field("accepted", s.accepted);
-  w.Field("rejected_sessions", s.rejected_sessions);
-  w.Field("superseded_sessions", s.superseded_sessions);
-  w.Field("open_sessions", s.open_sessions);
-  w.Field("notifies_received", s.notifies_received);
-  w.Field("dispatched", s.dispatched);
-  w.Field("sheds", s.sheds);
-  w.Field("frame_errors", s.frame_errors);
-  w.Field("slow_consumer_disconnects", s.slow_consumer_disconnects);
-  w.Field("idle_disconnects", s.idle_disconnects);
-  w.Field("pushes_sent", s.pushes_sent);
-  w.Field("pings_sent", s.pings_sent);
-  w.Field("bytes_in", s.bytes_in);
-  w.Field("bytes_out", s.bytes_out);
-  w.Field("admission_depth", s.admission_depth);
-  w.Field("admission_peak", s.admission_peak);
-  w.Field("outbound_queued_bytes", s.outbound_queued_bytes);
-  w.Field("overloaded", s.overloaded);
-  w.Field("rtt_samples", s.rtt_samples);
-  w.Field("rtt_p50_us", s.rtt_us.QuantileNs(0.5));
-  w.Field("rtt_p99_us", s.rtt_us.QuantileNs(0.99));
-  w.Field("e2e_delivery_p50_ns", s.e2e_delivery_ns.QuantileNs(0.5));
-  w.Field("e2e_delivery_p99_ns", s.e2e_delivery_ns.QuantileNs(0.99));
-  w.Field("e2e_detect_p50_ns", s.e2e_detect_ns.QuantileNs(0.5));
-  w.Field("e2e_detect_p99_ns", s.e2e_detect_ns.QuantileNs(0.99));
-  w.Key("session_clocks");
-  w.BeginArray();
-  for (const SessionClockStats& c : SessionClocks()) {
-    w.BeginObject();
-    w.Field("session", c.session_id);
-    w.Field("app", c.app);
-    w.Field("rtt_samples", c.rtt_samples);
-    w.Field("rtt_p50_us", c.rtt_us.QuantileNs(0.5));
-    w.Field("rtt_p99_us", c.rtt_us.QuantileNs(0.99));
-    w.Field("clock_offset_us", c.clock_offset_us);
-    w.EndObject();
+void EventBusServer::WritePrometheus(obs::PromWriter& p) const {
+  const EventBusServerStats n = stats();
+  p.Counter("sentinel_net_accepted_total",
+            "Connections accepted by the event-bus server.", {}, n.accepted);
+  p.Counter("sentinel_net_rejected_sessions_total",
+            "Connections refused at the session limit.", {},
+            n.rejected_sessions);
+  p.Counter("sentinel_net_superseded_sessions_total",
+            "Sessions superseded by a reconnect of the same application.", {},
+            n.superseded_sessions);
+  p.Gauge("sentinel_net_open_sessions", "Open event-bus sessions.", {},
+          n.open_sessions);
+  p.Counter("sentinel_net_notifies_received_total",
+            "NOTIFY frames decoded by the event-bus server.", {},
+            n.notifies_received);
+  p.Counter("sentinel_net_dispatched_total",
+            "Occurrences handed from the admission queue to the GED.", {},
+            n.dispatched);
+  p.Counter("sentinel_net_sheds_total",
+            "NOTIFY frames shed by admission control (RETRY_LATER).", {},
+            n.sheds);
+  p.Counter("sentinel_net_frame_errors_total",
+            "Framing/CRC violations observed on client streams.", {},
+            n.frame_errors);
+  p.Counter("sentinel_net_slow_consumer_disconnects_total",
+            "Sessions dropped for exceeding their outbound byte budget.", {},
+            n.slow_consumer_disconnects);
+  p.Counter("sentinel_net_idle_disconnects_total",
+            "Sessions reaped by the idle/heartbeat timeout.", {},
+            n.idle_disconnects);
+  p.Counter("sentinel_net_pushes_sent_total",
+            "EVENT_PUSH frames queued to subscribers.", {}, n.pushes_sent);
+  p.Counter("sentinel_net_pings_sent_total",
+            "Heartbeat PING frames sent to sessions.", {}, n.pings_sent);
+  p.Counter("sentinel_net_bytes_in_total",
+            "Bytes received by the event-bus server.", {}, n.bytes_in);
+  p.Counter("sentinel_net_bytes_out_total",
+            "Bytes sent by the event-bus server.", {}, n.bytes_out);
+  p.Gauge("sentinel_net_admission_depth", "Admission-control queue depth.",
+          {}, n.admission_depth);
+  p.Gauge("sentinel_net_admission_peak",
+          "Deepest the admission queue has been.", {}, n.admission_peak);
+  p.Gauge("sentinel_net_outbound_queued_bytes",
+          "Bytes queued across all session outbound buffers.", {},
+          n.outbound_queued_bytes);
+  p.Gauge("sentinel_net_overloaded",
+          "1 while the admission queue sits past its high-water mark.", {},
+          n.overloaded ? 1 : 0);
+  // Always-on end-to-end latency (client origin stamp → server-side
+  // milestone; wall clock, so cross-host skew shows up here, not in the
+  // steady-clock trace export).
+  p.Histogram("sentinel_net_e2e_delivery_ns",
+              "Origin-stamped occurrence to GED dispatch (ns).", {},
+              n.e2e_delivery_ns);
+  p.Histogram("sentinel_net_e2e_detect_ns",
+              "Origin-stamped occurrence to global detection push (ns).", {},
+              n.e2e_detect_ns);
+  p.Counter("sentinel_net_rtt_samples_total",
+            "Heartbeat round-trip samples collected.", {}, n.rtt_samples);
+  p.Histogram("sentinel_net_rtt_us",
+              "Heartbeat round-trip time across all sessions (us).", {},
+              n.rtt_us);
+  for (const SessionClockStats& sc : SessionClocks()) {
+    const obs::PromWriter::Labels labels = {
+        {"app", sc.app}, {"session", std::to_string(sc.session_id)}};
+    p.Histogram("sentinel_net_session_rtt_us",
+                "Heartbeat round-trip time per session (us).", labels,
+                sc.rtt_us);
+    p.GaugeF("sentinel_net_clock_offset_us",
+             "EWMA steady-clock offset of the client vs this server (us; "
+             "may be negative).",
+             labels, static_cast<double>(sc.clock_offset_us));
   }
-  w.EndArray();
-  w.EndObject();
-  return w.Take();
 }
 
 }  // namespace sentinel::net

@@ -22,6 +22,7 @@
 #include "obs/metrics.h"
 
 namespace sentinel::obs {
+class PromWriter;
 class SpanTracer;
 }  // namespace sentinel::obs
 
@@ -33,7 +34,6 @@ namespace sentinel::net {
 struct SessionClockStats {
   std::uint64_t session_id = 0;
   std::string app;
-  std::uint64_t rtt_samples = 0;
   std::int64_t clock_offset_us = 0;
   obs::LatencyHistogram::Snapshot rtt_us;
 };
@@ -142,10 +142,12 @@ class EventBusServer {
   std::size_t session_count() const;
 
   EventBusServerStats stats() const;
-  std::string StatsJson() const;
+  /// Appends the sentinel_net_* families (including the per-session RTT and
+  /// clock-offset series) to a /metrics exposition.
+  void WritePrometheus(obs::PromWriter& p) const;
 
-  /// Heartbeat timing per live session (shell `ged stats`, /metrics
-  /// per-session RTT/offset series).
+  /// Heartbeat timing per live session (the /metrics per-session RTT/offset
+  /// series).
   std::vector<SessionClockStats> SessionClocks() const;
 
   /// Attaches the causal span tracer: the I/O thread records kNet* spans

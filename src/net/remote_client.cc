@@ -6,7 +6,7 @@
 #include <cerrno>
 
 #include "common/logging.h"
-#include "obs/json.h"
+#include "obs/prometheus.h"
 #include "obs/span.h"
 
 namespace sentinel::net {
@@ -611,28 +611,41 @@ RemoteGedClient::Stats RemoteGedClient::stats() const {
   return s;
 }
 
-std::string RemoteGedClient::StatsJson() const {
-  const Stats s = stats();
-  obs::JsonWriter w;
-  w.BeginObject();
-  w.Field("connected", s.connected);
-  w.Field("connect_attempts", s.connect_attempts);
-  w.Field("sessions_established", s.sessions_established);
-  w.Field("disconnects", s.disconnects);
-  w.Field("notifies_sent", s.notifies_sent);
-  w.Field("notifies_dropped", s.notifies_dropped);
-  w.Field("pushes_received", s.pushes_received);
-  w.Field("sheds_received", s.sheds_received);
-  w.Field("journal_replays", s.journal_replays);
-  w.Field("rtt_samples", s.rtt_samples);
-  w.Field("rtt_p50_us", s.rtt_us.QuantileNs(0.5));
-  w.Field("rtt_p99_us", s.rtt_us.QuantileNs(0.99));
-  w.Field("clock_offset_us", s.clock_offset_us);
-  w.Field("e2e_action_p50_ns", s.e2e_action_ns.QuantileNs(0.5));
-  w.Field("e2e_action_p99_ns", s.e2e_action_ns.QuantileNs(0.99));
-  w.Field("last_error", last_error());
-  w.EndObject();
-  return w.Take();
+void RemoteGedClient::WritePrometheus(obs::PromWriter& p) const {
+  const Stats c = stats();
+  p.Gauge("sentinel_net_client_connected",
+          "1 while the remote GED session is established.", {},
+          c.connected ? 1 : 0);
+  p.Counter("sentinel_net_client_connect_attempts_total",
+            "Dial attempts (including reconnects).", {}, c.connect_attempts);
+  p.Counter("sentinel_net_client_sessions_total",
+            "Sessions successfully established.", {}, c.sessions_established);
+  p.Counter("sentinel_net_client_disconnects_total",
+            "Established sessions that ended.", {}, c.disconnects);
+  p.Counter("sentinel_net_client_notifies_sent_total",
+            "NOTIFY frames written to the wire.", {}, c.notifies_sent);
+  p.Counter("sentinel_net_client_notifies_dropped_total",
+            "Events dropped by the bounded send buffer.", {},
+            c.notifies_dropped);
+  p.Counter("sentinel_net_client_pushes_received_total",
+            "EVENT_PUSH frames received.", {}, c.pushes_received);
+  p.Counter("sentinel_net_client_sheds_received_total",
+            "RETRY_LATER shed notices received.", {}, c.sheds_received);
+  p.Counter("sentinel_net_client_journal_replays_total",
+            "Journal entries replayed after reconnects.", {},
+            c.journal_replays);
+  p.Counter("sentinel_net_client_rtt_samples_total",
+            "Heartbeat round-trip samples collected by the client.", {},
+            c.rtt_samples);
+  p.Histogram("sentinel_net_client_rtt_us",
+              "Client-observed heartbeat round-trip time (us).", {}, c.rtt_us);
+  p.GaugeF("sentinel_net_client_clock_offset_us",
+           "EWMA steady-clock offset of the server vs this client (us; may "
+           "be negative).",
+           {}, static_cast<double>(c.clock_offset_us));
+  p.Histogram("sentinel_net_client_e2e_action_ns",
+              "Origin-stamped occurrence to push-handler completion (ns).", {},
+              c.e2e_action_ns);
 }
 
 }  // namespace sentinel::net

@@ -23,6 +23,7 @@
 #include "obs/metrics.h"
 
 namespace sentinel::obs {
+class PromWriter;
 class SpanTracer;
 }  // namespace sentinel::obs
 
@@ -149,7 +150,8 @@ class RemoteGedClient {
   void BindLocalDetector(detector::LocalEventDetector* det);
 
   Stats stats() const;
-  std::string StatsJson() const;
+  /// Appends the sentinel_net_client_* families to a /metrics exposition.
+  void WritePrometheus(obs::PromWriter& p) const;
 
   /// Attaches the causal span tracer: Notify opens a frame-encode span
   /// whose id crosses the wire as the server's remote parent, and pushes

@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include "obs/json.h"
-
 namespace sentinel::obs {
 
 std::uint64_t LatencyHistogram::Snapshot::QuantileNs(double q) const {
@@ -22,25 +20,6 @@ std::uint64_t LatencyHistogram::Snapshot::QuantileNs(double q) const {
     }
   }
   return max_ns;
-}
-
-std::string HistogramJson(const LatencyHistogram::Snapshot& snap) {
-  JsonWriter w;
-  w.BeginObject()
-      .Field("count", snap.count)
-      .Field("sum_ns", snap.sum_ns)
-      .Field("mean_ns", snap.mean_ns())
-      .Field("max_ns", snap.max_ns)
-      .Field("p50_ns", snap.QuantileNs(0.50))
-      .Field("p90_ns", snap.QuantileNs(0.90))
-      .Field("p99_ns", snap.QuantileNs(0.99));
-  w.Key("buckets").BeginArray();
-  // Trailing zero buckets are elided to keep snapshots compact.
-  int last = LatencyHistogram::kBuckets - 1;
-  while (last >= 0 && snap.buckets[last] == 0) --last;
-  for (int i = 0; i <= last; ++i) w.Value(snap.buckets[i]);
-  w.EndArray().EndObject();
-  return w.Take();
 }
 
 }  // namespace sentinel::obs

@@ -6,7 +6,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "detector/event_types.h"
 
@@ -199,10 +198,6 @@ struct RuleMetrics {
   LatencyHistogram abort_ns;
   LatencyHistogram lock_wait_ns;
 };
-
-/// Renders a histogram snapshot as a JSON object (used by the stats
-/// surfacing in the shell and benches).
-std::string HistogramJson(const LatencyHistogram::Snapshot& snap);
 
 }  // namespace sentinel::obs
 

@@ -8,16 +8,28 @@ void PutBlob(BytesWriter* out, const std::vector<std::uint8_t>& blob) {
   out->PutRaw(blob.data(), blob.size());
 }
 
+// The length is checked against the bytes left before anything is
+// allocated: a corrupt u32 must not ask for up to 4 GiB.
 Result<std::vector<std::uint8_t>> ReadBlob(BytesReader* in) {
   auto len = in->ReadU32();
   if (!len.ok()) return len.status();
-  std::vector<std::uint8_t> blob(*len);
-  for (std::uint32_t i = 0; i < *len; ++i) {
-    auto b = in->ReadU8();
-    if (!b.ok()) return b.status();
-    blob[i] = *b;
+  if (*len > in->remaining()) {
+    return Status::Corruption("log record image extends past end of record");
   }
+  std::vector<std::uint8_t> blob(*len);
+  SENTINEL_RETURN_NOT_OK(in->ReadRaw(blob.data(), blob.size()));
   return blob;
+}
+
+Result<LogRecordType> ReadType(BytesReader* in) {
+  auto byte = in->ReadU8();
+  if (!byte.ok()) return byte.status();
+  if (*byte < static_cast<std::uint8_t>(LogRecordType::kBegin) ||
+      *byte > static_cast<std::uint8_t>(LogRecordType::kPageLink)) {
+    return Status::Corruption("unknown log record type " +
+                              std::to_string(*byte));
+  }
+  return static_cast<LogRecordType>(*byte);
 }
 }  // namespace
 
@@ -45,9 +57,9 @@ Result<LogRecord> LogRecord::Deserialize(BytesReader* in) {
   auto txn = in->ReadU64();
   if (!txn.ok()) return txn.status();
   rec.txn_id = *txn;
-  auto type = in->ReadU8();
+  auto type = ReadType(in);
   if (!type.ok()) return type.status();
-  rec.type = static_cast<LogRecordType>(*type);
+  rec.type = *type;
   auto page_id = in->ReadU32();
   if (!page_id.ok()) return page_id.status();
   rec.rid.page_id = *page_id;
@@ -63,9 +75,9 @@ Result<LogRecord> LogRecord::Deserialize(BytesReader* in) {
   auto undo_next = in->ReadU64();
   if (!undo_next.ok()) return undo_next.status();
   rec.undo_next_lsn = *undo_next;
-  auto undone = in->ReadU8();
+  auto undone = ReadType(in);
   if (!undone.ok()) return undone.status();
-  rec.undone_type = static_cast<LogRecordType>(*undone);
+  rec.undone_type = *undone;
   return rec;
 }
 

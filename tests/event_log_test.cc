@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "common/crc32.h"
+#include "common/failpoint.h"
 #include "detector/local_detector.h"
 #include "detector_test_util.h"
 #include "net/protocol.h"
@@ -151,6 +152,31 @@ TEST_F(EventLogTest, WriteFailureIsStickyAndReportedByClose) {
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.Close().code(), StatusCode::kIOError);
   EXPECT_EQ(log.status().code(), StatusCode::kIOError);
+}
+
+// Close forces the file to stable storage; a failed sync is the sticky
+// status and what Close returns, and the records written before it stay
+// readable.
+TEST_F(EventLogTest, FailedSyncIsReportedByClose) {
+  PrimitiveOccurrence occ;
+  occ.event_name = "e";
+  {
+    EventLog log;
+    ASSERT_TRUE(log.OpenFile(path_).ok());
+    log.Record(occ);
+    ASSERT_TRUE(FailPointRegistry::Instance().Enable("eventlog.sync", "error")
+                    .ok());
+    const Status closed = log.Close();
+    FailPointRegistry::Instance().DisableAll();
+    EXPECT_EQ(closed.code(), StatusCode::kIOError) << closed;
+    EXPECT_EQ(log.status().code(), StatusCode::kIOError);
+  }
+  EventLog reread;
+  ASSERT_TRUE(reread.OpenFile(path_).ok());
+  auto loaded = reread.Load();
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->size(), 1u);
+  EXPECT_TRUE(reread.Close().ok());
 }
 
 // A complete record whose modifier byte is out of range is corrupt, not a

@@ -20,6 +20,7 @@
 #include "net/event_bus_server.h"
 #include "net/protocol.h"
 #include "net/remote_client.h"
+#include "obs/prometheus.h"
 #include "net/socket_util.h"
 #include "oodb/value.h"
 
@@ -686,17 +687,20 @@ TEST_F(NetBusBurstTest, ConcurrentBurstsArriveOnceAndInPublisherOrder) {
   EXPECT_EQ(server_.stats().dispatched, kTotal);
 }
 
-TEST_F(NetBusTest, StatsJsonSmoke) {
+TEST_F(NetBusTest, WritePrometheusSmoke) {
   ASSERT_TRUE(StartServer().ok());
   RemoteGedClient client(ClientOptions("appA"));
   ASSERT_TRUE(client.Start().ok());
   ASSERT_TRUE(client.WaitConnected(std::chrono::milliseconds(5000)));
 
-  const std::string server_json = server_.StatsJson();
-  EXPECT_NE(server_json.find("\"accepted\""), std::string::npos);
-  EXPECT_NE(server_json.find("\"admission_depth\""), std::string::npos);
-  const std::string client_json = client.StatsJson();
-  EXPECT_NE(client_json.find("\"connected\""), std::string::npos);
+  obs::PromWriter p;
+  server_.WritePrometheus(p);
+  client.WritePrometheus(p);
+  const std::string text = p.Take();
+  EXPECT_NE(text.find("\nsentinel_net_accepted_total 1\n"), std::string::npos);
+  EXPECT_NE(text.find("\nsentinel_net_admission_depth "), std::string::npos);
+  EXPECT_NE(text.find("\nsentinel_net_client_connected 1\n"),
+            std::string::npos);
   client.Stop();
 }
 

@@ -538,9 +538,11 @@ TEST(ObsMonitorE2ETest, MetricsHealthzAndFriendsOverHttp) {
   EXPECT_NE(BodyOf(healthz).find("\"status\":\"healthy\""),
             std::string::npos);
 
-  EXPECT_EQ(StatusOf(HttpGet(port, "/stats")), 200);
-  EXPECT_NE(BodyOf(HttpGet(port, "/stats")).find("\"scheduler\""),
-            std::string::npos);
+  // /metrics is the one counter export: the JSON /stats route is gone (the
+  // server drops the query string, so this asks for that route), and the
+  // scheduler configuration it carried is an info family.
+  EXPECT_EQ(StatusOf(HttpGet(port, "/stats?format=json")), 404);
+  EXPECT_NE(body.find("sentinel_scheduler_info{policy=\""), std::string::npos);
   EXPECT_NE(BodyOf(HttpGet(port, "/graph")).find("digraph"),
             std::string::npos);
   EXPECT_EQ(StatusOf(HttpGet(port, "/trace")), 200);

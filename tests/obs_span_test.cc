@@ -395,20 +395,20 @@ TEST(ObsSpanTest, PostmortemJsonStructure) {
   ASSERT_TRUE(db.Close().ok());
 }
 
-TEST(ObsSpanTest, StatsJsonCarriesSpanSection) {
+TEST(ObsSpanTest, ExpositionCarriesSpanTraceInfo) {
   ActiveDatabase db;
   ASSERT_TRUE(db.OpenInMemory().ok());
   InstallPipeline(&db);
   storage::TxnId txn;
   RunPipelineTxn(&db, &txn);
-  const std::string json = db.StatsJson();
-  EXPECT_TRUE(JsonBalanced(json));
-  EXPECT_NE(json.find("\"span_trace\""), std::string::npos);
-  EXPECT_NE(json.find("\"mode\":\"flight\""), std::string::npos);
+  const std::string text = db.PrometheusText();
+  EXPECT_NE(text.find("\nsentinel_span_trace_info{mode=\"flight\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nsentinel_flight_recorded_total "), std::string::npos);
   ASSERT_TRUE(db.Close().ok());
 }
 
-TEST(ObsSpanTest, StatsJsonCarriesStorageSectionWhenPersistent) {
+TEST(ObsSpanTest, ExpositionCarriesStorageFamiliesWhenPersistent) {
   const std::string dir =
       (std::filesystem::temp_directory_path() /
        ("sentinel_span_stats_" + std::to_string(::getpid())))
@@ -424,13 +424,18 @@ TEST(ObsSpanTest, StatsJsonCarriesStorageSectionWhenPersistent) {
                     .ok());
     ASSERT_TRUE(db.CreateObject(*txn, "Order", "o1").ok());
     ASSERT_TRUE(db.Commit(*txn).ok());
-    const std::string json = db.StatsJson();
-    EXPECT_TRUE(JsonBalanced(json));
-    EXPECT_NE(json.find("\"storage\""), std::string::npos);
-    EXPECT_NE(json.find("\"buffer_pool\""), std::string::npos);
-    EXPECT_NE(json.find("\"wal\""), std::string::npos);
-    EXPECT_NE(json.find("\"lock_manager\""), std::string::npos);
-    EXPECT_NE(json.find("\"fsync_ns\""), std::string::npos);
+    const std::string text = db.PrometheusText();
+    EXPECT_NE(text.find("# TYPE sentinel_buffer_pool_hits_total counter"),
+              std::string::npos);
+    EXPECT_NE(text.find("# TYPE sentinel_wal_syncs_total counter"),
+              std::string::npos);
+    EXPECT_NE(text.find("# TYPE sentinel_lock_waits_total counter"),
+              std::string::npos);
+    EXPECT_NE(text.find("# TYPE sentinel_wal_fsync_ns histogram"),
+              std::string::npos);
+    // The commit's durability barrier was timed.
+    EXPECT_EQ(text.find("\nsentinel_wal_fsync_ns_count 0\n"),
+              std::string::npos);
     ASSERT_TRUE(db.Close().ok());
   }
   std::error_code ec;

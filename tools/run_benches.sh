@@ -40,8 +40,9 @@ export SENTINEL_BENCH_STRICT="${STRICT}"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "${tmpdir}"' EXIT
 
-# Each benchmark with a DumpMetricsSnapshot hook leaves an observability
-# snapshot (ActiveDatabase::StatsJson) next to the timing artifact.
+# Each benchmark with a DumpMetricsSnapshot hook leaves its Prometheus
+# exposition (ActiveDatabase::PrometheusText, <name>.prom) next to the
+# timing artifact.
 METRICS_DIR="${SENTINEL_BENCH_METRICS_DIR:-BENCH_metrics}"
 mkdir -p "${METRICS_DIR}"
 export SENTINEL_BENCH_METRICS_DIR="${METRICS_DIR}"

@@ -31,6 +31,7 @@
 #include "ged/global_detector.h"
 #include "net/event_bus_server.h"
 #include "net/remote_client.h"
+#include "obs/prometheus.h"
 #include "preproc/compiler.h"
 
 namespace {
@@ -119,11 +120,11 @@ void PrintHelp() {
   advance <ms>             advance the temporal clock
   events | rules           list definitions
   enable <rule> | disable <rule>
-  stats                    pipeline metrics snapshot (JSON)
   serve [<port>|stop]      start the monitor endpoint (default port 9464;
                            0 = ephemeral) with the health watchdog
   health                   health verdict from the watchdog (JSON)
-  metrics                  Prometheus text exposition (what /metrics serves)
+  metrics                  every pipeline counter, gauge and histogram as
+                           Prometheus text (what /metrics serves)
   profile start|stop|reset continuous profiler control (cost attribution,
                            contention sites, sampled stacks)
   profile top              top rules by attributed cost + contended sites
@@ -149,7 +150,8 @@ void PrintHelp() {
                            stream detections of a global event to this shell
   ged notify <class> <oid> <begin|end> <signature...> [| k=v ...]
                            send one occurrence to the remote GED
-  ged stats                daemon/client counters (JSON)
+  ged stats                daemon/client sentinel_net_* families (Prometheus
+                           text; works without a database)
   ged stop                 tear the daemon/client down
   help | quit
 )");
@@ -314,15 +316,14 @@ int Run() {
         st = shell.remote->NotifyMethod(words[2], oid, modifier, signature,
                                         ParseParams(words, i + 1), shell.txn);
       } else if (sub == "stats") {
-        if (shell.bus != nullptr) {
-          std::printf("server %s\n", shell.bus->StatsJson().c_str());
-        }
-        if (shell.remote != nullptr) {
-          std::printf("client %s\n", shell.remote->StatsJson().c_str());
-        }
+        // The sentinel_net_* families of `metrics`, without a database.
+        sentinel::obs::PromWriter p;
+        if (shell.bus != nullptr) shell.bus->WritePrometheus(p);
+        if (shell.remote != nullptr) shell.remote->WritePrometheus(p);
         if (shell.bus == nullptr && shell.remote == nullptr) {
           std::printf("  (no daemon or client running)\n");
         }
+        std::printf("%s", p.str().c_str());
       } else if (sub == "stop") {
         if (shell.open) {
           shell.db.AttachRemoteGedClient(nullptr);
@@ -467,8 +468,6 @@ int Run() {
       std::printf("%s", shell.debugger.RenderTrace().c_str());
     } else if (cmd == "dot") {
       std::printf("%s", shell.db.detector()->DumpGraph().c_str());
-    } else if (cmd == "stats") {
-      std::printf("%s\n", shell.db.StatsJson().c_str());
     } else if (cmd == "serve") {
       if (words.size() >= 2 && words[1] == "stop") {
         shell.db.StopMonitoring();
@@ -482,7 +481,7 @@ int Run() {
         st = bound.status();
         if (bound.ok()) {
           std::printf("monitor listening on http://127.0.0.1:%d "
-                      "(/metrics /healthz /stats /graph /trace /postmortem "
+                      "(/metrics /healthz /graph /trace /postmortem "
                       "/profile)\n",
                       *bound);
         }
