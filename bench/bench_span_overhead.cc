@@ -28,11 +28,6 @@ void ReportCounters(benchmark::State& state, std::uint64_t spans,
   state.counters["rule_execs"] = static_cast<double>(rule_execs);
 }
 
-/// Spans kept by the full rings and the flight recorder.
-std::uint64_t RecordedSpans(core::ActiveDatabase& db) {
-  return db.span_tracer()->recorded() + db.flight_recorder()->recorded();
-}
-
 /// Notify path: declared primitive, no observers beyond a counting sink —
 /// exercises the slow path's span gate without rule-execution noise.
 void NotifyWithMode(benchmark::State& state, TraceMode mode) {
@@ -48,7 +43,7 @@ void NotifyWithMode(benchmark::State& state, TraceMode mode) {
     FireMethod(&db, "C", "void f(int v)", ++v, *txn);
   }
   state.SetItemsProcessed(state.iterations());
-  ReportCounters(state, RecordedSpans(db), 0);
+  ReportCounters(state, db.span_tracer()->recorded(), 0);
   state.SetLabel(obs::TraceModeToString(mode));
 }
 
@@ -84,7 +79,7 @@ void SubTxnWithMode(benchmark::State& state, TraceMode mode) {
     FireMethod(&db, "C", "void f(int v)", ++v, *txn);
   }
   state.SetItemsProcessed(state.iterations());
-  ReportCounters(state, RecordedSpans(db), executed.load());
+  ReportCounters(state, db.span_tracer()->recorded(), executed.load());
   state.SetLabel(obs::TraceModeToString(mode));
 }
 

@@ -66,7 +66,11 @@ class Shipment : public Reactive {
 
 int main() {
   ActiveDatabase orders, shipping;
-  if (!orders.OpenInMemory().ok() || !shipping.OpenInMemory().ok()) return 1;
+  if (!orders.OpenInMemory().ok()) return 1;
+  // SENTINEL_MONITOR_PORT starts monitoring at open; only `orders` may bind
+  // the port, so `shipping` opens without it (its bind would fail).
+  ::unsetenv("SENTINEL_MONITOR_PORT");
+  if (!shipping.OpenInMemory().ok()) return 1;
 
   // SENTINEL_TRACE_EXPORT=<path>: record full causal spans and export them
   // as Chrome trace JSON at the end (load the file in ui.perfetto.dev).

@@ -8,7 +8,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "obs/flight_recorder.h"
 #include "obs/json.h"
 
 namespace sentinel::obs {
@@ -186,7 +185,6 @@ SpanTracer::ThreadRing* SpanTracer::RingForThisThread() {
     if (ring == nullptr) {
       auto owned = std::make_unique<ThreadRing>();
       owned->tid = tid;
-      owned->slots.resize(ring_capacity_);
       ring = owned.get();
       rings_.push_back(std::move(owned));
     }
@@ -198,20 +196,25 @@ SpanTracer::ThreadRing* SpanTracer::RingForThisThread() {
 void SpanTracer::Commit(Span&& span) {
   recorded_.fetch_add(1, std::memory_order_relaxed);
   const bool full = mode_.load(std::memory_order_relaxed) == TraceMode::kFull;
-  if (FlightRecorder* fr = flight_.load(std::memory_order_acquire)) {
-    // Flight-only: the ring is the span's last stop, so hand it over.
-    if (!full) {
-      fr->Record(std::move(span));
-      return;
-    }
-    fr->Record(span);
-  }
-  if (!full) return;
+  const std::size_t capacity = full ? ring_capacity_ : kFlightRingCapacity;
   ThreadRing* ring = RingForThisThread();
   std::lock_guard<std::mutex> lock(ring->mu);
-  std::uint64_t pos = ring->seq.fetch_add(1, std::memory_order_relaxed);
-  if (pos >= ring_capacity_) dropped_.fetch_add(1, std::memory_order_relaxed);
-  ring->slots[pos % ring_capacity_] = std::move(span);
+  std::vector<Span>& slots = ring->slots;
+  if (slots.size() < capacity) {
+    // Grow in place: rotate the oldest kept span into slot 0 so the kept
+    // spans stay in order and writing resumes after the newest.
+    if (ring->next > slots.size()) {
+      std::rotate(slots.begin(), slots.begin() + ring->next % slots.size(),
+                  slots.end());
+      ring->next = slots.size();
+    }
+    slots.resize(capacity);
+  }
+  const std::uint64_t pos = ring->next++;
+  if (full && pos >= slots.size()) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+  }
+  slots[pos % slots.size()] = std::move(span);
 }
 
 std::uint64_t SpanTracer::RecordTimedSpan(SpanKind kind, std::uint64_t start_ns,
@@ -281,11 +284,11 @@ std::vector<Span> SpanTracer::Snapshot() const {
     std::lock_guard<std::mutex> lock(rings_mu_);
     for (const auto& ring : rings_) {
       std::lock_guard<std::mutex> ring_lock(ring->mu);
-      std::uint64_t seq = ring->seq.load(std::memory_order_relaxed);
-      std::uint64_t count = std::min<std::uint64_t>(seq, ring_capacity_);
-      std::uint64_t first = seq - count;
+      const std::size_t size = ring->slots.size();
+      const std::uint64_t count = std::min<std::uint64_t>(ring->next, size);
+      const std::uint64_t first = ring->next - count;
       for (std::uint64_t i = 0; i < count; ++i) {
-        out.push_back(ring->slots[(first + i) % ring_capacity_]);
+        out.push_back(ring->slots[(first + i) % size]);
         RenderLabel(&out.back());
       }
     }
@@ -293,16 +296,6 @@ std::vector<Span> SpanTracer::Snapshot() const {
   std::sort(out.begin(), out.end(),
             [](const Span& a, const Span& b) { return a.start_ns < b.start_ns; });
   return out;
-}
-
-void SpanTracer::Clear() {
-  std::lock_guard<std::mutex> lock(rings_mu_);
-  for (auto& ring : rings_) {
-    std::lock_guard<std::mutex> ring_lock(ring->mu);
-    ring->seq.store(0, std::memory_order_relaxed);
-  }
-  recorded_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
 }
 
 namespace {

@@ -77,7 +77,7 @@ class Rule : public detector::EventSink {
 
   const std::string& name() const { return *name_; }
   /// Shared handle to the name: rule spans hold it instead of copying the
-  /// string, and it outlives the rule in the flight recorder's ring.
+  /// string, and it outlives the rule in the tracer's rings.
   const std::shared_ptr<const std::string>& shared_name() const {
     return name_;
   }

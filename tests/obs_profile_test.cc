@@ -27,7 +27,6 @@
 
 #include "core/active_database.h"
 #include "ged/global_detector.h"
-#include "obs/flight_recorder.h"
 #include "obs/profiler.h"
 #include "obs/watchdog.h"
 #include "rules/rule.h"
@@ -346,7 +345,7 @@ TEST(ObsProfilerTest, TracingOffStillFeedsEveryProfilerAccount) {
             .invocations,
         0u);
     EXPECT_EQ(db.span_tracer()->recorded(), 0u);
-    EXPECT_TRUE(db.flight_recorder()->Snapshot().empty());
+    EXPECT_TRUE(db.span_tracer()->Snapshot().empty());
     ASSERT_TRUE(db.Close().ok());
   }
   std::remove((prefix + ".db").c_str());
@@ -361,14 +360,14 @@ TEST(ObsProfilerTest, FlightTracingMeasuresNodesWithoutRecordingThem) {
   ASSERT_EQ(db.span_tracer()->mode(), obs::TraceMode::kFlightOnly);
   db.profiler()->Start();
 
-  // Few enough spans that the 256-span flight ring drops none.
+  // Few enough spans that the 256-span flight rings drop none.
   constexpr int kPairs = 8;
   RunSeqPairs(&db, kPairs);
   ASSERT_EQ(fired, kPairs);
   EXPECT_GE(NodeInvocations(*db.profiler(), "ev_seq"),
             static_cast<std::uint64_t>(kPairs));
 
-  const auto spans = db.flight_recorder()->Snapshot();
+  const auto spans = db.span_tracer()->Snapshot();
   ASSERT_FALSE(spans.empty());
   ASSERT_LT(spans.size(), 256u);
   std::set<std::uint64_t> ids;

@@ -1,16 +1,21 @@
-// Causal span tracer tests: mode gating (off / flight-only / full), span
-// tree integrity across the detector → scheduler → nested-txn pipeline,
-// Chrome trace export shape, and postmortem JSON structure.
+// Causal span tracer tests: mode gating (off / flight-only / full), the one
+// per-thread ring set both modes record into, span tree integrity across the
+// detector → scheduler → nested-txn pipeline, Chrome trace export shape, and
+// postmortem JSON structure.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -103,7 +108,6 @@ TEST(ObsSpanTest, TracerOffRecordsNothing) {
   storage::TxnId txn;
   RunPipelineTxn(&db, &txn);
   EXPECT_EQ(db.span_tracer()->recorded(), 0u);
-  EXPECT_EQ(db.flight_recorder()->recorded(), 0u);
   EXPECT_TRUE(db.span_tracer()->Snapshot().empty());
   ASSERT_TRUE(db.Close().ok());
 }
@@ -116,14 +120,47 @@ TEST(ObsSpanTest, FlightModeSkipsHotKindsButKeepsLastSpans) {
   InstallPipeline(&db);
   storage::TxnId txn;
   RunPipelineTxn(&db, &txn);
-  // The flight recorder saw spans (txn, subtxn, condition/action)...
-  EXPECT_GT(db.flight_recorder()->recorded(), 0u);
-  // ...but never the per-event hot kinds, and nothing went to the rings.
-  for (const Span& span : db.flight_recorder()->Snapshot()) {
+  // The rings kept spans (txn, subtxn, condition/action)...
+  EXPECT_GT(db.span_tracer()->recorded(), 0u);
+  const std::vector<Span> spans = db.span_tracer()->Snapshot();
+  EXPECT_FALSE(spans.empty());
+  // ...but never the per-event hot kinds.
+  for (const Span& span : spans) {
     EXPECT_NE(span.kind, SpanKind::kNotify);
     EXPECT_NE(span.kind, SpanKind::kCompositeDetect);
   }
-  EXPECT_TRUE(db.span_tracer()->Snapshot().empty());
+  ASSERT_TRUE(db.Close().ok());
+}
+
+// Flight mode records into the same rings every view reads, so the
+// transaction tree and the Chrome export show the rule's spans without
+// switching to full mode.
+TEST(ObsSpanTest, FlightModeFeedsTxnTreeAndChromeTrace) {
+  ActiveDatabase db;
+  ASSERT_TRUE(db.OpenInMemory().ok());
+  ASSERT_EQ(db.span_tracer()->mode(), TraceMode::kFlightOnly);
+  InstallPipeline(&db);
+  storage::TxnId txn;
+  RunPipelineTxn(&db, &txn);
+
+  const std::string tree = db.span_tracer()->TxnTreeText(txn);
+  EXPECT_EQ(tree.rfind("txn txn " + std::to_string(txn) + "\n", 0), 0u)
+      << tree;
+  EXPECT_NE(tree.find("subtxn seq_rule commit\n"), std::string::npos) << tree;
+  EXPECT_NE(tree.find("condition seq_rule.condition\n"), std::string::npos)
+      << tree;
+  EXPECT_NE(tree.find("action seq_rule.action\n"), std::string::npos) << tree;
+  EXPECT_EQ(tree.find("notify"), std::string::npos) << tree;
+
+  const std::string json = db.span_tracer()->ChromeTraceJson();
+  EXPECT_TRUE(JsonBalanced(json));
+  for (const char* cat : {"txn", "subtxn", "condition", "action"}) {
+    EXPECT_NE(json.find(std::string("\"cat\":\"") + cat + "\""),
+              std::string::npos)
+        << cat;
+  }
+  EXPECT_NE(json.find("\"name\":\"seq_rule.action\""), std::string::npos);
+  EXPECT_EQ(json.find("\"cat\":\"notify\""), std::string::npos);
   ASSERT_TRUE(db.Close().ok());
 }
 
@@ -404,7 +441,7 @@ TEST(ObsSpanTest, ExpositionCarriesSpanTraceInfo) {
   const std::string text = db.PrometheusText();
   EXPECT_NE(text.find("\nsentinel_span_trace_info{mode=\"flight\"} 1\n"),
             std::string::npos);
-  EXPECT_NE(text.find("\nsentinel_flight_recorded_total "), std::string::npos);
+  EXPECT_NE(text.find("\nsentinel_spans_recorded_total "), std::string::npos);
   ASSERT_TRUE(db.Close().ok());
 }
 
@@ -537,22 +574,129 @@ TEST(ObsSpanTest, ExportMetaStampsOtherData) {
   EXPECT_NE(plain.find("\"clock_offset_ns\":0"), std::string::npos);
 }
 
-TEST(ObsSpanTest, FlightRecorderRingKeepsLastN) {
-  obs::FlightRecorder recorder(/*capacity=*/4);
+TEST(ObsSpanTest, FlightRingKeepsLast256PerThread) {
   obs::SpanTracer tracer;
-  tracer.set_flight_recorder(&recorder);
-  tracer.set_mode(TraceMode::kFlightOnly);
-  for (int i = 0; i < 10; ++i) {
+  ASSERT_EQ(tracer.mode(), TraceMode::kFlightOnly);
+  auto record = [&tracer](int i) {
     obs::SpanScope scope;
     scope.Start(&tracer, SpanKind::kAction, storage::kInvalidTxnId,
                 "op " + std::to_string(i));
-    scope.End();
+  };
+  for (int i = 0; i < 300; ++i) record(i);
+  std::vector<Span> last = tracer.Snapshot();
+  ASSERT_EQ(last.size(), obs::SpanTracer::kFlightRingCapacity);
+  for (std::size_t i = 0; i < last.size(); ++i) {
+    EXPECT_EQ(last[i].label, "op " + std::to_string(44 + i));
   }
-  std::vector<Span> last = recorder.Snapshot();
-  ASSERT_EQ(last.size(), 4u);
-  EXPECT_EQ(last.front().label, "op 6");  // oldest surviving
-  EXPECT_EQ(last.back().label, "op 9");   // newest
-  EXPECT_EQ(recorder.recorded(), 10u);
+  EXPECT_EQ(tracer.recorded(), 300u);
+  // Flight rings overwrite by design; only full mode counts drops.
+  EXPECT_EQ(tracer.dropped(), 0u);
+
+  // Full mode grows the wrapped ring in place and keeps its spans in order.
+  tracer.set_mode(TraceMode::kFull);
+  record(300);
+  last = tracer.Snapshot();
+  ASSERT_EQ(last.size(), obs::SpanTracer::kFlightRingCapacity + 1);
+  for (std::size_t i = 0; i < last.size(); ++i) {
+    EXPECT_EQ(last[i].label, "op " + std::to_string(44 + i));
+  }
+  EXPECT_EQ(tracer.dropped(), 0u);
+}
+
+/// The `label` fields of the postmortem's last_spans array, in order.
+std::vector<std::string> LastSpanLabels(const std::string& postmortem) {
+  std::vector<std::string> labels;
+  const std::size_t begin = postmortem.find("\"last_spans\":[");
+  const std::size_t end = postmortem.find("\"scheduler\":", begin);
+  const std::string key = "\"label\":\"";
+  for (std::size_t at = postmortem.find(key, begin); at < end;
+       at = postmortem.find(key, at)) {
+    at += key.size();
+    labels.push_back(postmortem.substr(at, postmortem.find('"', at) - at));
+  }
+  return labels;
+}
+
+// Each thread's ring keeps its own last 256, so merging the rings yields the
+// 256 most recently closed spans process-wide, as one global ring would.
+TEST(ObsSpanTest, PostmortemMergesThreadRingsNewestLast) {
+  ActiveDatabase db;
+  ASSERT_TRUE(db.OpenInMemory().ok());
+  constexpr int kSpans = 600;
+  std::mutex mu;
+  std::condition_variable turn_cv;
+  int turn = 0;  // spans are closed strictly in this order, alternating
+  auto worker = [&](int parity) {
+    for (int i = parity; i < kSpans; i += 2) {
+      std::unique_lock<std::mutex> lock(mu);
+      turn_cv.wait(lock, [&] { return turn == i; });
+      {
+        obs::SpanScope scope;
+        scope.Start(db.span_tracer(), SpanKind::kAction,
+                    storage::kInvalidTxnId, "op " + std::to_string(i));
+      }
+      ++turn;
+      turn_cv.notify_all();
+    }
+  };
+  std::thread even(worker, 0);
+  std::thread odd(worker, 1);
+  even.join();
+  odd.join();
+
+  const std::vector<std::string> labels = LastSpanLabels(
+      db.PostmortemJson("interleaved", storage::kInvalidTxnId));
+  ASSERT_EQ(labels.size(), obs::SpanTracer::kFlightRingCapacity);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(labels[i], "op " + std::to_string(kSpans - 256 + i));
+  }
+  ASSERT_TRUE(db.Close().ok());
+}
+
+// Mode switches grow a thread's ring while it records and another thread
+// snapshots: no span below the ring's capacity may be lost.
+TEST(ObsSpanTest, ModeSwitchesKeepRecordedSpans) {
+  obs::SpanTracer tracer;
+  constexpr int kPerPhase = 80;
+  const TraceMode phases[] = {TraceMode::kFlightOnly, TraceMode::kFull,
+                              TraceMode::kFlightOnly};
+  std::atomic<int> written{0};
+  std::atomic<bool> done{false};
+  std::thread recorder([&] {
+    for (int phase = 0; phase < 3; ++phase) {
+      while (tracer.mode() != phases[phase]) std::this_thread::yield();
+      for (int i = 0; i < kPerPhase; ++i) {
+        obs::SpanScope scope;
+        scope.Start(&tracer, SpanKind::kAction, storage::kInvalidTxnId,
+                    "op " + std::to_string(phase * kPerPhase + i));
+        scope.End();
+        written.fetch_add(1);
+      }
+    }
+    done = true;
+  });
+  std::thread snapshotter([&] {
+    std::size_t seen = 0;
+    while (!done) {
+      const std::size_t size = tracer.Snapshot().size();
+      EXPECT_GE(size, seen);
+      seen = size;
+    }
+  });
+  for (int phase = 1; phase < 3; ++phase) {
+    while (written.load() < phase * kPerPhase) std::this_thread::yield();
+    tracer.set_mode(phases[phase]);
+  }
+  recorder.join();
+  snapshotter.join();
+
+  const std::vector<Span> spans = tracer.Snapshot();
+  ASSERT_EQ(spans.size(), static_cast<std::size_t>(3 * kPerPhase));
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].label, "op " + std::to_string(i));
+  }
+  EXPECT_EQ(tracer.recorded(), static_cast<std::uint64_t>(3 * kPerPhase));
+  EXPECT_EQ(tracer.dropped(), 0u);
 }
 
 // The kAbortTop contingency dooms the triggering transaction — and, with
@@ -612,7 +756,7 @@ TEST(ObsSpanTest, AbortTopContingencyEmitsPostmortem) {
 }
 
 // Rule spans hold the rule's name by reference and render their labels at
-// snapshot time; the flight ring outlives the rule, so the labels must still
+// snapshot time; the rings outlive the rule, so the labels must still
 // read correctly after DeleteRule (ASan catches a dangling name).
 TEST(ObsSpanTest, RuleSpanLabelsOutliveDeletedRule) {
   ActiveDatabase db;
@@ -661,11 +805,10 @@ TEST(ObsSpanTest, RuleSpanLabelsOutliveDeletedRule) {
           << label;
     }
   };
-  check(db.flight_recorder()->Snapshot());
+  check(db.span_tracer()->Snapshot());
   check_json(db.PostmortemJson("live", storage::kInvalidTxnId), "label");
 
   ASSERT_TRUE(db.rule_manager()->DeleteRule("r").ok());
-  check(db.flight_recorder()->Snapshot());
   check(db.span_tracer()->Snapshot());
   check_json(db.PostmortemJson("deleted", storage::kInvalidTxnId), "label");
   check_json(db.span_tracer()->ChromeTraceJson(), "name");
