@@ -140,13 +140,13 @@ int RunClient(int bus_port, const std::string& app, int events) {
   // Ping briskly: short demo runs still collect RTT/clock-offset samples.
   options.ping_interval = std::chrono::milliseconds(200);
   sentinel::net::RemoteGedClient client(options);
-  db.AttachRemoteGedClient(&client);
   if (!client.Start().ok()) return 1;
   if (!client.WaitConnected(std::chrono::milliseconds(10000))) {
     std::fprintf(stderr, "client: could not reach the daemon (%s)\n",
                  client.last_error().c_str());
     return 1;
   }
+  db.AttachRemoteGedClient(&client);
   std::printf("[%s] connected to 127.0.0.1:%d\n", app.c_str(), bus_port);
 
   // Declare a global primitive mirroring this application's sell events and
