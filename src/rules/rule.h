@@ -122,6 +122,16 @@ class Rule : public detector::EventSink {
   }
   void CountFiring() { fired_.fetch_add(1, std::memory_order_relaxed); }
 
+  /// Condition+action wall time of the most recent execution in ns; 0 while
+  /// the rule has never executed. The scheduler hands a priority-class
+  /// member to the pool only when this is 0 or above the pool's hand-off.
+  std::uint64_t last_exec_ns() const {
+    return last_exec_ns_.load(std::memory_order_relaxed);
+  }
+  void RecordExecution(std::uint64_t ns) {
+    last_exec_ns_.store(ns, std::memory_order_relaxed);
+  }
+
   /// Latency histograms for this rule's firing pipeline (condition, action,
   /// subtransaction commit/abort, lock wait). Recorded by the scheduler.
   obs::RuleMetrics& metrics() const { return metrics_; }
@@ -148,6 +158,7 @@ class Rule : public detector::EventSink {
   RuleVisibility visibility_ = RuleVisibility::kPublic;
   std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> fired_{0};
+  std::atomic<std::uint64_t> last_exec_ns_{0};
   mutable obs::RuleMetrics metrics_;
   RuleManager* manager_ = nullptr;
 };

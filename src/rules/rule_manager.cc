@@ -177,10 +177,12 @@ Status RuleManager::DisableRule(const std::string& name) {
 
 Status RuleManager::DeleteRule(const std::string& name) {
   std::string rewritten_event;
+  const Rule* rule = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = rules_.find(name);
     if (it == rules_.end()) return Status::NotFound("no rule named " + name);
+    rule = it->second.get();
     if (it->second->enabled()) {
       SENTINEL_RETURN_NOT_OK(UnsubscribeRuleLocked(it->second.get()));
       it->second->set_enabled(false);
@@ -192,11 +194,12 @@ Status RuleManager::DeleteRule(const std::string& name) {
     }
   }
   // Firings already queued still hold a pointer to the rule object; being
-  // disabled they will be skipped, but they must finish before the object
-  // dies. Unsubscribed + disabled means no new firings can appear. Detached
-  // firings run on their own worker and hold the same pointer — wait for
-  // that queue too.
-  scheduler_->Drain();
+  // disabled they would be skipped, so drop them before the object dies
+  // (a Drain here would not reach them when DeleteRule runs inside an
+  // action). Unsubscribed + disabled means no new firings can appear.
+  // Detached firings run on their own worker and hold the same pointer —
+  // wait for that queue too.
+  scheduler_->Forget(rule);
   scheduler_->WaitDetached();
   std::lock_guard<std::mutex> lock(mu_);
   rules_.erase(name);

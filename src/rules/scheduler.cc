@@ -1,6 +1,8 @@
 #include "rules/scheduler.h"
 
 #include <algorithm>
+#include <exception>
+#include <optional>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -108,92 +110,145 @@ void RuleScheduler::EnqueueDetached(Firing firing) {
   detached_cv_.notify_one();
 }
 
-std::vector<Firing> RuleScheduler::PopBatch() {
+void RuleScheduler::PopBatch(std::vector<Firing>* batch) {
+  batch->clear();
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Firing> batch;
-  if (pending_.empty()) return batch;
+  if (pending_.empty()) return;
 
-  // Index of the highest-priority pending firing.
+  // Index of the highest-priority pending firing (the first of its path).
   std::size_t best = 0;
   for (std::size_t i = 1; i < pending_.size(); ++i) {
     if (PathLess(pending_[best].priority_path, pending_[i].priority_path)) {
       best = i;
     }
   }
-  switch (policy()) {
-    case SchedulingPolicy::kSerial: {
-      batch.push_back(std::move(pending_[best]));
-      pending_.erase(pending_.begin() + static_cast<long>(best));
-      break;
-    }
-    case SchedulingPolicy::kConcurrent: {
-      for (Firing& f : pending_) batch.push_back(std::move(f));
-      pending_.clear();
-      break;
-    }
-    case SchedulingPolicy::kPriorityClasses: {
-      // Everything sharing the top priority path runs concurrently.
-      const std::vector<int> top = pending_[best].priority_path;
-      std::deque<Firing> keep;
-      for (Firing& f : pending_) {
-        if (f.priority_path == top) {
-          batch.push_back(std::move(f));
-        } else {
-          keep.push_back(std::move(f));
-        }
-      }
-      pending_ = std::move(keep);
-      break;
+  // Inside a rule's action, Drain runs only what outranks that rule: the
+  // firings the action triggered (depth-first, §3.2.3). The rest of the
+  // rule's class and lower classes wait for the Drain running the class.
+  if (t_frame != nullptr &&
+      !PathLess(t_frame->priority_path, pending_[best].priority_path)) {
+    return;
+  }
+  const SchedulingPolicy policy = this->policy();
+  if (policy == SchedulingPolicy::kConcurrent) {
+    for (Firing& f : pending_) batch->push_back(std::move(f));
+    pending_.clear();
+    pending_count_.store(0, std::memory_order_release);
+    return;
+  }
+  // kSerial takes that firing; kPriorityClasses takes every firing sharing
+  // its path, in queue order. The rest close up in place.
+  batch->push_back(std::move(pending_[best]));
+  std::size_t kept = best;
+  for (std::size_t i = best + 1; i < pending_.size(); ++i) {
+    if (policy == SchedulingPolicy::kPriorityClasses &&
+        pending_[i].priority_path == batch->front().priority_path) {
+      batch->push_back(std::move(pending_[i]));
+    } else {
+      pending_[kept++] = std::move(pending_[i]);
     }
   }
+  pending_.erase(pending_.begin() + static_cast<long>(kept), pending_.end());
   pending_count_.store(pending_.size(), std::memory_order_release);
-  return batch;
 }
 
+namespace {
+
+// The members of one priority class handed to the pool. Their tasks point
+// at it, so the drainer waits for all of them before it goes out of scope.
+struct PoolMembers {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t remaining = 0;
+};
+
+// Counts a pool member finished on every exit path of its task: a throw
+// that the worker loop contains must not leave the drainer waiting.
+struct MemberDone {
+  PoolMembers* members;
+  ~MemberDone() {
+    std::lock_guard<std::mutex> lock(members->mu);
+    if (--members->remaining == 0) members->cv.notify_all();
+  }
+};
+
+}  // namespace
+
 void RuleScheduler::Drain() {
+  std::vector<Firing> batch;
   for (;;) {
     // Drain is called after every notification; when no rule fired there is
     // nothing queued — return without touching the queue lock.
     if (pending_count_.load(std::memory_order_acquire) == 0) return;
-    std::vector<Firing> batch = PopBatch();
+    PopBatch(&batch);
     if (batch.empty()) return;
-    if (batch.size() == 1) {
-      Execute(std::move(batch[0]));
-      continue;
-    }
-    // A priority class of k firings: k-1 go to the pool and the draining
-    // thread runs the last one itself instead of idling until the class
-    // completes. Members still overlap in time.
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    std::size_t remaining = batch.size() - 1;
-    for (std::size_t i = 0; i + 1 < batch.size(); ++i) {
-      pool_->Submit([this, f = std::move(batch[i]), &done_mu, &done_cv,
-                     &remaining]() mutable {
-        Execute(std::move(f));
-        std::lock_guard<std::mutex> lock(done_mu);
-        if (--remaining == 0) done_cv.notify_all();
-      });
-    }
-    // The pool tasks reference this frame: wait for them even if the
-    // calling thread's member throws (e.g. from an execution observer).
-    auto wait_for_pool = [&] {
-      std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [&remaining] { return remaining == 0; });
-    };
-    try {
-      Execute(std::move(batch.back()));
-    } catch (...) {
-      wait_for_pool();
-      throw;
-    }
-    wait_for_pool();
+    RunClass(&batch);
   }
 }
 
-void RuleScheduler::Execute(Firing firing) {
+void RuleScheduler::RunClass(std::vector<Firing>* batch) {
+  // kAbortTop: a member whose failure dooms its transaction drops that
+  // transaction's members not yet started, as AbortTop drops its queue.
+  std::atomic<storage::TxnId> doomed{storage::kInvalidTxnId};
+  auto run = [this, &doomed](Firing& member) {
+    const storage::TxnId txn = member.txn;
+    if (txn != storage::kInvalidTxnId &&
+        txn == doomed.load(std::memory_order_relaxed)) {
+      return;
+    }
+    if (Execute(std::move(member))) {
+      doomed.store(txn, std::memory_order_relaxed);
+    }
+  };
+  // Overlap pays only for a member whose rule is unknown or slower than a
+  // pool worker takes to start; a cheap one is done here before a worker
+  // could have begun it. The first such member stays here too, so the
+  // class touches the pool only when two or more of them would overlap.
+  const std::uint64_t handoff_ns = pool_->handoff_ns();
+  std::optional<PoolMembers> pooled;
+  bool kept_one = false;
+  for (Firing& f : *batch) {
+    if (f.rule == nullptr) continue;
+    const std::uint64_t ns = f.rule->last_exec_ns();
+    if (ns != 0 && ns <= handoff_ns) continue;
+    if (!kept_one) {
+      kept_one = true;
+      continue;
+    }
+    if (!pooled) pooled.emplace();
+    {
+      std::lock_guard<std::mutex> lock(pooled->mu);
+      ++pooled->remaining;
+    }
+    pool_->Submit(
+        [&run, members = &*pooled, member = std::move(f)]() mutable {
+          MemberDone done{members};
+          run(member);
+        });
+    f.rule = nullptr;  // handed over: the loop below skips it
+  }
+  // An exception from a member run here (e.g. from an execution observer)
+  // surfaces after the whole class has run: the pool tasks point at this
+  // frame, and the members after it still belong to the class.
+  std::exception_ptr thrown;
+  for (Firing& f : *batch) {
+    if (f.rule == nullptr) continue;
+    try {
+      run(f);
+    } catch (...) {
+      if (!thrown) thrown = std::current_exception();
+    }
+  }
+  if (pooled) {
+    std::unique_lock<std::mutex> lock(pooled->mu);
+    pooled->cv.wait(lock, [&pooled] { return pooled->remaining == 0; });
+  }
+  if (thrown) std::rethrow_exception(thrown);
+}
+
+bool RuleScheduler::Execute(Firing firing) {
   Rule* rule = firing.rule;
-  if (rule == nullptr || !rule->enabled()) return;
+  if (rule == nullptr || !rule->enabled()) return false;
 
   obs::SpanTracer* span_tracer = span_tracer_.load(std::memory_order_acquire);
 
@@ -255,6 +310,7 @@ void RuleScheduler::Execute(Firing firing) {
   // an injected fault aborts only this rule's subtransaction — it must
   // never escape into the worker thread and kill the process.
   bool condition_held = true;
+  std::uint64_t exec_ns = 0;  // condition + action wall, from their records
   Status failure;
   if (FailPointRegistry::AnyActive()) {
     FailPointAction action =
@@ -272,6 +328,7 @@ void RuleScheduler::Execute(Firing firing) {
                         rule->shared_name(), sub, 0,
                         &rule->metrics().condition_ns);
         condition_held = rule->condition()(ctx);
+        exec_ns = cond_span.End();
       }
       if (condition_held && rule->action()) {
         obs::SpanScope action_span;
@@ -279,6 +336,7 @@ void RuleScheduler::Execute(Firing firing) {
                           rule->shared_name(), sub, 0,
                           &rule->metrics().action_ns);
         rule->action()(ctx);
+        exec_ns += action_span.End();
       }
     } catch (const std::exception& e) {
       failure = Status::Internal("rule " + rule->name() +
@@ -291,6 +349,8 @@ void RuleScheduler::Execute(Firing firing) {
   }
 
   t_frame = prev_frame;
+  // Nonzero marks the rule known even when it has neither function.
+  rule->RecordExecution(std::max<std::uint64_t>(exec_ns, 1));
 
   std::uint64_t subtxn_end_ns = 0;  // 0 = the span reads the clock itself
   if (sub != txn::kInvalidSubTxn) {
@@ -327,6 +387,7 @@ void RuleScheduler::Execute(Firing firing) {
   // dumped by the contingency below sees the span.
   subtxn_span.End(subtxn_end_ns);
 
+  bool doomed = false;
   if (failure.ok()) {
     if (condition_held) {
       rule->CountFiring();
@@ -341,14 +402,24 @@ void RuleScheduler::Execute(Firing firing) {
     SENTINEL_LOG(kWarn) << "rule " << rule->name() << " failed (contained, "
                         << ContingencyPolicyToString(contingency)
                         << "): " << failure.ToString();
-    if (contingency == ContingencyPolicy::kAbortTop &&
-        firing.txn != storage::kInvalidTxnId) {
-      AbortTop(firing.txn);
-    }
+    doomed = contingency == ContingencyPolicy::kAbortTop &&
+             firing.txn != storage::kInvalidTxnId;
+    if (doomed) AbortTop(firing.txn);
   }
   for (const ExecutionObserver& observer : observers_) {
     observer(firing, condition_held, sub_status);
   }
+  return doomed;
+}
+
+void RuleScheduler::Forget(const Rule* rule) {
+  std::lock_guard<std::mutex> lock(mu_);
+  pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
+                                [rule](const Firing& f) {
+                                  return f.rule == rule;
+                                }),
+                 pending_.end());
+  pending_count_.store(pending_.size(), std::memory_order_release);
 }
 
 void RuleScheduler::AbortTop(storage::TxnId txn) {

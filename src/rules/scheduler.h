@@ -21,9 +21,11 @@ namespace sentinel::rules {
 
 /// How triggered rules are ordered (paper §2.2 "Rule scheduling"):
 ///   kSerial           — strict prioritized serial execution.
-///   kConcurrent       — all triggered rules run concurrently.
-///   kPriorityClasses  — global order among priority classes, concurrent
-///                       execution within a class (the paper's combination).
+///   kConcurrent       — all queued firings form one class, whatever
+///                       their priority.
+///   kPriorityClasses  — global order among priority classes; members of
+///                       a class may run concurrently (the paper's
+///                       combination; Drain says when they do).
 enum class SchedulingPolicy : std::uint8_t {
   kSerial = 0,
   kConcurrent = 1,
@@ -122,9 +124,16 @@ class RuleScheduler {
   /// Runs queued firings to completion (nested firings included). Called by
   /// the application thread after signalling; it blocks — the paper's
   /// "main application is suspended and the rule scheduler is invoked".
-  /// A priority class of several firings runs concurrently: all but one go
-  /// to the pool and the calling thread executes the last.
+  /// The calling thread runs a priority class itself, in order. A member
+  /// goes to the pool only when its rule is unknown (never executed) or slow
+  /// (its last condition+action took longer than the pool's measured
+  /// hand-off): when at most one member is, the class runs entirely here;
+  /// otherwise all of them but one overlap on the pool. Called inside a
+  /// rule's action, it runs only the firings that outrank that rule.
   void Drain();
+
+  /// Drops the queued firings of `rule`, which is about to be deleted.
+  void Forget(const Rule* rule);
 
   /// Blocks until the detached queue is empty (tests and shutdown).
   void WaitDetached();
@@ -199,9 +208,12 @@ class RuleScheduler {
   }
 
  private:
-  // Pops the next batch to run according to the policy. Empty == idle.
-  std::vector<Firing> PopBatch();
-  void Execute(Firing firing);
+  // Pops the next batch to run according to the policy into `batch`.
+  // Empty == idle.
+  void PopBatch(std::vector<Firing>* batch);
+  void RunClass(std::vector<Firing>* batch);
+  // True when the firing's failure doomed its transaction (kAbortTop).
+  bool Execute(Firing firing);
   void DetachedLoop();
   // kAbortTop contingency: drop queued firings of `txn` and abort it.
   void AbortTop(storage::TxnId txn);

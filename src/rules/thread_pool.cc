@@ -1,6 +1,7 @@
 #include "rules/thread_pool.h"
 
 #include "common/logging.h"
+#include "obs/span.h"
 
 namespace sentinel::rules {
 
@@ -24,7 +25,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
+    queue_.push_back(Task{std::move(task), obs::SpanTracer::NowNs()});
   }
   work_cv_.notify_one();
 }
@@ -41,7 +42,14 @@ void ThreadPool::WorkerLoop() {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
+      task = std::move(queue_.front().run);
+      // Exponentially smoothed (1/8 weight per task), seeded by the first.
+      const std::uint64_t waited =
+          obs::SpanTracer::NowNs() - queue_.front().submitted_ns;
+      const std::uint64_t smoothed = handoff_ns_.load(std::memory_order_relaxed);
+      handoff_ns_.store(
+          smoothed == 0 ? waited : smoothed - smoothed / 8 + waited / 8,
+          std::memory_order_relaxed);
       queue_.pop_front();
       ++busy_;
     }

@@ -348,7 +348,7 @@ TEST_F(RulesTest, RulesRunAsSubtransactions) {
 
 TEST_F(RulesTest, DeleteWithQueuedFiringIsSafe) {
   // A firing already queued when its rule is deleted must neither execute
-  // nor touch freed memory (DeleteRule disables, drains, then erases).
+  // nor touch freed memory (DeleteRule disables, drops it, then erases).
   std::atomic<int> actions{0};
   auto rule = manager_.DefineRule("r1", "e1", nullptr,
                                   [&](const RuleContext&) { ++actions; });
@@ -360,6 +360,32 @@ TEST_F(RulesTest, DeleteWithQueuedFiringIsSafe) {
   ASSERT_TRUE(manager_.DeleteRule("r1").ok());
   scheduler_.Drain();
   EXPECT_EQ(actions, 0);
+}
+
+TEST_F(RulesTest, DeleteRuleInsideActionDropsItsQueuedFirings) {
+  // The victim's firing is queued below the deleting action's class, where
+  // a Drain inside that action does not reach: DeleteRule must drop it
+  // before the rule object dies (ASan reports the use after free if not).
+  std::atomic<int> victim_ran{0};
+  RuleManager::RuleOptions low;
+  low.priority = 1;
+  ASSERT_TRUE(manager_
+                  .DefineRule("victim", "e1", nullptr,
+                              [&](const RuleContext&) { ++victim_ran; }, low)
+                  .ok());
+  RuleManager::RuleOptions high;
+  high.priority = 5;
+  ASSERT_TRUE(manager_
+                  .DefineRule("killer", "e1", nullptr,
+                              [&](const RuleContext&) {
+                                ASSERT_TRUE(manager_.DeleteRule("victim").ok());
+                              },
+                              high)
+                  .ok());
+  FireF();
+  EXPECT_EQ(victim_ran, 0);
+  EXPECT_FALSE(manager_.Find("victim").ok());
+  EXPECT_EQ(scheduler_.pending_count(), 0u);
 }
 
 TEST_F(RulesTest, ConcurrentPolicyRunsAllRules) {

@@ -6,6 +6,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -266,6 +268,142 @@ TEST_F(SchedulerTest, DrainWaitsForClassWhenCallingThreadMemberThrows) {
   EXPECT_EQ(scheduler.executed_count(), 3u);
 }
 
+TEST_F(SchedulerTest, PoolMemberThrowDoesNotHangDrain) {
+  // The worker loop contains an exception thrown by a pool member's
+  // observer; the class must still complete. Drain runs on a helper thread
+  // so that a hang fails the test instead of stalling the suite.
+  auto scheduler = std::make_unique<RuleScheduler>(
+      &nested_, nullptr,
+      RuleScheduler::Options{SchedulingPolicy::kPriorityClasses, 4});
+  auto drainer = std::make_shared<std::atomic<std::thread::id>>();
+  scheduler->SetExecutionObserver([drainer](const Firing&, bool, Status) {
+    if (std::this_thread::get_id() != drainer->load()) {
+      throw std::runtime_error("observer");
+    }
+  });
+  Rule rule("r", "e", nullptr, [](const RuleContext&) {});
+  for (int i = 0; i < 3; ++i) scheduler->Enqueue(MakeFiring(&rule, 2));
+  auto drained = std::make_shared<std::promise<void>>();
+  std::future<void> finished = drained->get_future();
+  RuleScheduler* raw = scheduler.get();
+  std::thread helper([raw, drainer, drained] {
+    drainer->store(std::this_thread::get_id());
+    raw->Drain();
+    drained->set_value();
+  });
+  if (finished.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    // Leave the stuck thread and the scheduler it blocks in behind.
+    helper.detach();
+    (void)scheduler.release();
+    FAIL() << "Drain did not return after a pool member threw";
+  }
+  helper.join();
+  EXPECT_EQ(scheduler->executed_count(), 3u);
+  EXPECT_EQ(nested_.active_count(), 0u);
+}
+
+TEST_F(SchedulerTest, WarmCheapClassRunsInOrderOnCallingThread) {
+  RuleScheduler scheduler(
+      &nested_, nullptr,
+      RuleScheduler::Options{SchedulingPolicy::kPriorityClasses, 4});
+  // The rules do no work, so once known they are cheaper than any
+  // hand-off; the observer records where each one ran.
+  std::mutex mu;
+  std::vector<std::string> order;
+  std::vector<std::thread::id> ran_on;
+  scheduler.SetExecutionObserver([&](const Firing& f, bool, Status) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(f.rule->name());
+    ran_on.push_back(std::this_thread::get_id());
+  });
+  Rule a("a", "e", nullptr, nullptr);
+  Rule b("b", "e", nullptr, nullptr);
+  Rule c("c", "e", nullptr, nullptr);
+  auto fire = [&] {
+    for (Rule* rule : {&a, &b, &c}) scheduler.Enqueue(MakeFiring(rule, 2));
+    scheduler.Drain();
+  };
+  fire();  // warm-up: every rule is unknown, so two members go to the pool
+  order.clear();
+  ran_on.clear();
+  fire();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c"}));
+  ASSERT_EQ(ran_on.size(), 3u);
+  EXPECT_EQ(std::count(ran_on.begin(), ran_on.end(),
+                       std::this_thread::get_id()),
+            3);
+  EXPECT_EQ(scheduler.executed_count(), 6u);
+}
+
+TEST_F(SchedulerTest, RuleThatTurnsSlowIsSpilledFromItsNextFiring) {
+  RuleScheduler scheduler(
+      &nested_, nullptr,
+      RuleScheduler::Options{SchedulingPolicy::kPriorityClasses, 4});
+  std::atomic<bool> slow{false};
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  scheduler.SetExecutionObserver([&](const Firing&, bool, Status) {
+    std::lock_guard<std::mutex> lock(mu);
+    ran_on.push_back(std::this_thread::get_id());
+  });
+  auto action = [&slow](const RuleContext&) {
+    if (slow) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  // Three rules, so one preempted (and so slow-looking) warm-up execution
+  // cannot by itself send the class to the pool.
+  Rule r1("r1", "e", nullptr, action);
+  Rule r2("r2", "e", nullptr, action);
+  Rule r3("r3", "e", nullptr, action);
+  auto on_caller = [&] {
+    for (Rule* rule : {&r1, &r2, &r3}) {
+      scheduler.Enqueue(MakeFiring(rule, 2));
+    }
+    ran_on.clear();
+    scheduler.Drain();
+    EXPECT_EQ(ran_on.size(), 3u);
+    return std::count(ran_on.begin(), ran_on.end(),
+                      std::this_thread::get_id());
+  };
+  on_caller();  // warm-up
+  slow = true;
+  // Known cheap when the class starts: it runs here, and the rules' wall
+  // times now mark them slow.
+  EXPECT_EQ(on_caller(), 3);
+  EXPECT_EQ(on_caller(), 1);  // two of the three overlap on the pool
+}
+
+TEST_F(SchedulerTest, DrainInsideActionRunsOnlyWhatOutranksIt) {
+  // An action that triggers a nested rule and drains (as
+  // ActiveDatabase::Notify does) runs that rule before it resumes, but not
+  // a sibling of its own priority or a lower one.
+  std::mutex mu;
+  std::vector<std::string> order;
+  auto log = [&](const std::string& name) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(name);
+  };
+  Rule nested("nested", "e", nullptr,
+              [&](const RuleContext&) { log("nested"); });
+  Rule a("a", "e", nullptr, [&](const RuleContext&) {
+    log("a");
+    Firing f = MakeFiring(&nested, 0);
+    f.priority_path = RuleScheduler::CurrentFrame()->priority_path;
+    f.priority_path.push_back(1);
+    scheduler_.Enqueue(f);
+    scheduler_.Drain();
+    log("a resumed");
+  });
+  Rule b("b", "e", nullptr, [&](const RuleContext&) { log("b"); });
+  Rule c("c", "e", nullptr, [&](const RuleContext&) { log("c"); });
+  scheduler_.Enqueue(MakeFiring(&a, 5));
+  scheduler_.Enqueue(MakeFiring(&b, 5));
+  scheduler_.Enqueue(MakeFiring(&c, 1));
+  scheduler_.Drain();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "nested", "a resumed", "b",
+                                             "c"}));
+}
+
 TEST_F(SchedulerTest, SubtransactionsCleanedUpAfterDrain) {
   auto rule = std::make_unique<Rule>("r", "e", nullptr,
                                      [](const RuleContext&) {});
@@ -368,6 +506,48 @@ TEST_F(SchedulerTest, AbortTopContingencyDropsPendingFirings) {
   EXPECT_EQ(same_txn_ran, 0);
   EXPECT_EQ(other_txn_ran, 1);
   EXPECT_EQ(scheduler.failed_count(), 1u);
+  EXPECT_EQ(scheduler.abort_top_count(), 1u);
+  EXPECT_EQ(nested_.active_count(), 0u);
+}
+
+TEST_F(SchedulerTest, AbortTopDropsClassMembersNotYetStarted) {
+  RuleScheduler scheduler(
+      &nested_, nullptr,
+      RuleScheduler::Options{SchedulingPolicy::kPriorityClasses, 4,
+                             ContingencyPolicy::kAbortTop});
+  std::atomic<bool> armed{false};
+  Rule bomb("bomb", "e", nullptr, [&armed](const RuleContext&) {
+    if (armed) throw std::runtime_error("boom");
+  });
+  // The siblings do no work, so once known they are cheaper than any
+  // hand-off; the observer counts their executions.
+  Rule sibling("sibling", "e", nullptr, nullptr);
+  Rule other("other", "e", nullptr, nullptr);
+  std::atomic<int> sibling_ran{0};
+  std::atomic<int> other_ran{0};
+  scheduler.SetExecutionObserver([&](const Firing& f, bool, Status) {
+    if (f.rule == &sibling) ++sibling_ran;
+    if (f.rule == &other) ++other_ran;
+  });
+  // Warm-up: every rule executes once, so all are known and the class
+  // below runs on the calling thread in queue order.
+  for (Rule* rule : {&bomb, &sibling, &other}) {
+    scheduler.Enqueue(MakeFiring(rule, 3, /*txn=*/7));
+  }
+  scheduler.Drain();
+  ASSERT_EQ(sibling_ran, 1);
+  sibling_ran = 0;
+  other_ran = 0;
+  armed = true;
+  scheduler.Enqueue(MakeFiring(&bomb, 3, /*txn=*/7));
+  scheduler.Enqueue(MakeFiring(&sibling, 3, /*txn=*/7));
+  scheduler.Enqueue(MakeFiring(&other, 3, /*txn=*/8));
+  scheduler.Enqueue(MakeFiring(&sibling, 3, /*txn=*/7));
+  scheduler.Drain();
+  // The doomed transaction's members after the failure were dropped; the
+  // unrelated transaction's member still ran.
+  EXPECT_EQ(sibling_ran, 0);
+  EXPECT_EQ(other_ran, 1);
   EXPECT_EQ(scheduler.abort_top_count(), 1u);
   EXPECT_EQ(nested_.active_count(), 0u);
 }
