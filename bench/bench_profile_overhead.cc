@@ -36,8 +36,6 @@ void NotifyDeclaredNoRule(benchmark::State& state, bool profiling) {
   }
   state.SetItemsProcessed(state.iterations());
   base.Report(&db, &state);
-  state.counters["profile_samples"] =
-      static_cast<double>(db.profiler()->samples());
 }
 
 void NotifyWithImmediateRule(benchmark::State& state, bool profiling) {
@@ -56,8 +54,6 @@ void NotifyWithImmediateRule(benchmark::State& state, bool profiling) {
   }
   state.SetItemsProcessed(state.iterations());
   base.Report(&db, &state);
-  state.counters["profile_samples"] =
-      static_cast<double>(db.profiler()->samples());
 }
 
 void BM_ProfileNotifyDeclaredNoRuleOff(benchmark::State& state) {

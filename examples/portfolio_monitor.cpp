@@ -121,7 +121,7 @@ int main() {
 
   std::printf("\n-- debugger trace --\n%s", debugger.RenderTrace().c_str());
   std::printf("-- event graph (DOT) --\n%s",
-              sentinel::debug::RuleDebugger::EventGraphDot(&db).c_str());
+              db.detector()->DumpGraph().c_str());
   (void)db.Close();
   return 0;
 }

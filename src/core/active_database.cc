@@ -180,8 +180,7 @@ Status ActiveDatabase::Close() {
   StopMonitoring();
   AttachEventBusServer(nullptr);
   AttachRemoteGedClient(nullptr);
-  // Join the profiler's sampler before component teardown so it never walks
-  // a worker annotation mid-join. Accounts stay readable after Stop.
+  // Profiling ends with the session; accounts stay readable after Stop.
   profiler_.Stop();
   if (scheduler_ != nullptr) {
     scheduler_->Drain();
@@ -585,6 +584,7 @@ obs::MonitorSample ActiveDatabase::CollectMonitorSample() {
     const std::int64_t open = open_txn_gauge_.load(std::memory_order_relaxed);
     s.open_txns = open > 0 ? static_cast<std::uint64_t>(open) : 0;
   }
+  std::lock_guard<std::mutex> lock(net_mu_);
   if (event_bus_ != nullptr) {
     const net::EventBusServerStats net = event_bus_->stats();
     s.net_sessions = net.open_sessions;
@@ -598,12 +598,14 @@ obs::MonitorSample ActiveDatabase::CollectMonitorSample() {
 }
 
 void ActiveDatabase::AttachEventBusServer(net::EventBusServer* server) {
+  std::lock_guard<std::mutex> lock(net_mu_);
   if (event_bus_ != nullptr) event_bus_->set_span_tracer(nullptr);
   event_bus_ = server;
   if (server != nullptr) server->set_span_tracer(&span_tracer_);
 }
 
 void ActiveDatabase::AttachRemoteGedClient(net::RemoteGedClient* client) {
+  std::lock_guard<std::mutex> lock(net_mu_);
   if (remote_client_ != nullptr) remote_client_->set_span_tracer(nullptr);
   remote_client_ = client;
   if (client != nullptr) client->set_span_tracer(&span_tracer_);
@@ -896,8 +898,11 @@ std::string ActiveDatabase::PrometheusText() {
   }
 
   // Network plane: event-bus server (daemon side) and remote client.
-  if (event_bus_ != nullptr) event_bus_->WritePrometheus(p);
-  if (remote_client_ != nullptr) remote_client_->WritePrometheus(p);
+  {
+    std::lock_guard<std::mutex> lock(net_mu_);
+    if (event_bus_ != nullptr) event_bus_->WritePrometheus(p);
+    if (remote_client_ != nullptr) remote_client_->WritePrometheus(p);
+  }
 
   // Continuous profiling plane (sentinel_profile_* families; the mode,
   // duration and seam families are always present, per-account families

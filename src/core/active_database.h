@@ -2,6 +2,7 @@
 #define SENTINEL_CORE_ACTIVE_DATABASE_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/result.h"
@@ -216,9 +217,11 @@ class ActiveDatabase {
   /// Pass nullptr to detach. Detaching, attaching another server, Close()
   /// and the destructor call set_span_tracer(nullptr) on the attached one,
   /// so it must stay alive until then; Close() drops the attachment, so
-  /// attach again after reopening. Detaching stops new spans but does not
-  /// wait for one already begun: the server must be idle or stopped when
-  /// the database is destroyed.
+  /// attach again after reopening. A detach returns only after an
+  /// in-flight watchdog sample or /metrics scrape has finished with the
+  /// server, so the caller may destroy it then. Detaching stops new spans
+  /// but does not wait for one already begun: the server must be idle or
+  /// stopped when the database is destroyed.
   void AttachEventBusServer(net::EventBusServer* server);
   /// Same for a client: its counters join /metrics as sentinel_net_client_*
   /// and its Notify/push paths record + adopt distributed-trace spans.
@@ -244,8 +247,7 @@ class ActiveDatabase {
   obs::SpanTracer span_tracer_;
   obs::FlightRecorder flight_recorder_;
   // Like the tracers, the profiler precedes the components: nodes and
-  // storage components cache account/site pointers into it, and worker
-  // threads unregister from its sampler during component teardown.
+  // storage components cache account/site pointers into it.
   obs::Profiler profiler_;
   std::unique_ptr<oodb::Database> db_;
   std::unique_ptr<oodb::ObjectCache> cache_;
@@ -258,7 +260,10 @@ class ActiveDatabase {
   // server handlers read every component above.
   std::unique_ptr<obs::Watchdog> watchdog_;
   std::unique_ptr<obs::MonitorServer> monitor_;
-  // Network plane attachments (non-owning; see AttachEventBusServer).
+  // Network plane attachments (non-owning; see AttachEventBusServer). The
+  // watchdog thread and monitor handlers use them, so every read and write
+  // holds net_mu_ for as long as the pointer is used.
+  std::mutex net_mu_;
   net::EventBusServer* event_bus_ = nullptr;
   net::RemoteGedClient* remote_client_ = nullptr;
   // Open top-level transactions in detector-only mode, where no storage

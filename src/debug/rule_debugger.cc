@@ -4,8 +4,6 @@
 #include <set>
 #include <sstream>
 
-#include "detector/operator_nodes.h"
-
 namespace sentinel::debug {
 
 void RuleDebugger::Attach(core::ActiveDatabase* db) {
@@ -64,37 +62,6 @@ std::string RuleDebugger::RenderTrace() const {
           << " depth=" << entry.depth << "\n";
     }
   }
-  return out.str();
-}
-
-std::string RuleDebugger::EventGraphDot(core::ActiveDatabase* db) {
-  detector::LocalEventDetector* det = db->detector();
-  std::ostringstream out;
-  out << "digraph event_graph {\n  rankdir=BT;\n";
-  for (const std::string& name : det->EventNames()) {
-    auto node = det->Find(name);
-    if (!node.ok()) continue;
-    std::string label = name;
-    std::string shape = "box";
-    if (auto* op = dynamic_cast<detector::OperatorNode*>(*node)) {
-      label += "\\n" + std::string(OperatorKindToString(op->kind()));
-      shape = "ellipse";
-    } else if (dynamic_cast<detector::PrimitiveEventNode*>(*node) != nullptr) {
-      shape = "box";
-    }
-    out << "  \"" << name << "\" [shape=" << shape << ", label=\"" << label
-        << "\"];\n";
-    for (detector::EventNode* child : (*node)->Children()) {
-      if (child == nullptr) continue;
-      out << "  \"" << child->name() << "\" -> \"" << name << "\";\n";
-    }
-    if ((*node)->sink_count() > 0) {
-      out << "  \"" << name << "_rules\" [shape=note, label=\""
-          << (*node)->sink_count() << " subscriber(s)\"];\n";
-      out << "  \"" << name << "\" -> \"" << name << "_rules\";\n";
-    }
-  }
-  out << "}\n";
   return out.str();
 }
 

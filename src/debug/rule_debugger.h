@@ -14,10 +14,10 @@ namespace sentinel::debug {
 /// among events and rules and renders them for inspection —
 ///   - a chronological trace of signalled events and executed rules
 ///     (indented by nesting depth),
-///   - a DOT rendering of the event graph (primitive/operator nodes, child
-///     edges, rule subscriptions),
 ///   - a DOT rendering of the rule-interaction graph derived from the trace
 ///     (rule A's action raised an event that triggered rule B).
+/// The event graph's DOT rendering (nodes, child edges, subscriber counts)
+/// is LocalEventDetector::DumpGraph, which /graph and shell `dot` serve.
 class RuleDebugger {
  public:
   struct TraceEntry {
@@ -45,9 +45,6 @@ class RuleDebugger {
 
   /// Human-readable chronological trace.
   std::string RenderTrace() const;
-
-  /// Event graph of `db`'s detector in Graphviz DOT.
-  static std::string EventGraphDot(core::ActiveDatabase* db);
 
   /// Rule-interaction graph (from the recorded trace) in DOT.
   std::string RuleInteractionDot() const;

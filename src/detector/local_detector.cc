@@ -676,7 +676,8 @@ std::string LocalEventDetector::DumpGraph() const {
     const obs::NodeMetrics& m = node->metrics();
     out += "\\nrecv=" + std::to_string(m.received_total()) +
            " det=" + std::to_string(m.detected_total()) +
-           " buf=" + std::to_string(node->BufferedCount()) + "\"];\n";
+           " buf=" + std::to_string(node->BufferedCount()) +
+           "\\nsubscribers=" + std::to_string(node->sink_count()) + "\"];\n";
   }
   // Edges point child → parent (detections flow upward).
   for (const auto& [name, node] : nodes_) {

@@ -3,79 +3,12 @@
 #include <time.h>
 
 #include <algorithm>
-#include <chrono>
-#include <unordered_set>
 
 #include "obs/json.h"
 #include "obs/prometheus.h"
 #include "obs/span.h"
 
 namespace sentinel::obs {
-
-namespace {
-
-/// Sampling period. Odd (not a round millisecond) so the sampler does not
-/// phase-lock with millisecond-periodic workloads.
-constexpr std::chrono::microseconds kSampleInterval{997};
-
-/// Process-wide set of live profilers (leaked statics so thread-exit
-/// destructors may consult them at any time). EnsureThisThread registers
-/// arbitrary executing threads — including application threads that outlive
-/// the database — so the thread-exit unregistration must first check that
-/// the owning profiler still exists.
-std::mutex& AliveMutex() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-/// Keyed by process-unique uid, not address: a new profiler may reuse a
-/// destroyed one's address (two databases in turn on one stack frame).
-std::unordered_set<std::uint64_t>& AliveSet() {
-  static auto* set = new std::unordered_set<std::uint64_t>();
-  return *set;
-}
-
-std::uint64_t NextProfilerUid() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-void UnregisterIfAlive(Profiler* profiler, std::uint64_t uid,
-                       Profiler::ThreadAnnotations* annotations) {
-  // Holding the alive mutex across the unregister pins ~Profiler (which
-  // erases itself under the same mutex before tearing anything down), so the
-  // call below never races destruction.
-  std::lock_guard<std::mutex> lock(AliveMutex());
-  if (AliveSet().count(uid) != 0) profiler->UnregisterThread(annotations);
-}
-
-/// Thread-local registration handle for EnsureThisThread: unregisters at
-/// thread exit. One slot per thread: a worker belongs to one database at a
-/// time, and an application thread that drains rules for several databases
-/// in turn re-registers on each switch.
-struct ThreadRegistration {
-  Profiler* owner = nullptr;
-  std::uint64_t owner_uid = 0;
-  Profiler::ThreadAnnotations* annotations = nullptr;
-  ~ThreadRegistration() {
-    if (owner != nullptr) UnregisterIfAlive(owner, owner_uid, annotations);
-  }
-};
-thread_local ThreadRegistration t_registration;
-
-}  // namespace
-
-Profiler::Profiler() : uid_(NextProfilerUid()) {
-  std::lock_guard<std::mutex> lock(AliveMutex());
-  AliveSet().insert(uid_);
-}
-
-Profiler::~Profiler() {
-  {
-    std::lock_guard<std::mutex> lock(AliveMutex());
-    AliveSet().erase(uid_);
-  }
-  Stop();
-}
 
 std::uint64_t Profiler::ThreadCpuNs() {
 #if defined(CLOCK_THREAD_CPUTIME_ID)
@@ -105,7 +38,6 @@ void Profiler::Start() {
   if (mode_.load(std::memory_order_relaxed) == Mode::kOn) return;
   enabled_since_ns_.store(SpanTracer::NowNs(), std::memory_order_relaxed);
   mode_.store(Mode::kOn, std::memory_order_relaxed);
-  StartSamplerLocked();
 }
 
 void Profiler::Stop() {
@@ -115,7 +47,6 @@ void Profiler::Stop() {
   active_ns_.fetch_add(
       SpanTracer::NowNs() - enabled_since_ns_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
-  StopSamplerLocked();
 }
 
 std::uint64_t Profiler::duration_ns() const {
@@ -146,11 +77,6 @@ void Profiler::Reset() {
       site->wait_ns.Reset();
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(folded_mu_);
-    folded_.clear();
-  }
-  samples_.store(0, std::memory_order_relaxed);
   active_ns_.store(0, std::memory_order_relaxed);
   enabled_since_ns_.store(SpanTracer::NowNs(), std::memory_order_relaxed);
 }
@@ -164,12 +90,9 @@ Profiler::RuleAccount* Profiler::RuleAccountFor(const std::string& rule_name) {
     if (it != rules_.end()) return it->second.get();
   }
   std::unique_lock lock(rules_mu_);
-  auto [it, inserted] = rules_.try_emplace(rule_name);
-  if (inserted) {
-    it->second = std::make_unique<RuleAccount>();
-    it->second->frame = it->first.c_str();  // map keys never move
-  }
-  return it->second.get();
+  auto& slot = rules_[rule_name];
+  if (slot == nullptr) slot = std::make_unique<RuleAccount>();
+  return slot.get();
 }
 
 Profiler::CostCell* Profiler::NodeAccount(const std::string& node_name) {
@@ -239,117 +162,6 @@ std::vector<Profiler::ContentionSnapshot> Profiler::TopContended(
   return all;
 }
 
-// -- Feed 3: wall-clock sampling ---------------------------------------------
-
-Profiler::ThreadAnnotations* Profiler::RegisterThread(std::string name) {
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  thread_storage_.emplace_back();
-  ThreadAnnotations* thread = &thread_storage_.back();
-  thread->name_ = std::move(name);
-  active_threads_.push_back(thread);
-  return thread;
-}
-
-void Profiler::UnregisterThread(ThreadAnnotations* thread) {
-  if (thread == nullptr) return;
-  std::lock_guard<std::mutex> lock(threads_mu_);
-  thread->active_.store(false, std::memory_order_relaxed);
-  active_threads_.erase(
-      std::remove(active_threads_.begin(), active_threads_.end(), thread),
-      active_threads_.end());
-}
-
-Profiler::ThreadAnnotations* Profiler::EnsureThisThread(
-    const char* name_prefix) {
-  if (t_registration.owner_uid == uid_) return t_registration.annotations;
-  if (t_registration.owner != nullptr) {
-    UnregisterIfAlive(t_registration.owner, t_registration.owner_uid,
-                      t_registration.annotations);
-    t_registration.owner = nullptr;
-  }
-  std::string name;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    name = std::string(name_prefix) + "-" +
-           std::to_string(thread_storage_.size());
-  }
-  t_registration.annotations = RegisterThread(std::move(name));
-  t_registration.owner = this;
-  t_registration.owner_uid = uid_;
-  return t_registration.annotations;
-}
-
-void Profiler::StartSamplerLocked() {
-  {
-    std::lock_guard<std::mutex> lock(sampler_mu_);
-    if (sampler_running_) return;
-    sampler_stop_ = false;
-    sampler_running_ = true;
-  }
-  sampler_ = std::thread([this] { SamplerLoop(); });
-}
-
-void Profiler::StopSamplerLocked() {
-  {
-    std::lock_guard<std::mutex> lock(sampler_mu_);
-    if (!sampler_running_) return;
-    sampler_stop_ = true;
-  }
-  sampler_cv_.notify_all();
-  if (sampler_.joinable()) sampler_.join();
-  std::lock_guard<std::mutex> lock(sampler_mu_);
-  sampler_running_ = false;
-}
-
-void Profiler::SamplerLoop() {
-  std::unique_lock<std::mutex> lock(sampler_mu_);
-  while (!sampler_stop_) {
-    sampler_cv_.wait_for(lock, kSampleInterval,
-                         [this] { return sampler_stop_; });
-    if (sampler_stop_) break;
-    lock.unlock();
-    SampleOnce();
-    lock.lock();
-  }
-}
-
-void Profiler::SampleOnce() {
-  // Snapshot the registry under the lock, read the (atomic) stacks outside
-  // it: annotation storage lives until the profiler dies, so a concurrent
-  // unregister at worst yields one sample of an empty stack.
-  std::vector<ThreadAnnotations*> threads;
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    threads = active_threads_;
-  }
-  samples_.fetch_add(1, std::memory_order_relaxed);
-  for (ThreadAnnotations* thread : threads) {
-    const int depth = thread->depth_.load(std::memory_order_acquire);
-    if (depth <= 0) continue;
-    std::string key = thread->name_;
-    for (int i = 0; i < depth && i < kMaxAnnotationDepth; ++i) {
-      const char* frame = thread->frames_[i].load(std::memory_order_relaxed);
-      if (frame == nullptr) break;
-      key += ';';
-      key += frame;
-    }
-    std::lock_guard<std::mutex> lock(folded_mu_);
-    ++folded_[key];
-  }
-}
-
-std::string Profiler::FoldedStacks() const {
-  std::string out;
-  std::lock_guard<std::mutex> lock(folded_mu_);
-  for (const auto& [stack, count] : folded_) {
-    out += stack;
-    out += ' ';
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
-}
-
 // -- Snapshots & export ------------------------------------------------------
 
 std::vector<Profiler::RuleSnapshot> Profiler::RuleSnapshots() const {
@@ -410,7 +222,6 @@ std::string Profiler::ProfileJson() const {
   w.BeginObject();
   w.Field("mode", enabled() ? "on" : "off");
   w.Field("duration_ns", duration_ns());
-  w.Field("samples", samples());
 
   w.Key("rules").BeginArray();
   for (const RuleSnapshot& rule : RuleSnapshots()) {
@@ -456,15 +267,6 @@ std::string Profiler::ProfileJson() const {
   }
   w.EndArray();
 
-  w.Key("folded").BeginArray();
-  {
-    std::lock_guard<std::mutex> lock(folded_mu_);
-    for (const auto& [stack, count] : folded_) {
-      w.Value(stack + " " + std::to_string(count));
-    }
-  }
-  w.EndArray();
-
   w.EndObject();
   return w.Take();
 }
@@ -475,8 +277,6 @@ void Profiler::WritePrometheus(PromWriter& w) const {
   w.Gauge("sentinel_profile_duration_ns",
           "Cumulative nanoseconds profiling has been enabled", {},
           duration_ns());
-  w.Counter("sentinel_profile_samples_total",
-            "Wall-clock sampler ticks taken", {}, samples());
 
   const auto rules = RuleSnapshots();
   if (!rules.empty()) {

@@ -3,15 +3,12 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -22,7 +19,7 @@ class PromWriter;
 
 /// Continuous profiling plane (DESIGN.md §15). Opt-in (off by default) and
 /// always cheap when off: every feed is gated on one relaxed load of the
-/// mode, the same budget discipline as SpanTracer. Three feeds:
+/// mode, the same budget discipline as SpanTracer. Two feeds:
 ///
 ///   1. *Exact attribution* — the profiler is a sink of the span tracer
 ///      (SpanTracer::set_profiler): while it runs, the tracer's records of
@@ -35,9 +32,9 @@ class PromWriter;
 ///      lock manager and the WAL group-commit barrier report try-then-wait
 ///      accounting (acquisitions, contended acquisitions, summed wait-ns)
 ///      into named contention sites; TopContended() is the top-K table.
-///   3. *Wall-clock sampling* — a sampler thread walks registered worker
-///      annotation stacks at ~1kHz and accumulates collapsed-stack
-///      ("folded") lines consumable by standard flamegraph tooling.
+///
+/// The flame view is not a feed: SpanTracer::FoldedStacks() renders it from
+/// the span rings, which already hold each record's exact nesting and time.
 ///
 /// Accounts are never erased while the profiler lives (Reset zeroes counters
 /// in place), so cached account/site pointers held by nodes and storage
@@ -46,8 +43,7 @@ class Profiler {
  public:
   enum class Mode : std::uint8_t { kOff = 0, kOn = 1 };
 
-  Profiler();
-  ~Profiler();
+  Profiler() = default;
 
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
@@ -57,11 +53,11 @@ class Profiler {
     return mode_.load(std::memory_order_relaxed) == Mode::kOn;
   }
 
-  /// Enables all three feeds and starts the sampler thread. Idempotent.
+  /// Enables both feeds. Idempotent.
   void Start();
-  /// Disables the feeds and joins the sampler thread. Idempotent.
+  /// Disables the feeds. Idempotent.
   void Stop();
-  /// Zeroes every account, contention site and folded sample in place
+  /// Zeroes every account and contention site in place
   /// (pointers stay valid). Sharded-counter Reset races concurrent writers
   /// (see ShardedCounter::Reset); call while profiling is off or accept a
   /// benign undercount.
@@ -109,10 +105,9 @@ class Profiler {
 
   // -- Feed 1: exact attribution ---------------------------------------------
   // Fed by span-tracer records; pointers live as long as the profiler.
-  /// One rule's seam accounts, plus its name as a sampler frame.
+  /// One rule's seam accounts.
   struct RuleAccount {
     std::array<CostCell, kRuleSeams> seams;
-    const char* frame = nullptr;
   };
   RuleAccount* RuleAccountFor(const std::string& rule_name);
 
@@ -170,73 +165,6 @@ class Profiler {
   /// zero acquisitions are skipped.
   std::vector<ContentionSnapshot> TopContended(std::size_t k) const;
 
-  // -- Feed 3: wall-clock sampling -------------------------------------------
-
-  static constexpr int kMaxAnnotationDepth = 8;
-
-  /// One worker thread's annotation stack. Frames are pointers to strings
-  /// with static or profiler-owned storage, pushed/popped only by the
-  /// owning thread; the sampler reads them with acquire/relaxed loads. A
-  /// racing pop/push can make the sampler read a just-replaced frame — the
-  /// sample lands one frame off, which sampling tolerates by design.
-  class ThreadAnnotations {
-    friend class Profiler;
-    std::string name_;
-    std::array<std::atomic<const char*>, kMaxAnnotationDepth> frames_{};
-    std::atomic<int> depth_{0};
-    std::atomic<bool> active_{true};
-  };
-
-  /// Registers the calling worker with the sampler. The returned pointer is
-  /// valid until UnregisterThread (the storage lives until the profiler is
-  /// destroyed).
-  ThreadAnnotations* RegisterThread(std::string name);
-  void UnregisterThread(ThreadAnnotations* thread);
-
-  /// Thread-local get-or-register for worker loops that cannot know at spawn
-  /// time whether a profiler is attached. Unregisters automatically at
-  /// thread exit; the profiler must outlive the worker (it does: the
-  /// database destroys components — and joins their workers — before the
-  /// profiler).
-  ThreadAnnotations* EnsureThisThread(const char* name_prefix);
-
-  /// RAII annotation frame (span-tracer rule records push one while the
-  /// profiler runs). Inert until Push, and when the stack is full.
-  class AnnotationScope {
-   public:
-    AnnotationScope() = default;
-    ~AnnotationScope() { Pop(); }
-
-    void Push(ThreadAnnotations* thread, const char* frame) {
-      if (thread_ != nullptr || thread == nullptr) return;
-      const int depth = thread->depth_.load(std::memory_order_relaxed);
-      if (depth >= kMaxAnnotationDepth) return;
-      thread->frames_[depth].store(frame, std::memory_order_relaxed);
-      thread->depth_.store(depth + 1, std::memory_order_release);
-      thread_ = thread;
-    }
-    void Pop() {
-      if (thread_ == nullptr) return;
-      thread_->depth_.store(
-          thread_->depth_.load(std::memory_order_relaxed) - 1,
-          std::memory_order_release);
-      thread_ = nullptr;
-    }
-
-    AnnotationScope(const AnnotationScope&) = delete;
-    AnnotationScope& operator=(const AnnotationScope&) = delete;
-
-   private:
-    ThreadAnnotations* thread_ = nullptr;
-  };
-
-  /// Collapsed-stack lines ("thread;frame;frame count\n"), the input format
-  /// of standard flamegraph tooling.
-  std::string FoldedStacks() const;
-  std::uint64_t samples() const {
-    return samples_.load(std::memory_order_relaxed);
-  }
-
   // -- Snapshots & export ----------------------------------------------------
 
   struct RuleSnapshot {
@@ -276,11 +204,6 @@ class Profiler {
   static std::unique_lock<std::mutex> LockProfiled(ContentionSite* site,
                                                    std::mutex& mu);
 
-  void SamplerLoop();
-  void SampleOnce();
-  void StartSamplerLocked();
-  void StopSamplerLocked();
-
   std::atomic<Mode> mode_{Mode::kOff};
   std::mutex lifecycle_mu_;
   std::atomic<std::uint64_t> enabled_since_ns_{0};
@@ -296,22 +219,6 @@ class Profiler {
 
   mutable std::shared_mutex sites_mu_;
   std::map<std::string, std::unique_ptr<ContentionSite>> sites_;
-
-  const std::uint64_t uid_;  // identifies this profiler to thread registrations
-
-  mutable std::mutex threads_mu_;
-  std::deque<ThreadAnnotations> thread_storage_;
-  std::vector<ThreadAnnotations*> active_threads_;
-
-  mutable std::mutex folded_mu_;
-  std::map<std::string, std::uint64_t> folded_;
-  std::atomic<std::uint64_t> samples_{0};
-
-  std::mutex sampler_mu_;
-  std::condition_variable sampler_cv_;
-  bool sampler_stop_ = false;
-  bool sampler_running_ = false;
-  std::thread sampler_;
 };
 
 }  // namespace sentinel::obs

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -391,6 +392,58 @@ std::string SpanTracer::TxnTreeText(storage::TxnId txn) const {
   return out;
 }
 
+std::string SpanTracer::FoldedStacks() const {
+  const std::vector<Span> spans = Snapshot();
+  std::unordered_map<std::uint64_t, std::size_t> index;
+  for (std::size_t i = 0; i < spans.size(); ++i) index.emplace(spans[i].id, i);
+  // A frame hangs under its nearest in-ring ancestor whose interval holds
+  // it. A rule's parent link names the notify or composite_detect span that
+  // queued it, which has closed by the time the rule runs, so the rule's
+  // time belongs to whatever ran it: the txn, or the action whose nested
+  // Drain ran it. Parent ids precede their children's, so each walk ends.
+  constexpr std::size_t kRoot = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> up(spans.size(), kRoot);
+  std::vector<std::uint64_t> child_ns(spans.size(), 0);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const Span& span = spans[i];
+    for (auto it = index.find(span.parent); it != index.end();
+         it = index.find(spans[it->second].parent)) {
+      const Span& outer = spans[it->second];
+      if (outer.start_ns <= span.start_ns && span.end_ns <= outer.end_ns) {
+        up[i] = it->second;
+        child_ns[it->second] += span.end_ns - span.start_ns;
+        break;
+      }
+    }
+  }
+  std::map<std::string, std::uint64_t> folded;
+  std::vector<std::size_t> path;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    path.clear();
+    for (std::size_t j = i; j != kRoot; j = up[j]) path.push_back(j);
+    std::string stack;
+    for (auto it = path.rbegin(); it != path.rend(); ++it) {
+      const Span& frame = spans[*it];
+      if (!stack.empty()) stack += ';';
+      stack += SpanKindToString(frame.kind);
+      if (frame.name != nullptr) {
+        stack += ':';
+        stack += *frame.name;
+      }
+    }
+    const std::uint64_t wall = spans[i].end_ns - spans[i].start_ns;
+    folded[stack] += wall > child_ns[i] ? wall - child_ns[i] : 0;
+  }
+  std::string out;
+  for (const auto& [stack, ns] : folded) {
+    out += stack;
+    out += ' ';
+    out += std::to_string(ns);
+    out += '\n';
+  }
+  return out;
+}
+
 std::string SpanTracer::ChromeTraceJson(const ExportMeta& meta) const {
   std::vector<Span> spans = SnapshotWithOpenTxns();
 
@@ -484,8 +537,6 @@ bool SpanScope::OpenRecord(SpanTracer* tracer, SpanKind kind,
   cpu_mark_ = 0;
   commit_start_ns_ = 0;
   if (profiled) {
-    // The profiler's account for this kind; rule records also push the
-    // sampler frame the wall-clock feed attributes their time to.
     Profiler* profiler = tracer->profiler();
     switch (kind) {
       case SpanKind::kCompositeDetect:
@@ -505,20 +556,15 @@ bool SpanScope::OpenRecord(SpanTracer* tracer, SpanKind kind,
                 : nullptr;
         Profiler::RuleAccount* rule =
             firing != nullptr ? firing->rule_ : profiler->RuleAccountFor(**name);
-        Profiler::ThreadAnnotations* thread =
-            profiler->EnsureThisThread("rule-exec");
         if (kind == SpanKind::kSubTxn) {
           rule_ = rule;
           rule_name_ = name->get();
           outer_firing_ = std::exchange(g_open_firing, this);
-          frame_.Push(thread, rule->frame);
         } else {
           firing_ = firing;
-          const bool condition = kind == SpanKind::kCondition;
           account_ = &rule->seams[static_cast<int>(
-              condition ? Profiler::RuleSeam::kCondition
-                        : Profiler::RuleSeam::kAction)];
-          frame_.Push(thread, condition ? "condition" : "action");
+              kind == SpanKind::kCondition ? Profiler::RuleSeam::kCondition
+                                           : Profiler::RuleSeam::kAction)];
         }
         break;
     }
@@ -554,7 +600,6 @@ std::uint64_t SpanScope::Close(std::uint64_t end_ns) {
           cpu - cpu_mark_, end - commit_start_ns_);
     }
   }
-  frame_.Pop();
   if (rule_ != nullptr) g_open_firing = outer_firing_;
   if (tracer_ == nullptr) return wall;
   if (pushed_) PopScope(tracer_->uid_, span_.id);

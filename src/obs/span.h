@@ -57,8 +57,8 @@ constexpr std::uint32_t kFlightKinds =
     KindBit(SpanKind::kLockWait) | KindBit(SpanKind::kWalFsync) |
     KindBit(SpanKind::kPageRead) | KindBit(SpanKind::kGedForward);
 /// Kinds with a profiler account: operator-node evaluation, the rule seams
-/// (a subtxn record carries the commit seam and the rule's sampler frame),
-/// the commit barrier and GED forwarding.
+/// (a subtxn record carries the commit seam), the commit barrier and GED
+/// forwarding.
 constexpr std::uint32_t kProfiledKinds =
     KindBit(SpanKind::kCompositeDetect) | KindBit(SpanKind::kCondition) |
     KindBit(SpanKind::kAction) | KindBit(SpanKind::kSubTxn) |
@@ -201,6 +201,16 @@ class SpanTracer {
   /// depth, giving kind, label and (for subtxn spans) outcome. Spans hang
   /// under their parents whatever their own txn, so storage leaves show too.
   std::string TxnTreeText(storage::TxnId txn) const;
+
+  /// The flame view: the rings' spans as collapsed-stack lines
+  /// ("txn;subtxn:r;action:r <ns>\n"), the input of flamegraph.pl. A frame is
+  /// the span's kind, with ":<rule>" for rule spans; per-instance labels are
+  /// dropped so stacks aggregate across transactions. A span's frame hangs
+  /// under its nearest in-ring ancestor whose interval contains it, and a
+  /// span with no such ancestor roots its own path. A line's weight is the
+  /// summed self wall time of the spans on that path: wall minus that of
+  /// the spans hung under it, clamped at 0.
+  std::string FoldedStacks() const;
 
   /// Per-process metadata stamped into the export's top-level `otherData`
   /// object so tools/merge_traces.py can place several process exports on
@@ -377,7 +387,6 @@ class SpanScope {
   SpanScope* outer_firing_ = nullptr;
   std::uint64_t cpu_mark_ = 0;
   SpanScope* firing_ = nullptr;  // condition/action: their subtxn record
-  Profiler::AnnotationScope frame_;  // rule records: sampler frame
   std::uint64_t cpu0_ = 0;
   std::uint64_t commit_start_ns_ = 0;
   bool open_ = false;

@@ -130,12 +130,6 @@ void RuleScheduler::PopBatch(std::vector<Firing>* batch) {
     return;
   }
   const SchedulingPolicy policy = this->policy();
-  if (policy == SchedulingPolicy::kConcurrent) {
-    for (Firing& f : pending_) batch->push_back(std::move(f));
-    pending_.clear();
-    pending_count_.store(0, std::memory_order_release);
-    return;
-  }
   // kSerial takes that firing; kPriorityClasses takes every firing sharing
   // its path, in queue order. The rest close up in place.
   batch->push_back(std::move(pending_[best]));

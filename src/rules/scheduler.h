@@ -21,14 +21,11 @@ namespace sentinel::rules {
 
 /// How triggered rules are ordered (paper §2.2 "Rule scheduling"):
 ///   kSerial           — strict prioritized serial execution.
-///   kConcurrent       — all queued firings form one class, whatever
-///                       their priority.
 ///   kPriorityClasses  — global order among priority classes; members of
 ///                       a class may run concurrently (the paper's
 ///                       combination; Drain says when they do).
 enum class SchedulingPolicy : std::uint8_t {
   kSerial = 0,
-  kConcurrent = 1,
   kPriorityClasses = 2,
 };
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "core/active_database.h"
 #include "ged/global_detector.h"
@@ -138,7 +140,6 @@ constexpr Family kGolden[] = {
     {"sentinel_net_client_e2e_action_ns", "histogram", ""},
     {"sentinel_profile_mode", "gauge", ""},
     {"sentinel_profile_duration_ns", "gauge", ""},
-    {"sentinel_profile_samples_total", "counter", ""},
     {"sentinel_profile_rule_invocations_total", "counter", "rule,seam"},
     {"sentinel_profile_rule_cpu_ns_total", "counter", "rule,seam"},
     {"sentinel_profile_rule_wall_ns_total", "counter", "rule,seam"},
@@ -400,6 +401,33 @@ TEST(ObsNetDetachTest, DetachedServerAndClientStopRecording) {
   RoundTrip(client, server, counter);
   client.Stop();
   server.Stop();
+}
+
+// The watchdog thread and /metrics scrapes read the attached server. A
+// detach waits for a sample or scrape in flight, so the caller may destroy
+// the server as soon as the detach returns (TSan checks the hand-over).
+TEST(ObsNetDetachTest, DetachWhileMonitoringThenDestroyIsSafe) {
+  core::ActiveDatabase db;
+  ASSERT_TRUE(db.OpenInMemory().ok());
+  obs::Watchdog::Options watchdog;
+  watchdog.interval = std::chrono::milliseconds(1);
+  ASSERT_TRUE(db.StartMonitoring(-1, watchdog).ok());
+  std::atomic<bool> stop{false};
+  std::thread scraper([&] {
+    while (!stop.load()) (void)db.PrometheusText();
+  });
+  ged::GlobalEventDetector ged;
+  for (int i = 0; i < 100; ++i) {
+    auto server = std::make_unique<net::EventBusServer>(&ged);
+    db.AttachEventBusServer(server.get());
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    db.AttachEventBusServer(nullptr);
+    server.reset();
+  }
+  stop = true;
+  scraper.join();
+  db.StopMonitoring();
+  ASSERT_TRUE(db.Close().ok());
 }
 
 }  // namespace

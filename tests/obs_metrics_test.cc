@@ -172,8 +172,9 @@ TEST(ObsSchedulerTest, PolicySettersRaceWithReaders) {
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     for (int i = 0; i < 2000; ++i) {
-      scheduler.set_policy(i % 2 == 0 ? rules::SchedulingPolicy::kSerial
-                                      : rules::SchedulingPolicy::kConcurrent);
+      scheduler.set_policy(i % 2 == 0
+                               ? rules::SchedulingPolicy::kSerial
+                               : rules::SchedulingPolicy::kPriorityClasses);
       scheduler.set_contingency(i % 2 == 0
                                     ? rules::ContingencyPolicy::kSkipRule
                                     : rules::ContingencyPolicy::kAbortTop);

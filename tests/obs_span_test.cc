@@ -12,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -812,6 +813,70 @@ TEST(ObsSpanTest, RuleSpanLabelsOutliveDeletedRule) {
   check(db.span_tracer()->Snapshot());
   check_json(db.PostmortemJson("deleted", storage::kInvalidTxnId), "label");
   check_json(db.span_tracer()->ChromeTraceJson(), "name");
+  ASSERT_TRUE(db.Close().ok());
+}
+
+// The flame view is a view of the span rings: rule A's action raises rule
+// B's event, both run inline on this thread, and B's stack nests under A's
+// action. The weights are self wall-ns, so the lines under the transaction
+// add up to exactly its span's wall time. The profiler never starts.
+TEST(ObsSpanTest, FoldedStacksAreSpanSelfTimes) {
+  ActiveDatabase db;
+  ASSERT_TRUE(db.OpenInMemory().ok());
+  db.span_tracer()->set_mode(TraceMode::kFull);
+  ASSERT_TRUE(
+      db.DeclareEvent("ev_a", "Order", EventModifier::kEnd, "void a()").ok());
+  ASSERT_TRUE(
+      db.DeclareEvent("ev_b", "Order", EventModifier::kEnd, "void b()").ok());
+  ASSERT_TRUE(db.rule_manager()
+                  ->DefineRule("A", "ev_a", nullptr,
+                               [&db](const rules::RuleContext& ctx) {
+                                 db.NotifyMethod("Order", 1,
+                                                 EventModifier::kEnd,
+                                                 "void b()", nullptr, ctx.txn);
+                               })
+                  .ok());
+  ASSERT_TRUE(db.rule_manager()
+                  ->DefineRule("B", "ev_b", nullptr,
+                               [](const rules::RuleContext&) {})
+                  .ok());
+  auto txn = db.Begin();
+  ASSERT_TRUE(txn.ok());
+  db.NotifyMethod("Order", 1, EventModifier::kEnd, "void a()", nullptr, *txn);
+  ASSERT_TRUE(db.Commit(*txn).ok());
+  EXPECT_FALSE(db.profiler()->enabled());
+
+  const Span* txn_span = nullptr;
+  std::map<std::string, const Span*> subtxn;
+  const std::vector<Span> spans = db.span_tracer()->Snapshot();
+  for (const Span& span : spans) {
+    if (span.kind == SpanKind::kTxn && span.txn == *txn) txn_span = &span;
+    if (span.kind == SpanKind::kSubTxn) subtxn[span.label] = &span;
+  }
+  ASSERT_NE(txn_span, nullptr);
+  ASSERT_EQ(subtxn.count("A"), 1u);
+  ASSERT_EQ(subtxn.count("B"), 1u);
+  EXPECT_EQ(subtxn["A"]->tid, txn_span->tid);
+  EXPECT_EQ(subtxn["B"]->tid, txn_span->tid);
+
+  const std::string folded = db.span_tracer()->FoldedStacks();
+  std::istringstream lines(folded);
+  std::string line;
+  const std::regex b_under_a(
+      "txn;(.*;)?subtxn:A;action:A;(.*;)?subtxn:B;action:B");
+  bool nested = false;
+  std::uint64_t under_txn = 0;
+  while (std::getline(lines, line)) {
+    const std::size_t space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    const std::string stack = line.substr(0, space);
+    const std::uint64_t ns = std::stoull(line.substr(space + 1));
+    if (stack.rfind("txn;", 0) != 0 && stack != "txn") continue;
+    under_txn += ns;
+    nested = nested || std::regex_match(stack, b_under_a);
+  }
+  EXPECT_TRUE(nested) << folded;
+  EXPECT_EQ(under_txn, txn_span->end_ns - txn_span->start_ns) << folded;
   ASSERT_TRUE(db.Close().ok());
 }
 

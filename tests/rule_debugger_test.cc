@@ -78,6 +78,8 @@ TEST_F(RuleDebuggerTest, NestedTriggeringAppearsInInteractionGraph) {
   EXPECT_NE(dot.find("\"outer\" -> \"inner\""), std::string::npos) << dot;
 }
 
+// The event graph in DOT is the detector's own rendering (what /graph and
+// shell `dot` serve); the debugger's trace is read beside it.
 TEST_F(RuleDebuggerTest, EventGraphDotShowsStructure) {
   auto sell = db_.detector()->Find("sell");
   auto price = db_.detector()->Find("price");
@@ -86,12 +88,12 @@ TEST_F(RuleDebuggerTest, EventGraphDotShowsStructure) {
                   ->DefineRule("r", "pair", nullptr,
                                [](const rules::RuleContext&) {})
                   .ok());
-  std::string dot = RuleDebugger::EventGraphDot(&db_);
-  EXPECT_NE(dot.find("digraph event_graph"), std::string::npos);
+  std::string dot = db_.detector()->DumpGraph();
+  EXPECT_NE(dot.find("digraph events"), std::string::npos);
   EXPECT_NE(dot.find("\"sell\" -> \"pair\""), std::string::npos);
   EXPECT_NE(dot.find("\"price\" -> \"pair\""), std::string::npos);
   EXPECT_NE(dot.find("AND"), std::string::npos);
-  EXPECT_NE(dot.find("subscriber"), std::string::npos);
+  EXPECT_NE(dot.find("subscribers=1"), std::string::npos) << dot;
 }
 
 TEST_F(RuleDebuggerTest, ClearResetsTrace) {

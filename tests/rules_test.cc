@@ -388,18 +388,5 @@ TEST_F(RulesTest, DeleteRuleInsideActionDropsItsQueuedFirings) {
   EXPECT_EQ(scheduler_.pending_count(), 0u);
 }
 
-TEST_F(RulesTest, ConcurrentPolicyRunsAllRules) {
-  scheduler_.set_policy(SchedulingPolicy::kConcurrent);
-  std::atomic<int> actions{0};
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(manager_
-                    .DefineRule("r" + std::to_string(i), "e1", nullptr,
-                                [&](const RuleContext&) { ++actions; })
-                    .ok());
-  }
-  FireF();
-  EXPECT_EQ(actions, 8);
-}
-
 }  // namespace
 }  // namespace sentinel::rules

@@ -126,10 +126,13 @@ void PrintHelp() {
   metrics                  every pipeline counter, gauge and histogram as
                            Prometheus text (what /metrics serves)
   profile start|stop|reset continuous profiler control (cost attribution,
-                           contention sites, sampled stacks)
+                           contention sites)
   profile top              top rules by attributed cost + contended sites
-  profile export [file]    /profile JSON, or folded stacks to <file>
-                           (flamegraph.pl / inferno input)
+  profile export [file]    /profile JSON, or the span rings' folded stacks
+                           to <file> (flamegraph.pl / inferno input; weights
+                           are self wall-ns; the window is what the rings
+                           hold: 256 spans per thread in flight mode, 8192
+                           under `trace full`)
   trace                    span tracer mode and recorded/dropped counts
   trace <off|flight|full>  set the span tracer mode (flight keeps each
                            thread's last 256 spans, hot kinds skipped; full
@@ -532,13 +535,15 @@ int Run() {
           if (f == nullptr) {
             st = Status::IOError("cannot open " + words[2]);
           } else {
-            // Folded stacks, the input of flamegraph.pl / inferno.
-            const std::string folded = profiler->FoldedStacks();
+            // Folded stacks of the span rings (flamegraph.pl / inferno
+            // input), weighted by self wall-ns.
+            const std::string folded = shell.db.span_tracer()->FoldedStacks();
             std::fwrite(folded.data(), 1, folded.size(), f);
             std::fclose(f);
-            std::printf("folded stacks written to %s (%llu samples)\n",
+            std::printf("folded stacks written to %s (%zu stacks)\n",
                         words[2].c_str(),
-                        static_cast<unsigned long long>(profiler->samples()));
+                        static_cast<std::size_t>(std::count(
+                            folded.begin(), folded.end(), '\n')));
           }
         } else {
           std::printf("%s\n", profiler->ProfileJson().c_str());
