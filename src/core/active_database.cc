@@ -45,9 +45,7 @@ Status ActiveDatabase::OpenInMemory(const Options& options) {
 }
 
 Status ActiveDatabase::OpenCommon(const Options& options) {
-  // The tracer is every component's one instrumentation seam; its profiler
-  // sink is attached before any component receives it.
-  span_tracer_.set_profiler(&profiler_);
+  // The tracer is every component's one instrumentation seam.
   detector_ = std::make_unique<detector::LocalEventDetector>();
   detector_->set_span_tracer(&span_tracer_);
   if (db_ != nullptr) {
@@ -133,13 +131,6 @@ Status ActiveDatabase::OpenCommon(const Options& options) {
   });
   open_ = true;
 
-  // Operator opt-in profiling: SENTINEL_PROFILE=1 turns the continuous
-  // profiler on from the first event (the shell's `profile start` and
-  // Profiler::Start do the same at runtime).
-  if (const char* prof_env = std::getenv("SENTINEL_PROFILE")) {
-    if (prof_env[0] != '\0' && prof_env[0] != '0') profiler_.Start();
-  }
-
   // Operator opt-in monitoring: SENTINEL_MONITOR_PORT starts the watchdog
   // plus the HTTP endpoint (0 = ephemeral port, logged below); a bind
   // failure degrades to a warning — monitoring must never take the
@@ -180,8 +171,6 @@ Status ActiveDatabase::Close() {
   StopMonitoring();
   AttachEventBusServer(nullptr);
   AttachRemoteGedClient(nullptr);
-  // Profiling ends with the session; accounts stay readable after Stop.
-  profiler_.Stop();
   if (scheduler_ != nullptr) {
     scheduler_->Drain();
     scheduler_->WaitDetached();
@@ -476,9 +465,10 @@ Result<int> ActiveDatabase::StartMonitoring(
   watchdog_->set_postmortem_hook([this](const std::string& reason) {
     (void)DumpPostmortem("watchdog: " + reason);
   });
-  // On degrade, /healthz names the rule with the largest attributed cost —
+  // On degrade, /healthz names the rule with the largest measured cost —
   // the first suspect when the pipeline wedges under rule load.
-  watchdog_->set_detail_provider([this] { return profiler_.TopCostRule(); });
+  watchdog_->set_detail_provider(
+      [this] { return rule_manager_->TopCostRule(); });
   Status st = watchdog_->Start();
   if (!st.ok()) {
     watchdog_.reset();
@@ -509,12 +499,6 @@ Result<int> ActiveDatabase::StartMonitoring(
     obs::MonitorServer::Response r;
     r.content_type = "application/json";
     r.body = PostmortemJson("manual");
-    return r;
-  });
-  monitor_->Route("/profile", [this] {
-    obs::MonitorServer::Response r;
-    r.content_type = "application/json";
-    r.body = profiler_.ProfileJson();
     return r;
   });
   monitor_->Route("/healthz", [this] {
@@ -903,11 +887,6 @@ std::string ActiveDatabase::PrometheusText() {
     if (event_bus_ != nullptr) event_bus_->WritePrometheus(p);
     if (remote_client_ != nullptr) remote_client_->WritePrometheus(p);
   }
-
-  // Continuous profiling plane (sentinel_profile_* families; the mode,
-  // duration and seam families are always present, per-account families
-  // appear once the profiler has attributed cost).
-  profiler_.WritePrometheus(p);
   return p.Take();
 }
 

@@ -10,7 +10,6 @@
 #include "detector/local_detector.h"
 #include "obs/flight_recorder.h"
 #include "obs/monitor_server.h"
-#include "obs/profiler.h"
 #include "obs/span.h"
 #include "obs/watchdog.h"
 #include "oodb/database.h"
@@ -146,13 +145,6 @@ class ActiveDatabase {
   /// The postmortem's log ring and file writer.
   obs::FlightRecorder* flight_recorder() { return &flight_recorder_; }
 
-  /// Continuous profiling plane (off by default; Start() it, use the
-  /// shell's `profile start`, or set $SENTINEL_PROFILE=1). Wired into the
-  /// detector, scheduler, and — in persistent mode — the lock manager and
-  /// WAL on Open; /profile serves its JSON, /metrics its sentinel_profile_*
-  /// families. See DESIGN.md §15.
-  obs::Profiler* profiler() { return &profiler_; }
-
   /// Writes the buffered spans as Chrome trace-event JSON (loadable in
   /// ui.perfetto.dev / chrome://tracing): the per-thread rings, which in
   /// the default flight mode hold each thread's last 256 non-hot spans.
@@ -246,9 +238,6 @@ class ActiveDatabase {
   // outlive every component holding a pointer to them during teardown.
   obs::SpanTracer span_tracer_;
   obs::FlightRecorder flight_recorder_;
-  // Like the tracers, the profiler precedes the components: nodes and
-  // storage components cache account/site pointers into it.
-  obs::Profiler profiler_;
   std::unique_ptr<oodb::Database> db_;
   std::unique_ptr<oodb::ObjectCache> cache_;
   std::unique_ptr<detector::LocalEventDetector> detector_;

@@ -29,18 +29,6 @@ std::mutex& AssignBufferStripe() {
 EventNode::EventNode(std::string name)
     : name_(std::move(name)), buffer_mu_(AssignBufferStripe()) {}
 
-void EventNode::set_span_tracer(obs::SpanTracer* tracer) {
-  span_tracer_ = tracer;
-  // Only operator nodes evaluate anything or mutate buffers, so only they
-  // get a profiler account and a contention site.
-  obs::Profiler* profiler =
-      tracer != nullptr && composite_ ? tracer->profiler() : nullptr;
-  cost_ = profiler != nullptr ? profiler->NodeAccount(name_) : nullptr;
-  buffer_site_ = profiler != nullptr
-                     ? profiler->GetContentionSite("buffer:" + name_)
-                     : nullptr;
-}
-
 void EventNode::AddParent(EventNode* parent, int port) {
   // Insert keeping descending port order (stable for equal ports).
   auto it = std::find_if(
@@ -88,12 +76,12 @@ void EventNode::Emit(const Occurrence& occurrence, ParamContext context) {
   // Operator detections open a composite_detect record covering the whole
   // cascade, on every exit path: parent deliveries and sink firings below
   // happen inside it, so rule subtransactions parent into the detection
-  // that triggered them, and the node's profiler account measures it.
+  // that triggered them.
   obs::SpanScope detect_span;
   if (composite_ && span_tracer_ != nullptr &&
       span_tracer_->enabled_for(obs::SpanKind::kCompositeDetect) &&
       detect_span.Open(span_tracer_, obs::SpanKind::kCompositeDetect,
-                       occurrence.txn, nullptr, cost_)) {
+                       occurrence.txn)) {
     detect_span.set_label(name_);
   }
   // parents_ is kept sorted by descending port (AddParent), so higher ports

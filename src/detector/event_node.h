@@ -112,10 +112,8 @@ class EventNode {
 
   /// Attaches the span tracer (set by the owning detector under the
   /// exclusive graph lock; may be null). Operator nodes record a
-  /// composite_detect record around each Emit, and resolve their profiler
-  /// account and buffer contention site through it once here, so the Emit
-  /// and buffer-lock paths never touch an account map.
-  void set_span_tracer(obs::SpanTracer* tracer);
+  /// composite_detect record around each Emit.
+  void set_span_tracer(obs::SpanTracer* tracer) { span_tracer_ = tracer; }
 
  protected:
   /// Delivers a detection to all parents and sinks. The sink list is
@@ -127,14 +125,9 @@ class EventNode {
   /// This node's buffer lock (striped across nodes). Leaf lock only.
   std::mutex& buffer_mu() const { return buffer_mu_; }
 
-  /// Acquires the buffer lock with try-then-wait contention accounting when
-  /// the tracer's profiler is running (a plain lock otherwise). Operator
-  /// buffer mutations should lock through this instead of buffer_mu()
-  /// directly.
+  /// Acquires the buffer lock; operator buffer mutations lock through this.
   std::unique_lock<std::mutex> LockBuffer() const {
-    return obs::Profiler::LockContended(
-        buffer_site_ != nullptr ? span_tracer_->profiler() : nullptr,
-        buffer_site_, buffer_mu_);
+    return std::unique_lock<std::mutex>(buffer_mu_);
   }
 
   /// Operator-node constructors call this once; Emit then wraps deliveries
@@ -159,8 +152,6 @@ class EventNode {
   std::mutex& buffer_mu_;
   mutable obs::NodeMetrics metrics_;
   obs::SpanTracer* span_tracer_ = nullptr;
-  obs::Profiler::CostCell* cost_ = nullptr;            // operator eval account
-  obs::Profiler::ContentionSite* buffer_site_ = nullptr;
   bool composite_ = false;
 };
 

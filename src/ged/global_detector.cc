@@ -227,13 +227,12 @@ void GlobalEventDetector::Forward(const std::string& app_name,
   // order (the paper defers distributed timestamping to future work).
   occ.class_name = Namespaced(app_name, occ.class_name);
   occ.at = graph_.clock()->Tick();
-  // One ged_forward record covers the injection: a ring span, and the
-  // profiler's ged_forward account while it runs.
+  // One ged_forward record covers the injection.
   obs::SpanScope forward_span;
   if (obs::SpanTracer* st = graph_.span_tracer();
       st != nullptr && st->enabled_for(obs::SpanKind::kGedForward) &&
       forward_span.Open(st, obs::SpanKind::kGedForward, occ.txn, nullptr,
-                        nullptr, /*parent_override=*/occ.trace_parent)) {
+                        /*parent_override=*/occ.trace_parent)) {
     // A remote occurrence carries its causal chain: trace_parent is the
     // latest upstream span (the server's admission-wait span — same
     // process, so it pins the local parent directly), trace_id marks the

@@ -132,8 +132,7 @@ class GlobalEventDetector {
 
   /// Attaches the span tracer: a ged_forward record around each injection
   /// into the global graph (and the graph's own nodes record
-  /// composite_detect records). A tracer with a profiler (the database's)
-  /// also attributes forwards and node evaluation to it.
+  /// composite_detect records).
   void set_span_tracer(obs::SpanTracer* tracer);
 
  private:

@@ -112,6 +112,7 @@ class LatencyHistogram {
   }
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  std::uint64_t sum_ns() const { return sum_.load(std::memory_order_relaxed); }
 
   static int BucketOf(std::uint64_t ns) {
     const int b = std::bit_width(ns);  // 0 for ns==0

@@ -64,11 +64,6 @@ struct RingCacheEntry {
 };
 thread_local std::vector<RingCacheEntry> g_ring_cache;
 
-// Innermost profiled subtxn record open on this thread. Its firing's
-// condition and action records reuse its rule account instead of a lookup,
-// and their closing thread-CPU reading starts its commit seam.
-thread_local SpanScope* g_open_firing = nullptr;
-
 }  // namespace
 
 const char* SpanKindToString(SpanKind kind) {
@@ -429,6 +424,9 @@ std::string SpanTracer::FoldedStacks() const {
       if (frame.name != nullptr) {
         stack += ':';
         stack += *frame.name;
+      } else if (frame.kind == SpanKind::kCompositeDetect) {
+        stack += ':';
+        stack += frame.label;
       }
     }
     const std::uint64_t wall = spans[i].end_ns - spans[i].start_ns;
@@ -503,8 +501,7 @@ Status SpanTracer::ExportChromeTrace(const std::string& path,
 void SpanScope::Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
                       std::string label, std::uint64_t subtxn,
                       std::uint64_t parent_override) {
-  if (OpenRecord(tracer, kind, txn, subtxn, parent_override, nullptr, nullptr,
-                 nullptr)) {
+  if (OpenRecord(tracer, kind, txn, subtxn, parent_override, nullptr)) {
     span_.label = std::move(label);
   }
 }
@@ -513,8 +510,7 @@ void SpanScope::Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
                       const std::shared_ptr<const std::string>& name,
                       std::uint64_t subtxn, std::uint64_t parent_override,
                       LatencyHistogram* histogram) {
-  if (OpenRecord(tracer, kind, txn, subtxn, parent_override, histogram,
-                 nullptr, &name)) {
+  if (OpenRecord(tracer, kind, txn, subtxn, parent_override, histogram)) {
     span_.name = name;
   }
 }
@@ -522,53 +518,12 @@ void SpanScope::Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
 bool SpanScope::OpenRecord(SpanTracer* tracer, SpanKind kind,
                            storage::TxnId txn, std::uint64_t subtxn,
                            std::uint64_t parent_override,
-                           LatencyHistogram* histogram,
-                           Profiler::CostCell* account,
-                           const std::shared_ptr<const std::string>* name) {
+                           LatencyHistogram* histogram) {
   if (open_) return false;
-  const bool ring = tracer != nullptr && tracer->ring_wants(kind);
-  const bool profiled = tracer != nullptr && tracer->profiler_wants(kind);
-  if (!ring && !profiled && histogram == nullptr) return false;
+  const bool ring = tracer != nullptr && tracer->enabled_for(kind);
+  if (!ring && histogram == nullptr) return false;
   open_ = true;
   histogram_ = histogram;
-  account_ = nullptr;
-  rule_ = nullptr;
-  firing_ = nullptr;
-  cpu_mark_ = 0;
-  commit_start_ns_ = 0;
-  if (profiled) {
-    Profiler* profiler = tracer->profiler();
-    switch (kind) {
-      case SpanKind::kCompositeDetect:
-        account_ = account;
-        break;
-      case SpanKind::kWalFsync:
-        account_ = profiler->GlobalAccount(Profiler::GlobalSeam::kCommitBarrier);
-        break;
-      case SpanKind::kGedForward:
-        account_ = profiler->GlobalAccount(Profiler::GlobalSeam::kGedForward);
-        break;
-      default:  // the rule seams
-        if (name == nullptr || *name == nullptr) break;
-        SpanScope* const firing =
-            g_open_firing != nullptr && g_open_firing->rule_name_ == name->get()
-                ? g_open_firing
-                : nullptr;
-        Profiler::RuleAccount* rule =
-            firing != nullptr ? firing->rule_ : profiler->RuleAccountFor(**name);
-        if (kind == SpanKind::kSubTxn) {
-          rule_ = rule;
-          rule_name_ = name->get();
-          outer_firing_ = std::exchange(g_open_firing, this);
-        } else {
-          firing_ = firing;
-          account_ = &rule->seams[static_cast<int>(
-              kind == SpanKind::kCondition ? Profiler::RuleSeam::kCondition
-                                           : Profiler::RuleSeam::kAction)];
-        }
-        break;
-    }
-  }
   if (ring) {
     tracer_ = tracer;
     span_.id = tracer->NextSpanId();
@@ -581,7 +536,6 @@ bool SpanScope::OpenRecord(SpanTracer* tracer, SpanKind kind,
     span_.tid = ThisThreadId();
     pushed_ = PushScope(tracer->uid_, span_.id);
   }
-  cpu0_ = account_ != nullptr ? Profiler::ThreadCpuNs() : 0;
   span_.start_ns = SpanTracer::NowNs();
   return ring;
 }
@@ -591,16 +545,6 @@ std::uint64_t SpanScope::Close(std::uint64_t end_ns) {
   const std::uint64_t end = end_ns != 0 ? end_ns : SpanTracer::NowNs();
   const std::uint64_t wall = end - span_.start_ns;
   if (histogram_ != nullptr) histogram_->Record(wall);
-  if (account_ != nullptr || commit_start_ns_ != 0) {
-    const std::uint64_t cpu = Profiler::ThreadCpuNs();
-    if (account_ != nullptr) account_->Record(cpu - cpu0_, wall);
-    if (firing_ != nullptr) firing_->cpu_mark_ = cpu;
-    if (commit_start_ns_ != 0) {
-      rule_->seams[static_cast<int>(Profiler::RuleSeam::kCommit)].Record(
-          cpu - cpu_mark_, end - commit_start_ns_);
-    }
-  }
-  if (rule_ != nullptr) g_open_firing = outer_firing_;
   if (tracer_ == nullptr) return wall;
   if (pushed_) PopScope(tracer_->uid_, span_.id);
   span_.end_ns = end;

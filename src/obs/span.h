@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/profiler.h"
+#include "obs/metrics.h"
 #include "storage/log_record.h"
 
 namespace sentinel::obs {
@@ -56,13 +56,6 @@ constexpr std::uint32_t kFlightKinds =
     KindBit(SpanKind::kAction) | KindBit(SpanKind::kSubTxn) |
     KindBit(SpanKind::kLockWait) | KindBit(SpanKind::kWalFsync) |
     KindBit(SpanKind::kPageRead) | KindBit(SpanKind::kGedForward);
-/// Kinds with a profiler account: operator-node evaluation, the rule seams
-/// (a subtxn record carries the commit seam), the commit barrier and GED
-/// forwarding.
-constexpr std::uint32_t kProfiledKinds =
-    KindBit(SpanKind::kCompositeDetect) | KindBit(SpanKind::kCondition) |
-    KindBit(SpanKind::kAction) | KindBit(SpanKind::kSubTxn) |
-    KindBit(SpanKind::kWalFsync) | KindBit(SpanKind::kGedForward);
 
 /// Recording level. Both recording modes write the same per-thread rings.
 /// kFlightOnly (the default) skips the per-event hot kinds (notify,
@@ -155,28 +148,12 @@ class SpanTracer {
     mode_.store(mode, std::memory_order_relaxed);
   }
 
-  /// The instrumentation gate: true when a ring or the running profiler
-  /// wants `kind`. One relaxed load decides a kind the profiler never
-  /// measures; a second (the profiler's mode) decides the rest.
+  /// The instrumentation gate: true when a ring wants `kind`. One relaxed
+  /// load.
   bool enabled_for(SpanKind kind) const {
-    return ring_wants(kind) || profiler_wants(kind);
-  }
-  bool ring_wants(SpanKind kind) const {
     const TraceMode m = mode_.load(std::memory_order_relaxed);
     return m == TraceMode::kFull ||
            (m == TraceMode::kFlightOnly && (kFlightKinds & KindBit(kind)));
-  }
-  bool profiler_wants(SpanKind kind) const {
-    return (kProfiledKinds & KindBit(kind)) != 0 && profiling();
-  }
-
-  /// Makes `profiler` a sink of the records of the kinds it measures. Call
-  /// before the tracer is handed to any component: components resolve their
-  /// contention sites through profiler() when they receive the tracer.
-  void set_profiler(Profiler* profiler) { profiler_ = profiler; }
-  Profiler* profiler() const { return profiler_; }
-  bool profiling() const {
-    return profiler_ != nullptr && profiler_->enabled();
   }
 
   /// Transaction anchors: a txn span opens at Begin and closes at
@@ -204,12 +181,13 @@ class SpanTracer {
 
   /// The flame view: the rings' spans as collapsed-stack lines
   /// ("txn;subtxn:r;action:r <ns>\n"), the input of flamegraph.pl. A frame is
-  /// the span's kind, with ":<rule>" for rule spans; per-instance labels are
-  /// dropped so stacks aggregate across transactions. A span's frame hangs
-  /// under its nearest in-ring ancestor whose interval contains it, and a
-  /// span with no such ancestor roots its own path. A line's weight is the
-  /// summed self wall time of the spans on that path: wall minus that of
-  /// the spans hung under it, clamped at 0.
+  /// the span's kind, with ":<rule>" for rule spans and ":<node>" for
+  /// composite_detect spans; other per-instance labels (txn ids, lock keys,
+  /// page ids) are dropped so stacks aggregate across transactions. A
+  /// span's frame hangs under its nearest in-ring ancestor whose interval
+  /// contains it, and a span with no such ancestor roots its own path. A
+  /// line's weight is the summed self wall time of the spans on that path:
+  /// wall minus that of the spans hung under it, clamped at 0.
   std::string FoldedStacks() const;
 
   /// Per-process metadata stamped into the export's top-level `otherData`
@@ -250,8 +228,8 @@ class SpanTracer {
   /// triggered it before the firing migrates to a worker thread.
   static std::uint64_t CurrentSpanIdFor(const SpanTracer* tracer);
 
-  /// Steady-clock nanoseconds: the one clock every span, histogram and
-  /// profiler wall time is read from.
+  /// Steady-clock nanoseconds: the one clock every span and histogram wall
+  /// time is read from.
   static std::uint64_t NowNs() {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -286,7 +264,6 @@ class SpanTracer {
   const std::size_t ring_capacity_;
   const std::uint64_t uid_;  // validates thread-local ring/stack caches
   std::atomic<TraceMode> mode_{TraceMode::kFlightOnly};
-  Profiler* profiler_ = nullptr;  // set once, before the tracer is shared
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<std::uint64_t> dropped_{0};
@@ -300,12 +277,12 @@ class SpanTracer {
 
 /// RAII record at one instrumented site; default-constructed scopes are
 /// inert. Start() (or Open()) reads the steady clock once; End() (or
-/// destruction) reads it once more and feeds that wall time to every sink
-/// that wants the record's kind: the latency histogram named at Start (even
-/// without a tracer), the running profiler's account (with thread-CPU time),
-/// and this thread's ring. Only a record a ring wants takes a span id
-/// and a scope-stack entry, so ring spans never parent under records the
-/// rings did not keep. A record nothing wants reads no clock.
+/// destruction) reads it once more and feeds that wall time to its two
+/// sinks: the latency histogram named at Start (even without a tracer) and,
+/// when a ring wants the record's kind, this thread's ring. Only a record a
+/// ring wants takes a span id and a scope-stack entry, so ring spans never
+/// parent under records the rings did not keep. A record nothing wants
+/// reads no clock.
 class SpanScope {
  public:
   SpanScope() = default;
@@ -320,21 +297,17 @@ class SpanScope {
              std::string label, std::uint64_t subtxn = 0,
              std::uint64_t parent_override = 0);
   /// Rule record (subtxn, condition, action): holds `name` by reference
-  /// (the label is rendered at snapshot time) and keys the rule's profiler
-  /// account by it.
+  /// (the label is rendered at snapshot time).
   void Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
              const std::shared_ptr<const std::string>& name,
              std::uint64_t subtxn, std::uint64_t parent_override = 0,
              LatencyHistogram* histogram = nullptr);
   /// Record whose label costs something to build: returns true when a ring
-  /// wants it, and the caller then names it with set_label(). `account` is
-  /// the profiler account of a composite_detect record (its node's).
+  /// wants it, and the caller then names it with set_label().
   bool Open(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
             LatencyHistogram* histogram = nullptr,
-            Profiler::CostCell* account = nullptr,
             std::uint64_t parent_override = 0) {
-    return OpenRecord(tracer, kind, txn, 0, parent_override, histogram,
-                      account, nullptr);
+    return OpenRecord(tracer, kind, txn, 0, parent_override, histogram);
   }
   void set_label(std::string label) { span_.label = std::move(label); }
   void set_subtxn(std::uint64_t subtxn) { span_.subtxn = subtxn; }
@@ -343,16 +316,6 @@ class SpanScope {
   /// and returns the wall time it fed its sinks (0 when it was inert).
   std::uint64_t End(std::uint64_t end_ns = 0) {
     return open_ ? Close(end_ns) : 0;
-  }
-
-  /// Subtxn records: the subtransaction's commit began at `start_ns`, a
-  /// reading the caller took for its commit histogram. End() then records
-  /// the commit into the rule's profiler account as well; its CPU time
-  /// starts at the closing reading of the firing's condition or action.
-  void MarkCommit(std::uint64_t start_ns) {
-    if (rule_ == nullptr) return;
-    commit_start_ns_ = start_ns;
-    if (cpu_mark_ == 0) cpu_mark_ = Profiler::ThreadCpuNs();
   }
 
   /// Records how the span's subtransaction ended (ignored when inert).
@@ -374,21 +337,10 @@ class SpanScope {
   /// Shared part of every Start form; true when a ring wants the record.
   bool OpenRecord(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
                   std::uint64_t subtxn, std::uint64_t parent_override,
-                  LatencyHistogram* histogram, Profiler::CostCell* account,
-                  const std::shared_ptr<const std::string>* name);
+                  LatencyHistogram* histogram);
 
   SpanTracer* tracer_ = nullptr;  // set while a ring wants the record
   LatencyHistogram* histogram_ = nullptr;
-  Profiler::CostCell* account_ = nullptr;
-  // Subtxn records: the rule's account and name, the firing record this one
-  // hides, and the thread-CPU reading the commit seam starts at.
-  Profiler::RuleAccount* rule_ = nullptr;
-  const std::string* rule_name_ = nullptr;
-  SpanScope* outer_firing_ = nullptr;
-  std::uint64_t cpu_mark_ = 0;
-  SpanScope* firing_ = nullptr;  // condition/action: their subtxn record
-  std::uint64_t cpu0_ = 0;
-  std::uint64_t commit_start_ns_ = 0;
   bool open_ = false;
   bool pushed_ = false;
   Span span_;

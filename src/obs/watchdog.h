@@ -133,9 +133,9 @@ class Watchdog {
   void set_postmortem_hook(PostmortemHook hook);
 
   /// Optional cost-attribution provider consulted by HealthJson whenever the
-  /// state is not healthy: returns a short label (the profiler's top-cost
-  /// rule) reported as "top_cost_rule" in the /healthz detail. An empty
-  /// return omits the field.
+  /// state is not healthy: returns a short label (the top-cost rule, from
+  /// the rule histograms) reported as "top_cost_rule" in the /healthz
+  /// detail. An empty return omits the field.
   using DetailProvider = std::function<std::string()>;
   void set_detail_provider(DetailProvider provider);
 

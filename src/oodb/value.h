@@ -33,11 +33,19 @@ class Value {
  public:
   Value() : data_(std::monostate{}) {}
   static Value Null() { return Value(); }
-  static Value Bool(bool v) { return Value(Data(v)); }
-  static Value Int(std::int64_t v) { return Value(Data(v)); }
-  static Value Double(double v) { return Value(Data(v)); }
-  static Value String(std::string v) { return Value(Data(std::move(v))); }
-  static Value OfOid(Oid v) { return Value(Data(OidBox{v})); }
+  static Value Bool(bool v) { return Value(std::in_place_type<bool>, v); }
+  static Value Int(std::int64_t v) {
+    return Value(std::in_place_type<std::int64_t>, v);
+  }
+  static Value Double(double v) {
+    return Value(std::in_place_type<double>, v);
+  }
+  static Value String(std::string v) {
+    return Value(std::in_place_type<std::string>, std::move(v));
+  }
+  static Value OfOid(Oid v) {
+    return Value(std::in_place_type<OidBox>, OidBox{v});
+  }
 
   ValueType type() const;
   bool is_null() const { return type() == ValueType::kNull; }
@@ -66,7 +74,11 @@ class Value {
   };
   using Data =
       std::variant<std::monostate, bool, std::int64_t, double, std::string, OidBox>;
-  explicit Value(Data data) : data_(std::move(data)) {}
+  // Builds the alternative in place: moving a whole Data in would make
+  // GCC's -Wmaybe-uninitialized (under the sanitizer flags) read the
+  // string alternative of a variant that holds another one.
+  template <typename T>
+  Value(std::in_place_type_t<T> tag, T v) : data_(tag, std::move(v)) {}
 
   Data data_;
 };

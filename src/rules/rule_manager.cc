@@ -240,6 +240,22 @@ std::size_t RuleManager::rule_count() const {
   return rules_.size();
 }
 
+std::string RuleManager::TopCostRule() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::string* best = nullptr;
+  std::uint64_t best_ns = 0;
+  for (const auto& [name, rule] : rules_) {
+    const obs::RuleMetrics& m = rule->metrics();
+    const std::uint64_t ns =
+        m.condition_ns.sum_ns() + m.action_ns.sum_ns() + m.commit_ns.sum_ns();
+    if (ns > best_ns) {
+      best_ns = ns;
+      best = &name;
+    }
+  }
+  return best != nullptr ? *best : std::string();
+}
+
 void RuleManager::JoinGroup(const std::string& member,
                             const std::string& group) {
   std::lock_guard<std::mutex> lock(mu_);

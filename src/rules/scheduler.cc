@@ -278,8 +278,8 @@ bool RuleScheduler::Execute(Firing firing) {
   // a different thread, so the per-thread scope stack cannot supply it).
   // The record stays open across commit/abort below so the span covers the
   // whole subtransaction; condition/action records nest inside it via this
-  // thread's scope stack, each feeding the rule's histogram and profiler
-  // account from one wall reading.
+  // thread's scope stack, each feeding the rule's histogram from one wall
+  // reading.
   obs::SpanScope subtxn_span;
   subtxn_span.Start(span_tracer, obs::SpanKind::kSubTxn, firing.txn,
                     rule->shared_name(), sub, firing.trigger_span);
@@ -353,7 +353,6 @@ bool RuleScheduler::Execute(Firing firing) {
     rule->metrics().lock_wait_ns.Record(nested_->LockWaitNs(sub));
     if (failure.ok()) {
       const std::uint64_t t0 = obs::SpanTracer::NowNs();
-      subtxn_span.MarkCommit(t0);
       Status commit = nested_->Commit(sub);
       subtxn_end_ns = obs::SpanTracer::NowNs();
       rule->metrics().commit_ns.Record(subtxn_end_ns - t0);
@@ -377,8 +376,8 @@ bool RuleScheduler::Execute(Firing firing) {
     }
   }
   // The subtxn record closes with the commit/abort, at the reading taken
-  // for its histogram (and the profiler's commit seam), so a postmortem
-  // dumped by the contingency below sees the span.
+  // for its histogram, so a postmortem dumped by the contingency below sees
+  // the span.
   subtxn_span.End(subtxn_end_ns);
 
   bool doomed = false;

@@ -181,8 +181,8 @@ class RuleScheduler {
 
   /// Attaches the span tracer, the seam every firing is measured through:
   /// a subtxn record (with condition/action child records) parented under
-  /// its trigger_span, which also feeds the tracer's profiler while it runs.
-  /// Without a tracer the rule histograms are still recorded.
+  /// its trigger_span. Without a tracer the rule histograms are still
+  /// recorded.
   void set_span_tracer(obs::SpanTracer* tracer) {
     span_tracer_.store(tracer, std::memory_order_release);
   }

@@ -45,6 +45,16 @@ bool IsTriggerName(const std::string& n) {
   return n == "NOW" || n == "PREVIOUS";
 }
 
+std::unique_ptr<EventExpr> Binary(EventExpr::Kind kind,
+                                  std::unique_ptr<EventExpr> left,
+                                  std::unique_ptr<EventExpr> right) {
+  auto node = std::make_unique<EventExpr>();
+  node->kind = kind;
+  node->children.push_back(std::move(left));
+  node->children.push_back(std::move(right));
+  return node;
+}
+
 }  // namespace
 
 std::string EventExpr::ToString() const {
@@ -342,49 +352,37 @@ Result<std::unique_ptr<EventExpr>> Parser::ParseExpr() {
   return ParseOr();
 }
 
+// The binary-operator loops fold into a plain pointer and wrap it in a
+// Result once, on return: move-assigning a Result inside the loop makes
+// GCC's -Wmaybe-uninitialized (under the sanitizer flags) read the Status
+// alternative of a variant that holds the pointer.
 Result<std::unique_ptr<EventExpr>> Parser::ParseOr() {
-  auto left = ParseAnd();
-  if (!left.ok()) return left;
+  auto first = ParseAnd();
+  if (!first.ok()) return first;
+  std::unique_ptr<EventExpr> left = std::move(*first);
   while (lexer_.Peek().kind == TokenKind::kPipe) {
     lexer_.Next();
     auto right = ParseAnd();
     if (!right.ok()) return right;
-    auto node = std::make_unique<EventExpr>();
-    node->kind = EventExpr::Kind::kOr;
-    node->children.push_back(std::move(*left));
-    node->children.push_back(std::move(*right));
-    left = std::move(node);
+    left = Binary(EventExpr::Kind::kOr, std::move(left), std::move(*right));
   }
   return left;
 }
 
 Result<std::unique_ptr<EventExpr>> Parser::ParseAnd() {
-  auto left = ParsePrimary();
-  if (!left.ok()) return left;
+  auto first = ParsePrimary();
+  if (!first.ok()) return first;
+  std::unique_ptr<EventExpr> left = std::move(*first);
   for (;;) {
-    if (lexer_.Peek().kind == TokenKind::kCaret) {
-      lexer_.Next();
-      auto right = ParsePrimary();
-      if (!right.ok()) return right;
-      auto node = std::make_unique<EventExpr>();
-      node->kind = EventExpr::Kind::kAnd;
-      node->children.push_back(std::move(*left));
-      node->children.push_back(std::move(*right));
-      left = std::move(node);
-    } else if (lexer_.Peek().kind == TokenKind::kIdent &&
-               lexer_.Peek().text == "then") {
-      // 'then' spells SEQ without colliding with the ';' terminator.
-      lexer_.Next();
-      auto right = ParsePrimary();
-      if (!right.ok()) return right;
-      auto node = std::make_unique<EventExpr>();
-      node->kind = EventExpr::Kind::kSeq;
-      node->children.push_back(std::move(*left));
-      node->children.push_back(std::move(*right));
-      left = std::move(node);
-    } else {
-      return left;
-    }
+    // 'then' spells SEQ without colliding with the ';' terminator.
+    const bool seq = lexer_.Peek().kind == TokenKind::kIdent &&
+                     lexer_.Peek().text == "then";
+    if (!seq && lexer_.Peek().kind != TokenKind::kCaret) return left;
+    lexer_.Next();
+    auto right = ParsePrimary();
+    if (!right.ok()) return right;
+    left = Binary(seq ? EventExpr::Kind::kSeq : EventExpr::Kind::kAnd,
+                  std::move(left), std::move(*right));
   }
 }
 

@@ -59,10 +59,6 @@ bool LockManager::WouldDeadlockLocked(TxnId txn, const LockKey& key,
 
 Status LockManager::Acquire(TxnId txn, const LockKey& key, LockMode mode) {
   obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);
-  obs::Profiler::ContentionSite* site =
-      (st != nullptr && st->profiling())
-          ? site_.load(std::memory_order_relaxed)
-          : nullptr;
   std::unique_lock<std::mutex> lock(mu_);
   auto& state_ptr = table_[key];
   if (state_ptr == nullptr) state_ptr = std::make_unique<LockState>();
@@ -77,15 +73,10 @@ Status LockManager::Acquire(TxnId txn, const LockKey& key, LockMode mode) {
   }
 
   // The deadline is read from the clock only once the request has to wait.
-  // One lock_wait record times the wait for the span, the wait histogram
-  // and the contention site.
+  // One lock_wait record times the wait for the span and the wait histogram.
   std::chrono::steady_clock::time_point deadline;
   obs::SpanScope wait;
   bool waiting = false;
-  auto end_wait = [&] {
-    const std::uint64_t waited = wait.End();
-    if (site != nullptr) obs::Profiler::RecordSiteWait(site, waited);
-  };
   while (!CanGrantLocked(state, txn, mode)) {
     if (!waiting) {
       waiting = true;
@@ -97,7 +88,7 @@ Status LockManager::Acquire(TxnId txn, const LockKey& key, LockMode mode) {
     }
     if (WouldDeadlockLocked(txn, key, mode)) {
       deadlocks_.fetch_add(1, std::memory_order_relaxed);
-      end_wait();
+      wait.End();
       DeadlockHook hook = deadlock_hook_;
       lock.unlock();  // the hook snapshots this table; don't hold the latch
       if (hook) hook(txn, key);
@@ -110,13 +101,12 @@ Status LockManager::Acquire(TxnId txn, const LockKey& key, LockMode mode) {
     if (wait_status == std::cv_status::timeout &&
         !CanGrantLocked(state, txn, mode)) {
       timeouts_.fetch_add(1, std::memory_order_relaxed);
-      end_wait();
+      wait.End();
       return Status::LockTimeout("txn " + std::to_string(txn) +
                                  " timed out waiting for " + key);
     }
   }
-  if (waiting) end_wait();
-  if (site != nullptr) obs::Profiler::RecordSiteAcquire(site);
+  wait.End();
   state.holders[txn] = mode;
   return Status::OK();
 }

@@ -58,15 +58,8 @@ class LockManager {
   std::size_t locked_key_count() const;
 
   /// Attaches the span tracer: a blocking acquisition's lock_wait record
-  /// times the wait for the span and the wait histogram, and while the
-  /// tracer's profiler runs, acquisitions report into its "lock_manager"
-  /// contention site (reusing that reading: no extra clock reads).
+  /// times the wait for the span and the wait histogram.
   void set_span_tracer(obs::SpanTracer* tracer) {
-    obs::Profiler* profiler = tracer != nullptr ? tracer->profiler() : nullptr;
-    site_.store(profiler != nullptr
-                    ? profiler->GetContentionSite("lock_manager")
-                    : nullptr,
-                std::memory_order_relaxed);
     span_tracer_.store(tracer, std::memory_order_release);
   }
 
@@ -132,7 +125,6 @@ class LockManager {
   DeadlockHook deadlock_hook_;  // guarded by mu_
 
   std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
-  std::atomic<obs::Profiler::ContentionSite*> site_{nullptr};
   std::atomic<std::uint64_t> waits_{0};
   std::atomic<std::uint64_t> deadlocks_{0};
   std::atomic<std::uint64_t> timeouts_{0};

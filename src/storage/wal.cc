@@ -174,26 +174,10 @@ Status LogManager::WaitDurableLocked(std::unique_lock<std::mutex>& lock,
   // a concurrent commit's barrier absorbed us): skip the redundant fsync.
   if (lsn <= durable_lsn_.load(std::memory_order_relaxed)) return Status::OK();
   if (wedged_) return WedgedStatusLocked();
-  // Any caller reaching here blocks for a barrier: report the full wait
-  // window (lead or follow) into the "wal.barrier" contention site.
-  obs::SpanTracer* st = span_tracer_.load(std::memory_order_acquire);
-  obs::Profiler::ContentionSite* site =
-      (st != nullptr && st->profiling())
-          ? site_.load(std::memory_order_relaxed)
-          : nullptr;
-  const std::uint64_t wait_t0 =
-      site != nullptr ? obs::SpanTracer::NowNs() : 0;
-  auto record_wait = [&] {
-    if (site == nullptr) return;
-    obs::Profiler::RecordSiteAcquire(site);
-    obs::Profiler::RecordSiteWait(site, obs::SpanTracer::NowNs() - wait_t0);
-  };
   if (!group_thread_.joinable()) {
     // No group thread: run the barrier inline under the lock (the classic
     // one-fsync-per-commit path).
-    Status inline_status = BarrierLocked(lock, /*release_during_fsync=*/false);
-    record_wait();
-    return inline_status;
+    return BarrierLocked(lock, /*release_during_fsync=*/false);
   }
   group_commit_waits_.fetch_add(1, std::memory_order_relaxed);
   // Leader/follower group commit: the first committer to find no barrier in
@@ -204,7 +188,6 @@ Status LogManager::WaitDurableLocked(std::unique_lock<std::mutex>& lock,
   // commit appended while the previous fsync ran.
   for (;;) {
     if (durable_lsn_.load(std::memory_order_relaxed) >= lsn) {
-      record_wait();
       return Status::OK();
     }
     if (wedged_) return WedgedStatusLocked();
@@ -244,8 +227,8 @@ Status LogManager::BarrierLocked(std::unique_lock<std::mutex>& lock,
       return injected;
     }
   }
-  // One wal_fsync record times the barrier for the fsync histogram, the
-  // profiler's commit_barrier seam and the rings alike.
+  // One wal_fsync record times the barrier for the fsync histogram and the
+  // rings alike.
   obs::SpanScope fsync_span;
   if (fsync_span.Open(span_tracer_.load(std::memory_order_acquire),
                       obs::SpanKind::kWalFsync, kInvalidTxnId, &fsync_ns_)) {

@@ -166,13 +166,8 @@ class LogManager {
   const obs::LatencyHistogram& fsync_histogram() const { return fsync_ns_; }
 
   /// Attaches the span tracer: each fsync barrier is one wal_fsync record
-  /// (fsync histogram, profiler commit_barrier seam, rings); forced appends
-  /// that block for a barrier report into the "wal.barrier" site.
+  /// (fsync histogram, rings).
   void set_span_tracer(obs::SpanTracer* tracer) {
-    obs::Profiler* profiler = tracer != nullptr ? tracer->profiler() : nullptr;
-    site_.store(profiler != nullptr ? profiler->GetContentionSite("wal.barrier")
-                                    : nullptr,
-                std::memory_order_relaxed);
     span_tracer_.store(tracer, std::memory_order_release);
   }
 
@@ -222,7 +217,6 @@ class LogManager {
   std::atomic<std::uint64_t> group_commit_waits_{0};
   std::atomic<std::uint64_t> async_commits_{0};
   std::atomic<obs::SpanTracer*> span_tracer_{nullptr};
-  std::atomic<obs::Profiler::ContentionSite*> site_{nullptr};
   obs::LatencyHistogram fsync_ns_;
 };
 

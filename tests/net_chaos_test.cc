@@ -256,6 +256,29 @@ TEST_F(NetChaosTest, OverloadDegradesHealthzAndRecovers) {
   ASSERT_TRUE(server.Start(sopts).ok());
   db.AttachEventBusServer(&server);
 
+  // Two local rules run before the overload, one with a ~1 ms action: the
+  // degraded verdict names that one as the top-cost rule, read from the
+  // always-on rule histograms.
+  ASSERT_TRUE(db.detector()->DefineExplicit("fast_evt").ok());
+  ASSERT_TRUE(db.detector()->DefineExplicit("slow_evt").ok());
+  ASSERT_TRUE(db.rule_manager()
+                  ->DefineRule("r_fast", "fast_evt", nullptr,
+                               [](const rules::RuleContext&) {})
+                  .ok());
+  ASSERT_TRUE(db.rule_manager()
+                  ->DefineRule("r_slow", "slow_evt", nullptr,
+                               [](const rules::RuleContext&) {
+                                 std::this_thread::sleep_for(
+                                     std::chrono::milliseconds(1));
+                               })
+                  .ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(db.RaiseEvent("fast_evt", nullptr, storage::kInvalidTxnId)
+                    .ok());
+  }
+  ASSERT_TRUE(
+      db.RaiseEvent("slow_evt", nullptr, storage::kInvalidTxnId).ok());
+
   obs::Watchdog::Options wopts;
   wopts.interval = std::chrono::milliseconds(20);
   ASSERT_TRUE(db.StartMonitoring(/*port=*/-1, wopts).ok());
@@ -286,6 +309,9 @@ TEST_F(NetChaosTest, OverloadDegradesHealthzAndRecovers) {
   if (db.watchdog()->health() == obs::HealthState::kDegraded) {
     EXPECT_EQ(http_status, 503);
     EXPECT_NE(verdict.find("net_overload"), std::string::npos) << verdict;
+    EXPECT_NE(verdict.find("\"top_cost_rule\":\"r_slow\""),
+              std::string::npos)
+        << verdict;
   }
   EXPECT_TRUE(server.running()) << "overload must shed, never kill the daemon";
   EXPECT_GE(server.stats().sheds, 1u);

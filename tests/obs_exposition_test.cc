@@ -1,11 +1,11 @@
 // Golden test of the /metrics exposition, the one export of the pipeline's
 // counters. With a persistent database, a rule on a composite event, the
-// profiler, the monitor, an event-bus server and a remote client attached,
-// every family the exposition carried before it became the only export
-// keeps its name, # TYPE and label keys; the families that replaced the
-// JSON-only fields are present; no other family appears; and each family
-// has exactly one # HELP and one # TYPE header. Suite names start with Obs*
-// so the TSan CI job's --gtest_filter picks them up.
+// monitor, an event-bus server and a remote client attached, every family
+// the exposition carried before it became the only export keeps its name,
+// # TYPE and label keys; the families that replaced the JSON-only fields
+// are present; no other family appears; and each family has exactly one
+// # HELP and one # TYPE header. Suite names start with Obs* so the TSan CI
+// job's --gtest_filter picks them up.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -138,18 +138,6 @@ constexpr Family kGolden[] = {
     {"sentinel_net_client_rtt_us", "histogram", ""},
     {"sentinel_net_client_clock_offset_us", "gauge", ""},
     {"sentinel_net_client_e2e_action_ns", "histogram", ""},
-    {"sentinel_profile_mode", "gauge", ""},
-    {"sentinel_profile_duration_ns", "gauge", ""},
-    {"sentinel_profile_rule_invocations_total", "counter", "rule,seam"},
-    {"sentinel_profile_rule_cpu_ns_total", "counter", "rule,seam"},
-    {"sentinel_profile_rule_wall_ns_total", "counter", "rule,seam"},
-    {"sentinel_profile_node_invocations_total", "counter", "node"},
-    {"sentinel_profile_node_cpu_ns_total", "counter", "node"},
-    {"sentinel_profile_node_wall_ns_total", "counter", "node"},
-    {"sentinel_profile_seam_wall_ns_total", "counter", "seam"},
-    {"sentinel_profile_contention_acquisitions_total", "counter", "site"},
-    {"sentinel_profile_contention_contended_total", "counter", "site"},
-    {"sentinel_profile_contention_wait_ns_total", "counter", "site"},
 };
 
 // Families added when the JSON snapshot was deleted: each carries a field
@@ -271,7 +259,6 @@ TEST(ObsExpositionTest, FamiliesKeepNamesTypesAndLabelKeys) {
                                  [](const rules::RuleContext&) {})
                     .ok());
     ASSERT_TRUE(db.StartMonitoring(0).ok());
-    db.profiler()->Start();
     auto txn = db.Begin();
     ASSERT_TRUE(txn.ok());
     auto params = std::make_shared<detector::ParamList>();
@@ -279,7 +266,6 @@ TEST(ObsExpositionTest, FamiliesKeepNamesTypesAndLabelKeys) {
     ASSERT_TRUE(db.RaiseEvent("e_b", params, *txn).ok());
     ASSERT_TRUE(db.Commit(*txn).ok());
     text = db.PrometheusText();
-    db.profiler()->Stop();
     db.StopMonitoring();
     db.AttachRemoteGedClient(nullptr);
     db.AttachEventBusServer(nullptr);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
@@ -12,7 +13,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <regex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -90,6 +91,25 @@ void InstallPipeline(ActiveDatabase* db) {
                   .ok());
 }
 
+/// One folded-stack line ("txn;subtxn:A;action:A 12"): its frames, root
+/// first, and its weight.
+struct FoldedLine {
+  std::vector<std::string> frames;
+  std::uint64_t ns = 0;
+};
+
+FoldedLine ParseFoldedLine(const std::string& line) {
+  FoldedLine out;
+  const std::size_t space = line.rfind(' ');
+  if (space == std::string::npos) return out;
+  std::istringstream stack(line.substr(0, space));
+  for (std::string frame; std::getline(stack, frame, ';');) {
+    out.frames.push_back(frame);
+  }
+  out.ns = std::stoull(line.substr(space + 1));
+  return out;
+}
+
 void RunPipelineTxn(ActiveDatabase* db, storage::TxnId* txn_out) {
   auto txn = db->Begin();
   ASSERT_TRUE(txn.ok());
@@ -125,10 +145,23 @@ TEST(ObsSpanTest, FlightModeSkipsHotKindsButKeepsLastSpans) {
   EXPECT_GT(db.span_tracer()->recorded(), 0u);
   const std::vector<Span> spans = db.span_tracer()->Snapshot();
   EXPECT_FALSE(spans.empty());
-  // ...but never the per-event hot kinds.
+  // ...but never the per-event hot kinds, and every parent link names a
+  // span the rings (or the open-txn table) kept: a record the rings skip
+  // takes no span id, so nothing parents under it.
+  ASSERT_LT(spans.size(), obs::SpanTracer::kFlightRingCapacity);
+  std::set<std::uint64_t> ids;
+  for (const Span& span : spans) ids.insert(span.id);
+  for (const Span& span : db.span_tracer()->OpenTxnSpans()) {
+    ids.insert(span.id);
+  }
   for (const Span& span : spans) {
     EXPECT_NE(span.kind, SpanKind::kNotify);
     EXPECT_NE(span.kind, SpanKind::kCompositeDetect);
+    if (span.parent != 0) {
+      EXPECT_EQ(ids.count(span.parent), 1u)
+          << obs::SpanKindToString(span.kind) << " span " << span.id
+          << " has unrecorded parent " << span.parent;
+    }
   }
   ASSERT_TRUE(db.Close().ok());
 }
@@ -819,7 +852,7 @@ TEST(ObsSpanTest, RuleSpanLabelsOutliveDeletedRule) {
 // The flame view is a view of the span rings: rule A's action raises rule
 // B's event, both run inline on this thread, and B's stack nests under A's
 // action. The weights are self wall-ns, so the lines under the transaction
-// add up to exactly its span's wall time. The profiler never starts.
+// add up to exactly its span's wall time.
 TEST(ObsSpanTest, FoldedStacksAreSpanSelfTimes) {
   ActiveDatabase db;
   ASSERT_TRUE(db.OpenInMemory().ok());
@@ -844,7 +877,6 @@ TEST(ObsSpanTest, FoldedStacksAreSpanSelfTimes) {
   ASSERT_TRUE(txn.ok());
   db.NotifyMethod("Order", 1, EventModifier::kEnd, "void a()", nullptr, *txn);
   ASSERT_TRUE(db.Commit(*txn).ok());
-  EXPECT_FALSE(db.profiler()->enabled());
 
   const Span* txn_span = nullptr;
   std::map<std::string, const Span*> subtxn;
@@ -862,21 +894,49 @@ TEST(ObsSpanTest, FoldedStacksAreSpanSelfTimes) {
   const std::string folded = db.span_tracer()->FoldedStacks();
   std::istringstream lines(folded);
   std::string line;
-  const std::regex b_under_a(
-      "txn;(.*;)?subtxn:A;action:A;(.*;)?subtxn:B;action:B");
+  const std::string a_frames[] = {"subtxn:A", "action:A"};
   bool nested = false;
   std::uint64_t under_txn = 0;
   while (std::getline(lines, line)) {
-    const std::size_t space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    const std::string stack = line.substr(0, space);
-    const std::uint64_t ns = std::stoull(line.substr(space + 1));
-    if (stack.rfind("txn;", 0) != 0 && stack != "txn") continue;
-    under_txn += ns;
-    nested = nested || std::regex_match(stack, b_under_a);
+    const FoldedLine parsed = ParseFoldedLine(line);
+    const std::vector<std::string>& f = parsed.frames;
+    ASSERT_FALSE(f.empty()) << line;
+    if (f.front() != "txn") continue;
+    under_txn += parsed.ns;
+    // txn;...;subtxn:A;action:A;...;subtxn:B;action:B
+    const auto a = std::search(f.begin(), f.end(), std::begin(a_frames),
+                               std::end(a_frames));
+    const bool b_last = f.size() >= 2 && f[f.size() - 2] == "subtxn:B" &&
+                        f.back() == "action:B";
+    nested = nested || (a != f.end() && a + 4 <= f.end() && b_last);
   }
   EXPECT_TRUE(nested) << folded;
   EXPECT_EQ(under_txn, txn_span->end_ns - txn_span->start_ns) << folded;
+  ASSERT_TRUE(db.Close().ok());
+}
+
+// Per-node evaluation cost is a flame-view frame: under full tracing a
+// composite_detect span names its operator node, the way rule frames name
+// their rule.
+TEST(ObsSpanTest, FoldedStacksNameCompositeNodes) {
+  ActiveDatabase db;
+  ASSERT_TRUE(db.OpenInMemory().ok());
+  db.span_tracer()->set_mode(TraceMode::kFull);
+  InstallPipeline(&db);
+  storage::TxnId txn;
+  RunPipelineTxn(&db, &txn);
+
+  const std::string folded = db.span_tracer()->FoldedStacks();
+  std::istringstream lines(folded);
+  std::string line;
+  bool named = false;
+  while (std::getline(lines, line)) {
+    for (const std::string& frame : ParseFoldedLine(line).frames) {
+      named = named || frame == "composite_detect:ev_seq";
+      EXPECT_NE(frame, "composite_detect") << folded;
+    }
+  }
+  EXPECT_TRUE(named) << folded;
   ASSERT_TRUE(db.Close().ok());
 }
 
