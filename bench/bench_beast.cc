@@ -183,6 +183,30 @@ void BM_BEAST_RM_1_RuleBaseScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_BEAST_RM_1_RuleBaseScaling)->Arg(10)->Arg(100)->Arg(1000);
 
+// RM-2: destroy a database whose rule base holds N rules on one event. The
+// rule manager unsubscribes them in bulk, so teardown should be linear in
+// N. Only the destruction is timed.
+void BM_BEAST_RM_2_RuleBaseTeardown(benchmark::State& state) {
+  const int rule_base = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto beast = std::make_unique<Beast>(100);
+    for (int i = 0; i < rule_base; ++i) {
+      (void)beast->db()->rule_manager()->DefineRule(
+          "idle" + std::to_string(i), "doc_update", nullptr,
+          [](const RuleContext&) {});
+    }
+    state.ResumeTiming();
+    beast.reset();
+  }
+  state.counters["rule_base"] = rule_base;
+}
+BENCHMARK(BM_BEAST_RM_2_RuleBaseTeardown)
+    ->Arg(1000)
+    ->Arg(20000)
+    ->Iterations(20)
+    ->Unit(benchmark::kMillisecond);
+
 // ---- RE: rule execution -----------------------------------------------------------
 
 // RE-1/RE-2: k prioritized rules per event.

@@ -1,57 +1,83 @@
 #include "common/symbol.h"
 
+#include <functional>
+
 namespace sentinel::common {
 
-SymbolTable::~SymbolTable() {
-  const Snapshot* current = snapshot_.load(std::memory_order_acquire);
-  // The live snapshot is the last element of retired_; everything is owned.
-  (void)current;
+namespace {
+constexpr std::size_t kInitialCapacity = 16;
+}  // namespace
+
+SymbolTable::Table::Table(std::size_t cap)
+    : capacity(cap),
+      mask(2 * cap - 1),
+      slots(new std::atomic<SymbolId>[2 * cap]()),
+      names(new std::atomic<const std::string*>[cap]()) {}
+
+SymbolTable::~SymbolTable() = default;
+
+SymbolId SymbolTable::Find(const Table& table, std::string_view name) {
+  for (std::size_t i = std::hash<std::string_view>{}(name) & table.mask;;
+       i = (i + 1) & table.mask) {
+    const SymbolId id = table.slots[i].load(std::memory_order_acquire);
+    if (id == kInvalidSymbol) return kInvalidSymbol;
+    // The name was stored before the slot was published.
+    if (*table.names[id - 1].load(std::memory_order_relaxed) == name) {
+      return id;
+    }
+  }
+}
+
+void SymbolTable::Insert(Table* table, SymbolId id, const std::string& stored) {
+  table->names[id - 1].store(&stored, std::memory_order_release);
+  std::size_t i = std::hash<std::string_view>{}(stored) & table->mask;
+  while (table->slots[i].load(std::memory_order_relaxed) != kInvalidSymbol) {
+    i = (i + 1) & table->mask;
+  }
+  table->slots[i].store(id, std::memory_order_release);
 }
 
 SymbolId SymbolTable::Intern(std::string_view name) {
   if (SymbolId id = TryLookup(name); id != kInvalidSymbol) return id;
 
   std::lock_guard<std::mutex> lock(write_mu_);
-  const Snapshot* current = snapshot_.load(std::memory_order_relaxed);
-  if (current != nullptr) {
-    auto it = current->ids.find(name);
-    if (it != current->ids.end()) return it->second;  // raced with a writer
+  Table* table = tables_.empty() ? nullptr : tables_.back().get();
+  if (table != nullptr) {
+    if (SymbolId id = Find(*table, name); id != kInvalidSymbol) return id;
   }
-
-  auto next = std::make_unique<Snapshot>();
-  if (current != nullptr) *next = *current;
-  arena_.emplace_back(name);
-  const std::string& stored = arena_.back();
-  next->names.push_back(&stored);
-  const SymbolId id = static_cast<SymbolId>(next->names.size());
-  next->ids.emplace(std::string_view(stored), id);
-
-  const Snapshot* published = next.get();
-  retired_.push_back(std::move(next));
-  snapshot_.store(published, std::memory_order_release);
+  const std::size_t count = size_.load(std::memory_order_relaxed);
+  if (table == nullptr || count == table->capacity) {
+    // Full: index every name again in a table twice the size. Readers still
+    // on the old table keep a consistent (older) view of it.
+    auto grown = std::make_unique<Table>(
+        table == nullptr ? kInitialCapacity : 2 * table->capacity);
+    for (std::size_t i = 0; i < count; ++i) {
+      Insert(grown.get(), static_cast<SymbolId>(i + 1), arena_[i]);
+    }
+    table = grown.get();
+    tables_.push_back(std::move(grown));
+    table_.store(table, std::memory_order_release);
+  }
+  const std::string& stored = arena_.emplace_back(name);
+  const SymbolId id = static_cast<SymbolId>(count + 1);
+  Insert(table, id, stored);
+  size_.store(count + 1, std::memory_order_release);
   return id;
 }
 
 SymbolId SymbolTable::TryLookup(std::string_view name) const {
-  const Snapshot* current = snapshot_.load(std::memory_order_acquire);
-  if (current == nullptr) return kInvalidSymbol;
-  auto it = current->ids.find(name);
-  return it != current->ids.end() ? it->second : kInvalidSymbol;
+  const Table* table = table_.load(std::memory_order_acquire);
+  return table != nullptr ? Find(*table, name) : kInvalidSymbol;
 }
 
 const std::string& SymbolTable::NameOf(SymbolId id) const {
   static const std::string kEmpty;
-  const Snapshot* current = snapshot_.load(std::memory_order_acquire);
-  if (current == nullptr || id == kInvalidSymbol ||
-      id > current->names.size()) {
+  const Table* table = table_.load(std::memory_order_acquire);
+  if (table == nullptr || id == kInvalidSymbol || id > table->capacity) {
     return kEmpty;
   }
-  return *current->names[id - 1];
-}
-
-std::size_t SymbolTable::size() const {
-  const Snapshot* current = snapshot_.load(std::memory_order_acquire);
-  return current != nullptr ? current->names.size() : 0;
+  const std::string* name = table->names[id - 1].load(std::memory_order_acquire);
+  return name != nullptr ? *name : kEmpty;
 }
 
 SymbolTable& SymbolTable::Global() {

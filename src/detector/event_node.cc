@@ -51,6 +51,15 @@ void EventNode::RemoveSink(EventSink* sink) {
   sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
 }
 
+void EventNode::RemoveSinks(std::span<EventSink* const> sorted) {
+  sinks_.erase(std::remove_if(sinks_.begin(), sinks_.end(),
+                              [sorted](EventSink* sink) {
+                                return std::binary_search(
+                                    sorted.begin(), sorted.end(), sink);
+                              }),
+               sinks_.end());
+}
+
 void EventNode::AddContextRef(ParamContext context) {
   int& refs = context_refs_[static_cast<int>(context)];
   if (++refs == 1) active_contexts_.fetch_add(1, std::memory_order_release);

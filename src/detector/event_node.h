@@ -5,6 +5,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,9 @@ class EventNode {
   /// Rules (and the GED forwarder) subscribe as sinks.
   void AddSink(EventSink* sink);
   void RemoveSink(EventSink* sink);
+  /// Removes every sink in `sorted` (ascending by address) in one pass,
+  /// keeping the remaining sinks in order.
+  void RemoveSinks(std::span<EventSink* const> sorted);
 
   /// Children of this node in the event graph (empty for primitives).
   virtual std::vector<EventNode*> Children() const { return {}; }

@@ -516,6 +516,22 @@ Status LocalEventDetector::Unsubscribe(const std::string& event,
   return Status::OK();
 }
 
+void LocalEventDetector::UnsubscribeAll(
+    std::span<const Subscription> subscriptions) {
+  std::unique_lock<std::shared_mutex> lock(graph_mu_);
+  std::unordered_map<EventNode*, std::vector<EventSink*>> leaving;
+  for (const Subscription& sub : subscriptions) {
+    auto node = FindLocked(*sub.event);
+    if (!node.ok()) continue;
+    leaving[*node].push_back(sub.sink);
+    (*node)->ReleaseContextRef(sub.context);
+  }
+  for (auto& [node, sinks] : leaving) {
+    std::sort(sinks.begin(), sinks.end());
+    node->RemoveSinks(sinks);
+  }
+}
+
 void LocalEventDetector::AddRawObserver(
     std::function<void(const PrimitiveOccurrence&)> observer) {
   std::unique_lock<std::shared_mutex> lock(graph_mu_);

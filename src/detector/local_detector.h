@@ -140,6 +140,17 @@ class LocalEventDetector {
   Status Unsubscribe(const std::string& event, EventSink* sink,
                      ParamContext context);
 
+  /// One sink's subscription, as UnsubscribeAll takes it.
+  struct Subscription {
+    const std::string* event;
+    EventSink* sink;
+    ParamContext context;
+  };
+  /// Unsubscribes many sinks under one graph lock, removing each node's
+  /// departing sinks in one pass that keeps the rest in order, so tearing
+  /// down a rule base is linear in its size. Unknown events are skipped.
+  void UnsubscribeAll(std::span<const Subscription> subscriptions);
+
   // -- Transaction hygiene ----------------------------------------------------------
 
   /// Flushes buffered occurrences of `txn` from the whole graph (invoked on

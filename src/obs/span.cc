@@ -129,8 +129,8 @@ const char* SpanOutcomeToString(SpanOutcome outcome) {
 }
 
 void RenderLabel(Span* span) {
-  if (!span->label.empty() || span->name == nullptr) return;
-  span->label = *span->name;
+  if (!span->label.empty() || span->name == common::kInvalidSymbol) return;
+  span->label = common::SymbolTable::Global().NameOf(span->name);
   if (span->kind != SpanKind::kSubTxn) {
     span->label += '.';
     span->label += SpanKindToString(span->kind);
@@ -190,7 +190,6 @@ SpanTracer::ThreadRing* SpanTracer::RingForThisThread() {
 }
 
 void SpanTracer::Commit(Span&& span) {
-  recorded_.fetch_add(1, std::memory_order_relaxed);
   const bool full = mode_.load(std::memory_order_relaxed) == TraceMode::kFull;
   const std::size_t capacity = full ? ring_capacity_ : kFlightRingCapacity;
   ThreadRing* ring = RingForThisThread();
@@ -207,10 +206,19 @@ void SpanTracer::Commit(Span&& span) {
     slots.resize(capacity);
   }
   const std::uint64_t pos = ring->next++;
-  if (full && pos >= slots.size()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
+  ++ring->recorded;
+  if (full && pos >= slots.size()) ++ring->dropped;
   slots[pos % slots.size()] = std::move(span);
+}
+
+std::uint64_t SpanTracer::SumRings(std::uint64_t ThreadRing::*count) const {
+  std::uint64_t n = 0;
+  std::lock_guard<std::mutex> lock(rings_mu_);
+  for (const auto& ring : rings_) {
+    std::lock_guard<std::mutex> ring_lock(ring->mu);
+    n += (*ring).*count;
+  }
+  return n;
 }
 
 std::uint64_t SpanTracer::RecordTimedSpan(SpanKind kind, std::uint64_t start_ns,
@@ -421,9 +429,9 @@ std::string SpanTracer::FoldedStacks() const {
       const Span& frame = spans[*it];
       if (!stack.empty()) stack += ';';
       stack += SpanKindToString(frame.kind);
-      if (frame.name != nullptr) {
+      if (frame.name != common::kInvalidSymbol) {
         stack += ':';
-        stack += *frame.name;
+        stack += common::SymbolTable::Global().NameOf(frame.name);
       } else if (frame.kind == SpanKind::kCompositeDetect) {
         stack += ':';
         stack += frame.label;
@@ -501,16 +509,17 @@ Status SpanTracer::ExportChromeTrace(const std::string& path,
 void SpanScope::Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
                       std::string label, std::uint64_t subtxn,
                       std::uint64_t parent_override) {
-  if (OpenRecord(tracer, kind, txn, subtxn, parent_override, nullptr)) {
+  if (OpenRecord(tracer, kind, txn, subtxn, parent_override, nullptr, 0)) {
     span_.label = std::move(label);
   }
 }
 
 void SpanScope::Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
-                      const std::shared_ptr<const std::string>& name,
-                      std::uint64_t subtxn, std::uint64_t parent_override,
+                      common::SymbolId name, std::uint64_t subtxn,
+                      std::uint64_t start_ns, std::uint64_t parent_override,
                       LatencyHistogram* histogram) {
-  if (OpenRecord(tracer, kind, txn, subtxn, parent_override, histogram)) {
+  if (OpenRecord(tracer, kind, txn, subtxn, parent_override, histogram,
+                 start_ns)) {
     span_.name = name;
   }
 }
@@ -518,7 +527,8 @@ void SpanScope::Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
 bool SpanScope::OpenRecord(SpanTracer* tracer, SpanKind kind,
                            storage::TxnId txn, std::uint64_t subtxn,
                            std::uint64_t parent_override,
-                           LatencyHistogram* histogram) {
+                           LatencyHistogram* histogram,
+                           std::uint64_t start_ns) {
   if (open_) return false;
   const bool ring = tracer != nullptr && tracer->enabled_for(kind);
   if (!ring && histogram == nullptr) return false;
@@ -536,7 +546,7 @@ bool SpanScope::OpenRecord(SpanTracer* tracer, SpanKind kind,
     span_.tid = ThisThreadId();
     pushed_ = PushScope(tracer->uid_, span_.id);
   }
-  span_.start_ns = SpanTracer::NowNs();
+  span_.start_ns = start_ns != 0 ? start_ns : SpanTracer::NowNs();
   return ring;
 }
 

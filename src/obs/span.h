@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/symbol.h"
 #include "obs/metrics.h"
 #include "storage/log_record.h"
 
@@ -94,12 +95,13 @@ struct Span {
   std::uint64_t start_ns = 0;
   std::uint64_t end_ns = 0;
   std::uint32_t tid = 0;
+  /// Rule spans (subtxn, condition, action) record the rule's name as its
+  /// id in common::SymbolTable::Global() instead of a label, so the firing
+  /// path neither copies strings nor takes a refcount; RenderLabel() builds
+  /// the label when a snapshot is taken. Interned names are never freed, so
+  /// the label outlives a deleted rule. kInvalidSymbol for other spans.
+  common::SymbolId name = common::kInvalidSymbol;
   std::string label;
-  /// Rule spans (subtxn, condition, action) record the rule's shared name
-  /// instead of a label, so the firing path neither copies nor concatenates
-  /// strings; RenderLabel() builds the label when a snapshot is taken. The
-  /// shared handle keeps the name alive after the rule is deleted.
-  std::shared_ptr<const std::string> name;
   // Distributed-trace linkage (DESIGN.md §14). `trace` groups the spans of
   // one cross-process causal chain; `remote_parent` is the causal parent's
   // span id, which may live in ANOTHER process's export — span ids are
@@ -110,11 +112,10 @@ struct Span {
 };
 
 // Ten 8-byte words (kind shares one with outcome and padding, tid one with
-// padding) plus the two name handles: the outcome byte costs no space.
-static_assert(sizeof(Span) == 10 * sizeof(std::uint64_t) +
-                                  sizeof(std::string) +
-                                  sizeof(std::shared_ptr<const std::string>),
-              "Span::outcome must sit in the padding after Span::kind");
+// the rule name) plus the label: the outcome byte and the name cost no
+// space.
+static_assert(sizeof(Span) == 10 * sizeof(std::uint64_t) + sizeof(std::string),
+              "Span::outcome and Span::name must sit in padding");
 
 /// Fills an empty `label` from `name`: the rule name for a subtxn span,
 /// "<rule>.<kind>" for its condition and action spans. Snapshots call it, so
@@ -163,13 +164,11 @@ class SpanTracer {
   void EndTxnSpan(storage::TxnId txn);
   std::vector<Span> OpenTxnSpans() const;
 
-  std::uint64_t recorded() const {
-    return recorded_.load(std::memory_order_relaxed);
-  }
+  /// Spans written into the rings so far, summed over the per-thread rings
+  /// (each counts its own, so recording touches no shared counter).
+  std::uint64_t recorded() const { return SumRings(&ThreadRing::recorded); }
   /// Spans overwritten in full mode (flight rings overwrite by design).
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t dropped() const { return SumRings(&ThreadRing::dropped); }
 
   /// All closed spans currently held by the rings, sorted by start time.
   std::vector<Span> Snapshot() const;
@@ -245,10 +244,13 @@ class SpanTracer {
   struct ThreadRing {
     std::mutex mu;
     std::uint64_t next = 0;  // spans written since the ring last grew
+    std::uint64_t recorded = 0;  // spans ever written
+    std::uint64_t dropped = 0;   // full-mode spans overwritten
     std::uint32_t tid = 0;
     std::vector<Span> slots;  // grows to the mode's capacity, never shrinks
   };
 
+  std::uint64_t SumRings(std::uint64_t ThreadRing::*count) const;
   std::uint64_t NextSpanId() {
     return next_id_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -265,8 +267,6 @@ class SpanTracer {
   const std::uint64_t uid_;  // validates thread-local ring/stack caches
   std::atomic<TraceMode> mode_{TraceMode::kFlightOnly};
   std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<std::uint64_t> recorded_{0};
-  std::atomic<std::uint64_t> dropped_{0};
 
   mutable std::mutex rings_mu_;
   std::vector<std::unique_ptr<ThreadRing>> rings_;
@@ -276,10 +276,11 @@ class SpanTracer {
 };
 
 /// RAII record at one instrumented site; default-constructed scopes are
-/// inert. Start() (or Open()) reads the steady clock once; End() (or
-/// destruction) reads it once more and feeds that wall time to its two
-/// sinks: the latency histogram named at Start (even without a tracer) and,
-/// when a ring wants the record's kind, this thread's ring. Only a record a
+/// inert. Start() (or Open()) reads the steady clock once, unless the
+/// caller supplies the reading; End() (or destruction) reads it once more,
+/// again unless supplied, and feeds that wall time to its two sinks: the
+/// latency histogram named at Start (even without a tracer) and, when a
+/// ring wants the record's kind, this thread's ring. Only a record a
 /// ring wants takes a span id and a scope-stack entry, so ring spans never
 /// parent under records the rings did not keep. A record nothing wants
 /// reads no clock.
@@ -296,18 +297,21 @@ class SpanScope {
   void Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
              std::string label, std::uint64_t subtxn = 0,
              std::uint64_t parent_override = 0);
-  /// Rule record (subtxn, condition, action): holds `name` by reference
-  /// (the label is rendered at snapshot time).
+  /// Rule record (subtxn, condition, action): holds the rule's interned
+  /// `name` (the label is rendered at snapshot time) and opens at
+  /// `start_ns`, a clock reading the caller already took. The caller closes
+  /// it with End() at its next reading, so a firing's records share one
+  /// clock reading per boundary.
   void Start(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
-             const std::shared_ptr<const std::string>& name,
-             std::uint64_t subtxn, std::uint64_t parent_override = 0,
+             common::SymbolId name, std::uint64_t subtxn,
+             std::uint64_t start_ns, std::uint64_t parent_override = 0,
              LatencyHistogram* histogram = nullptr);
   /// Record whose label costs something to build: returns true when a ring
   /// wants it, and the caller then names it with set_label().
   bool Open(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
             LatencyHistogram* histogram = nullptr,
             std::uint64_t parent_override = 0) {
-    return OpenRecord(tracer, kind, txn, 0, parent_override, histogram);
+    return OpenRecord(tracer, kind, txn, 0, parent_override, histogram, 0);
   }
   void set_label(std::string label) { span_.label = std::move(label); }
   void set_subtxn(std::uint64_t subtxn) { span_.subtxn = subtxn; }
@@ -335,9 +339,10 @@ class SpanScope {
  private:
   std::uint64_t Close(std::uint64_t end_ns);
   /// Shared part of every Start form; true when a ring wants the record.
+  /// Opens at `start_ns` when nonzero, else at the current time.
   bool OpenRecord(SpanTracer* tracer, SpanKind kind, storage::TxnId txn,
                   std::uint64_t subtxn, std::uint64_t parent_override,
-                  LatencyHistogram* histogram);
+                  LatencyHistogram* histogram, std::uint64_t start_ns);
 
   SpanTracer* tracer_ = nullptr;  // set while a ring wants the record
   LatencyHistogram* histogram_ = nullptr;

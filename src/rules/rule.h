@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/clock.h"
+#include "common/symbol.h"
 #include "detector/event_types.h"
 #include "obs/metrics.h"
 #include "oodb/database.h"
@@ -74,13 +75,12 @@ class Rule : public detector::EventSink {
  public:
   Rule(std::string name, std::string event_name, ConditionFn condition,
        ActionFn action);
+  ~Rule() override;
 
-  const std::string& name() const { return *name_; }
-  /// Shared handle to the name: rule spans hold it instead of copying the
-  /// string, and it outlives the rule in the tracer's rings.
-  const std::shared_ptr<const std::string>& shared_name() const {
-    return name_;
-  }
+  const std::string& name() const { return name_; }
+  /// The name's id in common::SymbolTable::Global(): rule spans record it
+  /// instead of the string, and it outlives the rule in the tracer's rings.
+  common::SymbolId name_symbol() const { return name_symbol_; }
   /// The event the rule is subscribed to after any coupling-mode rewrite
   /// (for a DEFERRED rule this is the generated A* event).
   const std::string& event_name() const { return event_name_; }
@@ -133,8 +133,13 @@ class Rule : public detector::EventSink {
   }
 
   /// Latency histograms for this rule's firing pipeline (condition, action,
-  /// subtransaction commit/abort, lock wait). Recorded by the scheduler.
-  obs::RuleMetrics& metrics() const { return metrics_; }
+  /// subtransaction commit/abort, lock wait). A rule that never fired reads
+  /// as all-zero without allocating: the histograms are allocated on the
+  /// first firing (RecordingMetrics), so idle rules cost no histogram memory.
+  const obs::RuleMetrics& metrics() const;
+  /// The histograms the scheduler records into, allocated on first use and
+  /// published with one atomic pointer.
+  obs::RuleMetrics& RecordingMetrics();
 
   /// EventSink: filters by context, enabled flag and trigger mode, then
   /// hands the firing to the rule manager.
@@ -144,7 +149,8 @@ class Rule : public detector::EventSink {
   void set_manager(RuleManager* manager) { manager_ = manager; }
 
  private:
-  std::shared_ptr<const std::string> name_;
+  std::string name_;
+  common::SymbolId name_symbol_;
   std::string event_name_;
   std::string declared_event_;
   ConditionFn condition_;
@@ -159,7 +165,7 @@ class Rule : public detector::EventSink {
   std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> fired_{0};
   std::atomic<std::uint64_t> last_exec_ns_{0};
-  mutable obs::RuleMetrics metrics_;
+  std::atomic<obs::RuleMetrics*> metrics_{nullptr};  // owned; null until fired
   RuleManager* manager_ = nullptr;
 };
 

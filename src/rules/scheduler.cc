@@ -169,15 +169,24 @@ struct MemberDone {
 }  // namespace
 
 void RuleScheduler::Drain() {
+  // Drain is called after every notification; when no rule fired there is
+  // nothing queued — return without touching the queue lock.
+  if (pending_count_.load(std::memory_order_acquire) == 0) return;
+  // Batch vectors are reused across calls, one per nesting level of Drain
+  // on this thread, so a steady-state drain allocates nothing.
+  thread_local std::vector<std::vector<Firing>> t_spare_batches;
   std::vector<Firing> batch;
-  for (;;) {
-    // Drain is called after every notification; when no rule fired there is
-    // nothing queued — return without touching the queue lock.
-    if (pending_count_.load(std::memory_order_acquire) == 0) return;
+  if (!t_spare_batches.empty()) {
+    batch = std::move(t_spare_batches.back());
+    t_spare_batches.pop_back();
+  }
+  while (pending_count_.load(std::memory_order_acquire) != 0) {
     PopBatch(&batch);
-    if (batch.empty()) return;
+    if (batch.empty()) break;
     RunClass(&batch);
   }
+  batch.clear();
+  t_spare_batches.push_back(std::move(batch));
 }
 
 void RuleScheduler::RunClass(std::vector<Firing>* batch) {
@@ -245,6 +254,7 @@ bool RuleScheduler::Execute(Firing firing) {
   if (rule == nullptr || !rule->enabled()) return false;
 
   obs::SpanTracer* span_tracer = span_tracer_.load(std::memory_order_acquire);
+  obs::RuleMetrics& metrics = rule->RecordingMetrics();
 
   RuleContext ctx;
   ctx.occurrence = &firing.occurrence;
@@ -252,45 +262,38 @@ bool RuleScheduler::Execute(Firing firing) {
   ctx.txn = firing.txn;
   ctx.db = db_;
 
-  // Package condition+action as a subtransaction (paper Fig. 3).
+  // Package condition+action as a subtransaction (paper Fig. 3). A nested
+  // rule whose triggering rule's subtransaction has already committed (its
+  // locks inherited upward) attaches directly under the top-level
+  // transaction and shares the retained locks.
   txn::SubTxnId sub = txn::kInvalidSubTxn;
-  Status sub_status;
   if (nested_ != nullptr && firing.txn != storage::kInvalidTxnId) {
-    auto begun = nested_->Begin(firing.txn, firing.parent_subtxn);
-    if (!begun.ok() && firing.parent_subtxn != txn::kInvalidSubTxn) {
-      // The triggering rule's subtransaction has already committed (its
-      // locks were inherited upward), so attach this nested rule directly
-      // under the top-level transaction — it shares the retained locks.
-      begun = nested_->Begin(firing.txn, txn::kInvalidSubTxn);
-    }
-    if (begun.ok()) {
-      sub = *begun;
-    } else {
-      sub_status = begun.status();
-      SENTINEL_LOG(kWarn) << "subtransaction begin failed for rule "
-                          << rule->name() << ": " << sub_status.ToString();
-    }
+    sub = nested_->BeginUnder(firing.txn, firing.parent_subtxn);
   }
   ctx.subtxn = sub;
+  Status sub_status;
+
+  // One clock reading per boundary: start, condition→action, action→commit
+  // and end. Each record opens and closes at the readings on either side of
+  // it, so the subtxn span starts with the condition span, the condition
+  // span ends where the action span starts, and the rule's condition,
+  // action and commit histograms add up to the subtxn span.
+  std::uint64_t now_ns = obs::SpanTracer::NowNs();
+  const std::uint64_t start_ns = now_ns;
 
   // Subtxn record: parented under the triggering detection's span (captured
   // into the firing when it was enqueued — the execution usually happens on
   // a different thread, so the per-thread scope stack cannot supply it).
   // The record stays open across commit/abort below so the span covers the
   // whole subtransaction; condition/action records nest inside it via this
-  // thread's scope stack, each feeding the rule's histogram from one wall
-  // reading.
+  // thread's scope stack.
   obs::SpanScope subtxn_span;
   subtxn_span.Start(span_tracer, obs::SpanKind::kSubTxn, firing.txn,
-                    rule->shared_name(), sub, firing.trigger_span);
+                    rule->name_symbol(), sub, now_ns, firing.trigger_span);
 
   // Publish this firing as the current frame so nested triggers (raised from
   // the action) inherit txn/priority/depth.
-  Frame frame;
-  frame.txn = firing.txn;
-  frame.subtxn = sub;
-  frame.priority_path = firing.priority_path;
-  frame.depth = firing.depth;
+  Frame frame{firing.txn, sub, firing.priority_path, firing.depth};
   Frame* prev_frame = t_frame;
   t_frame = &frame;
 
@@ -304,7 +307,6 @@ bool RuleScheduler::Execute(Firing firing) {
   // an injected fault aborts only this rule's subtransaction — it must
   // never escape into the worker thread and kill the process.
   bool condition_held = true;
-  std::uint64_t exec_ns = 0;  // condition + action wall, from their records
   Status failure;
   if (FailPointRegistry::AnyActive()) {
     FailPointAction action =
@@ -319,18 +321,20 @@ bool RuleScheduler::Execute(Firing firing) {
         detector::LocalEventDetector::SuppressScope guard;
         obs::SpanScope cond_span;
         cond_span.Start(span_tracer, obs::SpanKind::kCondition, firing.txn,
-                        rule->shared_name(), sub, 0,
-                        &rule->metrics().condition_ns);
+                        rule->name_symbol(), sub, now_ns, 0,
+                        &metrics.condition_ns);
         condition_held = rule->condition()(ctx);
-        exec_ns = cond_span.End();
+        now_ns = obs::SpanTracer::NowNs();
+        cond_span.End(now_ns);
       }
       if (condition_held && rule->action()) {
         obs::SpanScope action_span;
         action_span.Start(span_tracer, obs::SpanKind::kAction, firing.txn,
-                          rule->shared_name(), sub, 0,
-                          &rule->metrics().action_ns);
+                          rule->name_symbol(), sub, now_ns, 0,
+                          &metrics.action_ns);
         rule->action()(ctx);
-        exec_ns += action_span.End();
+        now_ns = obs::SpanTracer::NowNs();
+        action_span.End(now_ns);
       }
     } catch (const std::exception& e) {
       failure = Status::Internal("rule " + rule->name() +
@@ -340,22 +344,24 @@ bool RuleScheduler::Execute(Firing firing) {
           Status::Internal("rule " + rule->name() + " threw a non-standard "
                            "exception");
     }
+    // A record the throw unwound closed at its own reading.
+    if (!failure.ok()) now_ns = obs::SpanTracer::NowNs();
   }
 
   t_frame = prev_frame;
-  // Nonzero marks the rule known even when it has neither function.
-  rule->RecordExecution(std::max<std::uint64_t>(exec_ns, 1));
+  // Condition + action wall; nonzero marks the rule known even when it has
+  // neither function.
+  rule->RecordExecution(std::max<std::uint64_t>(now_ns - start_ns, 1));
 
-  std::uint64_t subtxn_end_ns = 0;  // 0 = the span reads the clock itself
   if (sub != txn::kInvalidSubTxn) {
     // The time this subtransaction spent blocked acquiring nested locks is
-    // accumulated by the lock table; harvest it before the subtxn finishes.
-    rule->metrics().lock_wait_ns.Record(nested_->LockWaitNs(sub));
+    // reported by the commit or abort that ends it.
+    const std::uint64_t finish_ns = now_ns;
+    std::uint64_t lock_wait_ns = 0;
     if (failure.ok()) {
-      const std::uint64_t t0 = obs::SpanTracer::NowNs();
-      Status commit = nested_->Commit(sub);
-      subtxn_end_ns = obs::SpanTracer::NowNs();
-      rule->metrics().commit_ns.Record(subtxn_end_ns - t0);
+      Status commit = nested_->Commit(sub, &lock_wait_ns);
+      now_ns = obs::SpanTracer::NowNs();
+      metrics.commit_ns.Record(now_ns - finish_ns);
       subtxn_span.set_outcome(commit.ok() ? obs::SpanOutcome::kCommit
                                           : obs::SpanOutcome::kCommitFailed);
       if (!commit.ok()) {
@@ -364,21 +370,20 @@ bool RuleScheduler::Execute(Firing firing) {
         sub_status = commit;
       }
     } else {
-      const std::uint64_t t0 = obs::SpanTracer::NowNs();
-      Status aborted = nested_->Abort(sub);
-      subtxn_end_ns = obs::SpanTracer::NowNs();
-      rule->metrics().abort_ns.Record(subtxn_end_ns - t0);
+      Status aborted = nested_->Abort(sub, &lock_wait_ns);
+      now_ns = obs::SpanTracer::NowNs();
+      metrics.abort_ns.Record(now_ns - finish_ns);
       subtxn_span.set_outcome(obs::SpanOutcome::kAbort);
       if (!aborted.ok()) {
         SENTINEL_LOG(kWarn) << "subtransaction abort failed for rule "
                             << rule->name() << ": " << aborted.ToString();
       }
     }
+    metrics.lock_wait_ns.Record(lock_wait_ns);
   }
-  // The subtxn record closes with the commit/abort, at the reading taken
-  // for its histogram, so a postmortem dumped by the contingency below sees
-  // the span.
-  subtxn_span.End(subtxn_end_ns);
+  // The subtxn record closes with the commit/abort, at the end reading, so
+  // a postmortem dumped by the contingency below sees the span.
+  subtxn_span.End(now_ns);
 
   bool doomed = false;
   if (failure.ok()) {

@@ -140,7 +140,8 @@ class RuleScheduler {
   struct Frame {
     storage::TxnId txn = storage::kInvalidTxnId;
     txn::SubTxnId subtxn = txn::kInvalidSubTxn;
-    std::vector<int> priority_path;
+    /// Borrowed from the executing firing, which outlives the frame.
+    const std::vector<int>& priority_path;
     int depth = 0;
   };
   static const Frame* CurrentFrame();

@@ -10,8 +10,6 @@ namespace sentinel::txn {
 Result<SubTxnId> NestedTransactionManager::Begin(TopTxnId top,
                                                  SubTxnId parent) {
   std::lock_guard<std::mutex> lock(mu_);
-  SubTxn sub;
-  sub.top = top;
   if (parent != kInvalidSubTxn) {
     auto it = subs_.find(parent);
     if (it == subs_.end() || !it->second.active) {
@@ -21,12 +19,43 @@ Result<SubTxnId> NestedTransactionManager::Begin(TopTxnId top,
     if (it->second.top != top) {
       return Status::InvalidArgument("parent belongs to another transaction");
     }
-    sub.parent = parent;
-    sub.depth = it->second.depth + 1;
-    ++it->second.live_children;
   }
-  SubTxnId id = next_id_++;
-  subs_[id] = sub;
+  return BeginLocked(top, parent);
+}
+
+SubTxnId NestedTransactionManager::BeginUnder(TopTxnId top, SubTxnId parent) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return BeginLocked(top, parent);
+}
+
+SubTxnId NestedTransactionManager::BeginLocked(TopTxnId top, SubTxnId parent) {
+  SubTxnId parent_id = kInvalidSubTxn;
+  int depth = 1;
+  if (parent != kInvalidSubTxn) {
+    auto it = subs_.find(parent);
+    if (it != subs_.end() && it->second.active && it->second.top == top) {
+      parent_id = parent;
+      depth = it->second.depth + 1;
+      ++it->second.live_children;
+    }
+  }
+  const SubTxnId id = next_id_++;
+  SubTxn* sub;
+  if (free_subs_.empty()) {
+    sub = &subs_[id];
+  } else {
+    SubTxnMap::node_type node = std::move(free_subs_.back());
+    free_subs_.pop_back();
+    node.key() = id;
+    sub = &subs_.insert(std::move(node)).position->second;
+  }
+  sub->top = top;
+  sub->parent = parent_id;
+  sub->depth = depth;
+  sub->active = true;
+  sub->live_children = 0;
+  sub->held_keys.clear();  // a reused node keeps its capacity
+  sub->lock_wait_ns = 0;
   return id;
 }
 
@@ -200,13 +229,15 @@ void NestedTransactionManager::ReleaseLocksLocked(SubTxn& sub_state,
   sub_state.held_keys.clear();
 }
 
-Status NestedTransactionManager::Commit(SubTxnId sub) {
+Status NestedTransactionManager::Commit(SubTxnId sub,
+                                        std::uint64_t* lock_wait_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = subs_.find(sub);
   if (it == subs_.end() || !it->second.active) {
     return Status::InvalidArgument("commit of inactive subtransaction " +
                                    std::to_string(sub));
   }
+  if (lock_wait_ns != nullptr) *lock_wait_ns = it->second.lock_wait_ns;
   if (it->second.live_children > 0) {
     return Status::InvalidArgument("subtransaction has live children");
   }
@@ -219,17 +250,19 @@ Status NestedTransactionManager::Commit(SubTxnId sub) {
     auto parent_it = subs_.find(parent);
     if (parent_it != subs_.end()) --parent_it->second.live_children;
   }
-  subs_.erase(it);
+  free_subs_.push_back(subs_.extract(it));
   return Status::OK();
 }
 
-Status NestedTransactionManager::Abort(SubTxnId sub) {
+Status NestedTransactionManager::Abort(SubTxnId sub,
+                                       std::uint64_t* lock_wait_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = subs_.find(sub);
   if (it == subs_.end() || !it->second.active) {
     return Status::InvalidArgument("abort of inactive subtransaction " +
                                    std::to_string(sub));
   }
+  if (lock_wait_ns != nullptr) *lock_wait_ns = it->second.lock_wait_ns;
   if (it->second.live_children > 0) {
     return Status::InvalidArgument("subtransaction has live children");
   }
@@ -239,7 +272,7 @@ Status NestedTransactionManager::Abort(SubTxnId sub) {
     auto parent_it = subs_.find(parent);
     if (parent_it != subs_.end()) --parent_it->second.live_children;
   }
-  subs_.erase(it);
+  free_subs_.push_back(subs_.extract(it));
   return Status::OK();
 }
 
@@ -249,7 +282,7 @@ void NestedTransactionManager::EndTop(TopTxnId top) {
   for (auto it = subs_.begin(); it != subs_.end();) {
     if (it->second.top == top) {
       ReleaseLocksLocked(it->second, it->first);
-      it = subs_.erase(it);
+      it = subs_.erase(it);  // stragglers are rare: their nodes are not kept
     } else {
       ++it;
     }

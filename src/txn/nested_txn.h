@@ -53,14 +53,24 @@ class NestedTransactionManager {
   NestedTransactionManager& operator=(const NestedTransactionManager&) = delete;
 
   /// Starts a subtransaction under `top`; `parent` == kInvalidSubTxn means a
-  /// direct child of the top-level transaction.
+  /// direct child of the top-level transaction. Fails when `parent` is not
+  /// an active subtransaction of `top`.
   Result<SubTxnId> Begin(TopTxnId top, SubTxnId parent = kInvalidSubTxn);
 
+  /// Starts a rule's subtransaction: under `parent` while it is an active
+  /// subtransaction of `top`, else directly under `top` (the triggering
+  /// rule's subtransaction has already committed and its locks went up to
+  /// the top). Never fails.
+  SubTxnId BeginUnder(TopTxnId top, SubTxnId parent);
+
   /// Commits: locks are inherited by the parent (or by the top-level root).
-  Status Commit(SubTxnId sub);
+  /// When `lock_wait_ns` is given it receives the time `sub` spent blocked
+  /// in Acquire (as LockWaitNs would, without a second lock round trip).
+  Status Commit(SubTxnId sub, std::uint64_t* lock_wait_ns = nullptr);
 
   /// Aborts: locks released, subtree below must already be finished.
-  Status Abort(SubTxnId sub);
+  /// `lock_wait_ns` as for Commit.
+  Status Abort(SubTxnId sub, std::uint64_t* lock_wait_ns = nullptr);
 
   /// Acquires a nested lock. Blocks; LockTimeout after Options::lock_timeout.
   Status Acquire(SubTxnId sub, const storage::LockKey& key,
@@ -132,6 +142,11 @@ class NestedTransactionManager {
     int waiters = 0;
   };
 
+  using SubTxnMap = std::unordered_map<SubTxnId, SubTxn>;
+
+  // Adds a subtransaction of `top`, under `parent` when that is an active
+  // subtransaction of `top`, else under `top`. Requires mu_.
+  SubTxnId BeginLocked(TopTxnId top, SubTxnId parent);
   // True if `ancestor` is `sub` or one of its ancestors. Requires mu_.
   bool IsAncestorLocked(SubTxnId ancestor, SubTxnId sub) const;
   bool CanGrantLocked(const LockState& state, SubTxnId sub,
@@ -146,7 +161,11 @@ class NestedTransactionManager {
 
   Options options_;
   mutable std::mutex mu_;
-  std::unordered_map<SubTxnId, SubTxn> subs_;
+  SubTxnMap subs_;
+  // Nodes of committed and aborted subtransactions, reused by BeginLocked
+  // so a steady-state firing allocates no node (at most the peak number of
+  // concurrently active subtransactions are kept).
+  std::vector<SubTxnMap::node_type> free_subs_;
   std::unordered_map<std::string, std::unique_ptr<LockState>> locks_;
   // top txn -> keys its committed depth-1 subtransactions retained; lets
   // EndTop release retained locks without scanning the whole table.

@@ -849,6 +849,65 @@ TEST(ObsSpanTest, RuleSpanLabelsOutliveDeletedRule) {
   ASSERT_TRUE(db.Close().ok());
 }
 
+// A firing reads the clock once per boundary (start, condition→action,
+// action→commit, end), and its records share those readings: the subtxn
+// span starts with the condition span, the condition span ends where the
+// action span starts, and the rule's histograms sum to the span durations
+// exactly, so together they cover the subtxn span.
+TEST(ObsSpanTest, FiringRecordsShareBoundaryReadings) {
+  ActiveDatabase db;
+  ASSERT_TRUE(db.OpenInMemory().ok());
+  ASSERT_EQ(db.span_tracer()->mode(), TraceMode::kFlightOnly);
+  ASSERT_TRUE(db.detector()->DefineExplicit("ev").ok());
+  ASSERT_TRUE(db.rule_manager()
+                  ->DefineRule(
+                      "boundary_r", "ev",
+                      [](const rules::RuleContext&) { return true; },
+                      [](const rules::RuleContext&) {})
+                  .ok());
+  auto txn = db.Begin();
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE(db.RaiseEvent("ev", nullptr, *txn).ok());
+  ASSERT_TRUE(db.Commit(*txn).ok());
+
+  const std::vector<Span> spans = db.span_tracer()->Snapshot();
+  const Span* subtxn = nullptr;
+  for (const Span& span : spans) {
+    if (span.kind == SpanKind::kSubTxn && span.label == "boundary_r") {
+      ASSERT_EQ(subtxn, nullptr) << "one firing";
+      subtxn = &span;
+    }
+  }
+  ASSERT_NE(subtxn, nullptr);
+  const Span* condition = nullptr;
+  const Span* action = nullptr;
+  for (const Span& span : spans) {
+    if (span.parent != subtxn->id) continue;
+    if (span.kind == SpanKind::kCondition) condition = &span;
+    if (span.kind == SpanKind::kAction) action = &span;
+  }
+  ASSERT_NE(condition, nullptr);
+  ASSERT_NE(action, nullptr);
+  EXPECT_EQ(subtxn->start_ns, condition->start_ns);
+  EXPECT_EQ(condition->end_ns, action->start_ns);
+  EXPECT_LE(action->end_ns, subtxn->end_ns);
+
+  auto rule = db.rule_manager()->Find("boundary_r");
+  ASSERT_TRUE(rule.ok());
+  const auto cond_ns = (*rule)->metrics().condition_ns.TakeSnapshot();
+  const auto action_ns = (*rule)->metrics().action_ns.TakeSnapshot();
+  const auto commit_ns = (*rule)->metrics().commit_ns.TakeSnapshot();
+  ASSERT_EQ(cond_ns.count, 1u);
+  ASSERT_EQ(action_ns.count, 1u);
+  ASSERT_EQ(commit_ns.count, 1u);
+  EXPECT_EQ(cond_ns.sum_ns, condition->end_ns - condition->start_ns);
+  EXPECT_EQ(action_ns.sum_ns, action->end_ns - action->start_ns);
+  EXPECT_EQ(commit_ns.sum_ns, subtxn->end_ns - action->end_ns);
+  EXPECT_EQ(cond_ns.sum_ns + action_ns.sum_ns + commit_ns.sum_ns,
+            subtxn->end_ns - subtxn->start_ns);
+  ASSERT_TRUE(db.Close().ok());
+}
+
 // The flame view is a view of the span rings: rule A's action raises rule
 // B's event, both run inline on this thread, and B's stack nests under A's
 // action. The weights are self wall-ns, so the lines under the transaction
