@@ -30,7 +30,9 @@ void RuleDebugger::Attach(core::ActiveDatabase* db) {
         entry.rule_name = firing.rule != nullptr ? firing.rule->name() : "?";
         entry.condition_held = condition_held;
         entry.depth = firing.depth;
-        entry.triggering_event = firing.occurrence.event_name;
+        if (firing.occurrence != nullptr) {
+          entry.triggering_event = firing.occurrence->event_name;
+        }
         entry.txn = firing.txn;
         trace_.push_back(std::move(entry));
       });

@@ -80,7 +80,7 @@ void EventNode::ReleaseContextRef(ParamContext context) {
   }
 }
 
-void EventNode::Emit(const Occurrence& occurrence, ParamContext context) {
+void EventNode::Emit(const OccurrenceRef& occurrence, ParamContext context) {
   metrics_.OnDetected(context);
   // Operator detections open a composite_detect record covering the whole
   // cascade, on every exit path: parent deliveries and sink firings below
@@ -90,7 +90,7 @@ void EventNode::Emit(const Occurrence& occurrence, ParamContext context) {
   if (composite_ && span_tracer_ != nullptr &&
       span_tracer_->enabled_for(obs::SpanKind::kCompositeDetect) &&
       detect_span.Open(span_tracer_, obs::SpanKind::kCompositeDetect,
-                       occurrence.txn)) {
+                       occurrence->txn)) {
     detect_span.set_label(name_);
   }
   // parents_ is kept sorted by descending port (AddParent), so higher ports
@@ -121,7 +121,7 @@ void EventNode::Emit(const Occurrence& occurrence, ParamContext context) {
     if (std::find(sinks_.begin(), sinks_.end(), sink) == sinks_.end()) {
       continue;  // removed reentrantly
     }
-    sink->OnEvent(occurrence, context);
+    sink->OnDetection(occurrence, context);
   }
 }
 
@@ -138,32 +138,38 @@ PrimitiveEventNode::PrimitiveEventNode(std::string name,
       method_sym_(common::SymbolTable::Global().Intern(method_signature_)),
       instance_(instance) {}
 
-void PrimitiveEventNode::Signal(
-    const std::shared_ptr<const PrimitiveOccurrence>& raw) {
+void PrimitiveEventNode::Signal(const std::shared_ptr<PrimitiveOccurrence>& raw,
+                                bool exclusive) {
   // One raw notification can match several primitive event nodes; each
   // detection is labelled with the matching node's event name.
   std::shared_ptr<const PrimitiveOccurrence> labelled = raw;
   if (raw->event_name != name()) {
-    auto copy = common::MakePooled<PrimitiveOccurrence>(*raw);
-    copy->event_name = name();
-    labelled = std::move(copy);
+    if (exclusive) {
+      raw->event_name = name();
+    } else {
+      auto copy = common::MakePooled<PrimitiveOccurrence>(*raw);
+      copy->event_name = name();
+      labelled = std::move(copy);
+    }
   }
-  Occurrence occ;
-  occ.event_name = name();
-  occ.t_start = labelled->at;
-  occ.t_end = labelled->at;
-  occ.at_ms = labelled->at_ms;
-  occ.txn = labelled->txn;
-  occ.constituents.push_back(labelled);
+  // The one detection every context, parent and firing shares.
+  auto occ = common::MakePooled<Occurrence>();
+  occ->event_name = name();
+  occ->t_start = labelled->at;
+  occ->t_end = labelled->at;
+  occ->at_ms = labelled->at_ms;
+  occ->txn = labelled->txn;
+  occ->constituents.push_back(std::move(labelled));
+  const OccurrenceRef detection = std::move(occ);
   for (int c = 0; c < kNumContexts; ++c) {
     const auto context = static_cast<ParamContext>(c);
     if (!ActiveIn(context)) continue;
     metrics().OnReceived(context);
-    Emit(occ, context);
+    Emit(detection, context);
   }
 }
 
-void PrimitiveEventNode::Receive(int port, const Occurrence& occurrence,
+void PrimitiveEventNode::Receive(int port, const OccurrenceRef& occurrence,
                                  ParamContext context) {
   // Primitive nodes have no children; nothing should route here.
   (void)port;

@@ -87,8 +87,9 @@ class EventNode {
 
   // -- Detection ---------------------------------------------------------------
 
-  /// Delivery of a child detection into slot `port`, in `context`.
-  virtual void Receive(int port, const Occurrence& occurrence,
+  /// Delivery of a child detection into slot `port`, in `context`. An
+  /// operator that buffers the detection keeps the handle, not a copy.
+  virtual void Receive(int port, const OccurrenceRef& occurrence,
                        ParamContext context) = 0;
 
   /// Temporal-clock advance (PLUS/P nodes override; others ignore).
@@ -120,11 +121,11 @@ class EventNode {
   void set_span_tracer(obs::SpanTracer* tracer) { span_tracer_ = tracer; }
 
  protected:
-  /// Delivers a detection to all parents and sinks. The sink list is
-  /// snapshotted and each delivery re-checks membership, so a sink that
-  /// reentrantly calls RemoveSink/Unsubscribe from OnEvent (e.g. a one-shot
-  /// rule removing itself) cannot invalidate the iteration.
-  void Emit(const Occurrence& occurrence, ParamContext context);
+  /// Delivers a detection to all parents and sinks, sharing the one handle.
+  /// The sink list is snapshotted and each delivery re-checks membership, so
+  /// a sink that reentrantly calls RemoveSink/Unsubscribe from OnEvent (e.g.
+  /// a one-shot rule removing itself) cannot invalidate the iteration.
+  void Emit(const OccurrenceRef& occurrence, ParamContext context);
 
   /// This node's buffer lock (striped across nodes). Leaf lock only.
   std::mutex& buffer_mu() const { return buffer_mu_; }
@@ -190,11 +191,15 @@ class PrimitiveEventNode : public EventNode {
     return instance_ == oodb::kInvalidOid || raw.oid == instance_;
   }
 
-  /// Accepts a raw notification from the detector: wraps it into an
-  /// occurrence named after this node and emits it in every active context.
-  void Signal(const std::shared_ptr<const PrimitiveOccurrence>& raw);
+  /// Accepts a raw notification from the detector, labels it with this
+  /// node's name and emits one detection of it in every active context.
+  /// `exclusive` says the caller holds the only reference to `raw` (no node
+  /// has seen it yet): the label is then written in place. Otherwise an
+  /// earlier node's detection may still hold `raw`, and a labelled copy is
+  /// made when the names differ.
+  void Signal(const std::shared_ptr<PrimitiveOccurrence>& raw, bool exclusive);
 
-  void Receive(int port, const Occurrence& occurrence,
+  void Receive(int port, const OccurrenceRef& occurrence,
                ParamContext context) override;
 
  private:

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/inline_vector.h"
 #include "common/symbol.h"
 #include "oodb/value.h"
 #include "storage/log_record.h"
@@ -35,76 +36,43 @@ constexpr int kNumContexts = 4;
 const char* ParamContextToString(ParamContext c);
 
 /// The paper's PARA_LIST: ordered (name, value) pairs collected by the
-/// wrapper method at invocation time. Immutable once attached to an
-/// occurrence; shared by pointer through the graph (no copying — §3.2.2
+/// wrapper method at invocation time. Immutable once attached to a
+/// PrimitiveOccurrence: every detection that contains that occurrence, and
+/// every firing of those detections (detached ones included), reads this one
+/// list through the occurrence's shared pointer. Nothing copies it (§3.2.2
 /// item 2).
 ///
-/// Storage is a small inline buffer (method wrappers collect a handful of
-/// actual parameters) with a vector spill-over, so building the list on the
-/// Notify hot path does not allocate.
+/// Storage keeps four entries in place (method wrappers collect a handful of
+/// actual parameters) and spills to the heap past that, so building the
+/// list on the Notify hot path does not allocate.
 class ParamList {
  public:
   using Entry = std::pair<std::string, oodb::Value>;
+  using const_iterator = const Entry*;
 
   ParamList() = default;
 
   ParamList& Insert(std::string name, oodb::Value value) {
-    if (inline_size_ < kInlineCapacity) {
-      inline_[inline_size_].first = std::move(name);
-      inline_[inline_size_].second = std::move(value);
-      ++inline_size_;
-    } else {
-      overflow_.emplace_back(std::move(name), std::move(value));
-    }
+    entries_.push_back(Entry(std::move(name), std::move(value)));
     return *this;
   }
 
   /// First value with the given name, or NotFound.
   Result<oodb::Value> Get(const std::string& name) const {
-    for (const Entry& e : *this) {
+    for (const Entry& e : entries_) {
       if (e.first == name) return e.second;
     }
     return Status::NotFound("no parameter named " + name);
   }
 
-  std::size_t size() const { return inline_size_ + overflow_.size(); }
-
-  const Entry& entry(std::size_t i) const {
-    return i < inline_size_ ? inline_[i] : overflow_[i - inline_size_];
-  }
-
-  class const_iterator {
-   public:
-    const_iterator(const ParamList* list, std::size_t i)
-        : list_(list), i_(i) {}
-    const Entry& operator*() const { return list_->entry(i_); }
-    const Entry* operator->() const { return &list_->entry(i_); }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.i_ == b.i_;
-    }
-    friend bool operator!=(const const_iterator& a, const const_iterator& b) {
-      return a.i_ != b.i_;
-    }
-
-   private:
-    const ParamList* list_;
-    std::size_t i_;
-  };
-  const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, size()); }
+  std::size_t size() const { return entries_.size(); }
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
 
   std::string ToString() const;
 
  private:
-  static constexpr std::size_t kInlineCapacity = 4;
-
-  std::size_t inline_size_ = 0;
-  std::array<Entry, kInlineCapacity> inline_{};
-  std::vector<Entry> overflow_;
+  common::InlineVector<Entry, 4> entries_;
 };
 
 /// One primitive event occurrence: the unit collected into composite-event
@@ -140,17 +108,34 @@ struct PrimitiveOccurrence {
   std::string ToString() const;
 };
 
-/// An event occurrence flowing through the event graph. Composite
-/// occurrences span an interval [t_start, t_end] and reference (not copy)
-/// the parameter lists of their constituent primitive occurrences — the
-/// paper's linked-list-of-parameters representation.
+struct Occurrence;
+
+/// Shared handle to one immutable detection. The node that detects an event
+/// builds its Occurrence once (PrimitiveEventNode::Signal, or an operator's
+/// Compose) and every later holder shares it by this handle: the parents it
+/// is delivered to, the operator buffers that keep it as an initiator, and
+/// the firing of each rule subscribed to the node.
+using OccurrenceRef = std::shared_ptr<const Occurrence>;
+
+/// An event occurrence: one detection by one node of the event graph.
+/// Composite occurrences span an interval [t_start, t_end] and link (not
+/// copy) their constituent primitive occurrences, whose parameter lists they
+/// thereby share — the paper's linked-list-of-parameters representation.
+/// Detections flow as OccurrenceRef and are never modified once built; the
+/// struct stays a plain value so the net codec can decode into one.
 struct Occurrence {
+  /// Links to the constituent primitive occurrences, in chronological order
+  /// of their roles. Up to two live in place, which covers primitive
+  /// detections and binary operators without an allocation.
+  using Constituents =
+      common::InlineVector<std::shared_ptr<const PrimitiveOccurrence>, 2>;
+
   std::string event_name;  // node that produced this occurrence
   Timestamp t_start = kInvalidTimestamp;
   Timestamp t_end = kInvalidTimestamp;
   std::uint64_t at_ms = 0;
   TxnId txn = storage::kInvalidTxnId;
-  std::vector<std::shared_ptr<const PrimitiveOccurrence>> constituents;
+  Constituents constituents;
 
   /// Looks a parameter up across constituents, newest first.
   Result<oodb::Value> Param(const std::string& name) const;
@@ -167,6 +152,13 @@ class EventSink {
  public:
   virtual ~EventSink() = default;
   virtual void OnEvent(const Occurrence& occurrence, ParamContext context) = 0;
+  /// How the event graph delivers: with the detection's shared handle. A
+  /// sink that keeps the occurrence past the call (a rule queueing its
+  /// firing) overrides this to retain the handle instead of copying.
+  virtual void OnDetection(const OccurrenceRef& occurrence,
+                           ParamContext context) {
+    OnEvent(*occurrence, context);
+  }
 };
 
 }  // namespace sentinel::detector

@@ -476,12 +476,16 @@ void LocalEventDetector::Inject(const PrimitiveOccurrence& recorded) {
   Dispatch(std::move(raw), entry->nodes);
 }
 
-void LocalEventDetector::Dispatch(
-    std::shared_ptr<const PrimitiveOccurrence> raw,
-    std::span<PrimitiveEventNode* const> nodes) {
+void LocalEventDetector::Dispatch(std::shared_ptr<PrimitiveOccurrence> raw,
+                                  std::span<PrimitiveEventNode* const> nodes) {
   for (const auto& observer : raw_observers_) observer(*raw);
+  // The first matching node is handed `raw` while this frame holds its only
+  // reference, so it labels it in place.
+  bool exclusive = true;
   for (PrimitiveEventNode* node : nodes) {
-    if (node->Matches(*raw)) node->Signal(raw);
+    if (!node->Matches(*raw)) continue;
+    node->Signal(raw, exclusive);
+    exclusive = false;
   }
 }
 

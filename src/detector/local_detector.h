@@ -270,9 +270,10 @@ class LocalEventDetector {
                                      EventModifier modifier,
                                      const std::string& method_signature);
   /// The dispatch tail shared by Notify, RaiseExplicit and Inject: runs the
-  /// raw observers, then signals each of `nodes` that matches `raw`. Caller
-  /// holds graph_mu_ at least shared.
-  void Dispatch(std::shared_ptr<const PrimitiveOccurrence> raw,
+  /// raw observers, then signals each of `nodes` that matches `raw`, which
+  /// the caller has just built and hands over. Caller holds graph_mu_ at
+  /// least shared.
+  void Dispatch(std::shared_ptr<PrimitiveOccurrence> raw,
                 std::span<PrimitiveEventNode* const> nodes);
   /// Flattens the per-class lists + inheritance walk into the flat node
   /// vector for one key. Caller holds graph_mu_ at least shared.

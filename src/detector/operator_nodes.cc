@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/pool.h"
 
 namespace sentinel::detector {
 
@@ -11,12 +12,8 @@ namespace {
 int Idx(ParamContext context) { return static_cast<int>(context); }
 
 /// Removes buffered occurrences belonging to `txn` from `buffer`.
-void EraseTxn(std::deque<Occurrence>* buffer, TxnId txn) {
-  buffer->erase(std::remove_if(buffer->begin(), buffer->end(),
-                               [txn](const Occurrence& o) {
-                                 return o.txn == txn;
-                               }),
-                buffer->end());
+void EraseTxn(std::deque<OccurrenceRef>* buffer, TxnId txn) {
+  std::erase_if(*buffer, [txn](const OccurrenceRef& o) { return o->txn == txn; });
 }
 
 }  // namespace
@@ -56,24 +53,28 @@ OperatorNode::OperatorNode(std::string name, OperatorKind kind,
   }
 }
 
-Occurrence OperatorNode::Compose(
-    const std::vector<const Occurrence*>& parts) const {
-  Occurrence occ;
-  occ.event_name = name();
-  occ.t_start = kInvalidTimestamp;
-  occ.t_end = kInvalidTimestamp;
+std::shared_ptr<Occurrence> OperatorNode::Compose(
+    std::span<const Occurrence* const> parts) const {
+  auto occ = common::MakePooled<Occurrence>();
+  occ->event_name = name();
+  std::size_t links = 0;
+  for (const Occurrence* part : parts) {
+    if (part != nullptr) links += part->constituents.size();
+  }
+  occ->constituents.reserve(links);
   for (const Occurrence* part : parts) {
     if (part == nullptr) continue;
-    if (occ.t_start == kInvalidTimestamp || part->t_start < occ.t_start) {
-      occ.t_start = part->t_start;
+    if (occ->t_start == kInvalidTimestamp || part->t_start < occ->t_start) {
+      occ->t_start = part->t_start;
     }
-    if (occ.t_end == kInvalidTimestamp || part->t_end > occ.t_end) {
-      occ.t_end = part->t_end;
+    if (occ->t_end == kInvalidTimestamp || part->t_end > occ->t_end) {
+      occ->t_end = part->t_end;
     }
-    if (part->at_ms > occ.at_ms) occ.at_ms = part->at_ms;
-    occ.txn = part->txn;  // last part = terminator; its txn labels the result
-    occ.constituents.insert(occ.constituents.end(), part->constituents.begin(),
-                            part->constituents.end());
+    if (part->at_ms > occ->at_ms) occ->at_ms = part->at_ms;
+    occ->txn = part->txn;  // last part = terminator; its txn labels the result
+    for (const auto& constituent : part->constituents) {
+      occ->constituents.push_back(constituent);
+    }
   }
   return occ;
 }
@@ -83,11 +84,11 @@ Occurrence OperatorNode::Compose(
 OrNode::OrNode(std::string name, EventNode* left, EventNode* right)
     : OperatorNode(std::move(name), OperatorKind::kOr, {left, right}) {}
 
-void OrNode::Receive(int port, const Occurrence& occurrence,
+void OrNode::Receive(int port, const OccurrenceRef& occurrence,
                      ParamContext context) {
   // Stateless: no buffers, no lock.
   (void)port;
-  Emit(Compose({&occurrence}), context);
+  Emit(Compose({occurrence.get()}), context);
 }
 
 // ---- AND --------------------------------------------------------------------
@@ -95,21 +96,21 @@ void OrNode::Receive(int port, const Occurrence& occurrence,
 AndNode::AndNode(std::string name, EventNode* left, EventNode* right)
     : OperatorNode(std::move(name), OperatorKind::kAnd, {left, right}) {}
 
-void AndNode::Receive(int port, const Occurrence& occurrence,
+void AndNode::Receive(int port, const OccurrenceRef& occurrence,
                       ParamContext context) {
-  std::vector<Occurrence> out;
+  Detections out;
   {
     auto lock = LockBuffer();
     State& st = state_[Idx(context)];
-    std::deque<Occurrence>& mine = st.side[port];
-    std::deque<Occurrence>& other = st.side[1 - port];
+    std::deque<OccurrenceRef>& mine = st.side[port];
+    std::deque<OccurrenceRef>& other = st.side[1 - port];
 
     switch (context) {
       case ParamContext::kRecent:
         // Keep at most the most recent occurrence per side; a detection does
         // not consume the partner (it stays until replaced).
         if (!other.empty()) {
-          out.push_back(Compose({&other.back(), &occurrence}));
+          out.push_back(Compose({other.back().get(), occurrence.get()}));
         }
         mine.clear();
         mine.push_back(occurrence);
@@ -117,7 +118,7 @@ void AndNode::Receive(int port, const Occurrence& occurrence,
       case ParamContext::kChronicle:
         // FIFO pairing; both partners consumed.
         if (!other.empty()) {
-          out.push_back(Compose({&other.front(), &occurrence}));
+          out.push_back(Compose({other.front().get(), occurrence.get()}));
           other.pop_front();
         } else {
           mine.push_back(occurrence);
@@ -126,8 +127,8 @@ void AndNode::Receive(int port, const Occurrence& occurrence,
       case ParamContext::kContinuous:
         // Every buffered partner pairs with (and is consumed by) the arrival.
         if (!other.empty()) {
-          for (const Occurrence& partner : other) {
-            out.push_back(Compose({&partner, &occurrence}));
+          for (const OccurrenceRef& partner : other) {
+            out.push_back(Compose({partner.get(), occurrence.get()}));
           }
           other.clear();
         } else {
@@ -137,10 +138,10 @@ void AndNode::Receive(int port, const Occurrence& occurrence,
       case ParamContext::kCumulative:
         // One detection carrying everything accumulated on both sides.
         if (!other.empty()) {
-          std::vector<const Occurrence*> parts;
-          for (const Occurrence& o : other) parts.push_back(&o);
-          for (const Occurrence& o : mine) parts.push_back(&o);
-          parts.push_back(&occurrence);
+          Parts parts;
+          for (const OccurrenceRef& o : other) parts.push_back(o.get());
+          for (const OccurrenceRef& o : mine) parts.push_back(o.get());
+          parts.push_back(occurrence.get());
           out.push_back(Compose(parts));
           other.clear();
           mine.clear();
@@ -181,9 +182,9 @@ std::size_t AndNode::BufferedCount() const {
 SeqNode::SeqNode(std::string name, EventNode* left, EventNode* right)
     : OperatorNode(std::move(name), OperatorKind::kSeq, {left, right}) {}
 
-void SeqNode::Receive(int port, const Occurrence& occurrence,
+void SeqNode::Receive(int port, const OccurrenceRef& occurrence,
                       ParamContext context) {
-  std::vector<Occurrence> out;
+  Detections out;
   {
     auto lock = LockBuffer();
     State& st = state_[Idx(context)];
@@ -193,8 +194,8 @@ void SeqNode::Receive(int port, const Occurrence& occurrence,
       return;
     }
     // Terminator: pair with initiators that strictly precede it.
-    auto precedes = [&occurrence](const Occurrence& init) {
-      return init.t_end < occurrence.t_start;
+    auto precedes = [&occurrence](const OccurrenceRef& init) {
+      return init->t_end < occurrence->t_start;
     };
     switch (context) {
       case ParamContext::kRecent: {
@@ -202,7 +203,7 @@ void SeqNode::Receive(int port, const Occurrence& occurrence,
         for (auto it = st.initiators.rbegin(); it != st.initiators.rend();
              ++it) {
           if (precedes(*it)) {
-            out.push_back(Compose({&*it, &occurrence}));
+            out.push_back(Compose({it->get(), occurrence.get()}));
             break;
           }
         }
@@ -212,7 +213,7 @@ void SeqNode::Receive(int port, const Occurrence& occurrence,
         for (auto it = st.initiators.begin(); it != st.initiators.end();
              ++it) {
           if (precedes(*it)) {
-            out.push_back(Compose({&*it, &occurrence}));
+            out.push_back(Compose({it->get(), occurrence.get()}));
             st.initiators.erase(it);
             break;
           }
@@ -220,31 +221,23 @@ void SeqNode::Receive(int port, const Occurrence& occurrence,
         break;
       }
       case ParamContext::kContinuous: {
-        std::deque<Occurrence> keep;
-        for (const Occurrence& init : st.initiators) {
+        for (const OccurrenceRef& init : st.initiators) {
           if (precedes(init)) {
-            out.push_back(Compose({&init, &occurrence}));
-          } else {
-            keep.push_back(init);
+            out.push_back(Compose({init.get(), occurrence.get()}));
           }
         }
-        st.initiators = std::move(keep);
+        std::erase_if(st.initiators, precedes);
         break;
       }
       case ParamContext::kCumulative: {
-        std::vector<const Occurrence*> parts;
-        std::deque<Occurrence> keep;
-        for (const Occurrence& init : st.initiators) {
-          if (precedes(init)) {
-            parts.push_back(&init);
-          } else {
-            keep.push_back(init);
-          }
+        Parts parts;
+        for (const OccurrenceRef& init : st.initiators) {
+          if (precedes(init)) parts.push_back(init.get());
         }
         if (!parts.empty()) {
-          parts.push_back(&occurrence);
+          parts.push_back(occurrence.get());
           out.push_back(Compose(parts));
-          st.initiators = std::move(keep);
+          std::erase_if(st.initiators, precedes);
         }
         break;
       }
@@ -277,12 +270,15 @@ NotNode::NotNode(std::string name, EventNode* opener, EventNode* canceller,
     : OperatorNode(std::move(name), OperatorKind::kNot,
                    {opener, canceller, closer}) {}
 
-void NotNode::Receive(int port, const Occurrence& occurrence,
+void NotNode::Receive(int port, const OccurrenceRef& occurrence,
                       ParamContext context) {
-  std::vector<Occurrence> out;
+  Detections out;
   {
     auto lock = LockBuffer();
     State& st = state_[Idx(context)];
+    auto precedes = [&occurrence](const OccurrenceRef& init) {
+      return init->t_end < occurrence->t_start;
+    };
     switch (port) {
       case 0:  // opener E1
         if (context == ParamContext::kRecent) st.initiators.clear();
@@ -290,23 +286,15 @@ void NotNode::Receive(int port, const Occurrence& occurrence,
         break;
       case 1:  // canceller E2: every pending window that started before it
                // dies
-        st.initiators.erase(
-            std::remove_if(st.initiators.begin(), st.initiators.end(),
-                           [&occurrence](const Occurrence& init) {
-                             return init.t_end < occurrence.t_start;
-                           }),
-            st.initiators.end());
+        std::erase_if(st.initiators, precedes);
         break;
       case 2: {  // closer E3
-        auto precedes = [&occurrence](const Occurrence& init) {
-          return init.t_end < occurrence.t_start;
-        };
         switch (context) {
           case ParamContext::kRecent: {
             for (auto it = st.initiators.rbegin(); it != st.initiators.rend();
                  ++it) {
               if (precedes(*it)) {
-                out.push_back(Compose({&*it, &occurrence}));
+                out.push_back(Compose({it->get(), occurrence.get()}));
                 break;
               }
             }
@@ -316,7 +304,7 @@ void NotNode::Receive(int port, const Occurrence& occurrence,
             for (auto it = st.initiators.begin(); it != st.initiators.end();
                  ++it) {
               if (precedes(*it)) {
-                out.push_back(Compose({&*it, &occurrence}));
+                out.push_back(Compose({it->get(), occurrence.get()}));
                 st.initiators.erase(it);
                 break;
               }
@@ -324,31 +312,23 @@ void NotNode::Receive(int port, const Occurrence& occurrence,
             break;
           }
           case ParamContext::kContinuous: {
-            std::deque<Occurrence> keep;
-            for (const Occurrence& init : st.initiators) {
+            for (const OccurrenceRef& init : st.initiators) {
               if (precedes(init)) {
-                out.push_back(Compose({&init, &occurrence}));
-              } else {
-                keep.push_back(init);
+                out.push_back(Compose({init.get(), occurrence.get()}));
               }
             }
-            st.initiators = std::move(keep);
+            std::erase_if(st.initiators, precedes);
             break;
           }
           case ParamContext::kCumulative: {
-            std::vector<const Occurrence*> parts;
-            std::deque<Occurrence> keep;
-            for (const Occurrence& init : st.initiators) {
-              if (precedes(init)) {
-                parts.push_back(&init);
-              } else {
-                keep.push_back(init);
-              }
+            Parts parts;
+            for (const OccurrenceRef& init : st.initiators) {
+              if (precedes(init)) parts.push_back(init.get());
             }
             if (!parts.empty()) {
-              parts.push_back(&occurrence);
+              parts.push_back(occurrence.get());
               out.push_back(Compose(parts));
-              st.initiators = std::move(keep);
+              std::erase_if(st.initiators, precedes);
             }
             break;
           }
@@ -386,27 +366,27 @@ AperiodicNode::AperiodicNode(std::string name, EventNode* opener,
     : OperatorNode(std::move(name), OperatorKind::kAperiodic,
                    {opener, detector, closer}) {}
 
-void AperiodicNode::Receive(int port, const Occurrence& occurrence,
+void AperiodicNode::Receive(int port, const OccurrenceRef& occurrence,
                             ParamContext context) {
-  std::vector<Occurrence> out;
+  Detections out;
   {
     auto lock = LockBuffer();
     State& st = state_[Idx(context)];
+    auto in_window = [&occurrence](const OccurrenceRef& opener) {
+      return opener->t_end < occurrence->t_start;
+    };
     switch (port) {
       case 0:  // E1 opens a window
         if (context == ParamContext::kRecent) st.openers.clear();
         st.openers.push_back(occurrence);
         break;
       case 1: {  // E2 signals inside every open window
-        auto in_window = [&occurrence](const Occurrence& opener) {
-          return opener.t_end < occurrence.t_start;
-        };
         switch (context) {
           case ParamContext::kRecent: {
             for (auto it = st.openers.rbegin(); it != st.openers.rend();
                  ++it) {
               if (in_window(*it)) {
-                out.push_back(Compose({&*it, &occurrence}));
+                out.push_back(Compose({it->get(), occurrence.get()}));
                 break;
               }
             }
@@ -417,16 +397,16 @@ void AperiodicNode::Receive(int port, const Occurrence& occurrence,
             // Oldest open window detects; windows stay open until E3.
             for (auto it = st.openers.begin(); it != st.openers.end(); ++it) {
               if (in_window(*it)) {
-                out.push_back(Compose({&*it, &occurrence}));
+                out.push_back(Compose({it->get(), occurrence.get()}));
                 break;
               }
             }
             break;
           }
           case ParamContext::kContinuous: {
-            for (const Occurrence& opener : st.openers) {
+            for (const OccurrenceRef& opener : st.openers) {
               if (in_window(opener)) {
-                out.push_back(Compose({&opener, &occurrence}));
+                out.push_back(Compose({opener.get(), occurrence.get()}));
               }
             }
             break;
@@ -435,12 +415,7 @@ void AperiodicNode::Receive(int port, const Occurrence& occurrence,
         break;
       }
       case 2:  // E3 closes windows that precede it, without signalling
-        st.openers.erase(
-            std::remove_if(st.openers.begin(), st.openers.end(),
-                           [&occurrence](const Occurrence& opener) {
-                             return opener.t_end < occurrence.t_start;
-                           }),
-            st.openers.end());
+        std::erase_if(st.openers, in_window);
         break;
       default:
         break;
@@ -473,9 +448,9 @@ AperiodicStarNode::AperiodicStarNode(std::string name, EventNode* opener,
     : OperatorNode(std::move(name), OperatorKind::kAperiodicCumulative,
                    {opener, detector, closer}) {}
 
-void AperiodicStarNode::Receive(int port, const Occurrence& occurrence,
+void AperiodicStarNode::Receive(int port, const OccurrenceRef& occurrence,
                                 ParamContext context) {
-  std::vector<Occurrence> out;
+  Detections out;
   {
     auto lock = LockBuffer();
     State& st = state_[Idx(context)];
@@ -489,17 +464,20 @@ void AperiodicStarNode::Receive(int port, const Occurrence& occurrence,
         break;
       case 1:  // E2: accumulate while a window is open
         if (!st.openers.empty() &&
-            st.openers.front().t_end < occurrence.t_start) {
+            st.openers.front()->t_end < occurrence->t_start) {
           st.accumulated.push_back(occurrence);
         }
         break;
       case 2: {  // E3: signal once with the whole accumulation (if non-empty)
         if (!st.openers.empty() && !st.accumulated.empty() &&
-            st.openers.front().t_end < occurrence.t_start) {
-          std::vector<const Occurrence*> parts;
-          parts.push_back(&st.openers.front());
-          for (const Occurrence& acc : st.accumulated) parts.push_back(&acc);
-          parts.push_back(&occurrence);
+            st.openers.front()->t_end < occurrence->t_start) {
+          Parts parts;
+          parts.reserve(st.accumulated.size() + 2);
+          parts.push_back(st.openers.front().get());
+          for (const OccurrenceRef& acc : st.accumulated) {
+            parts.push_back(acc.get());
+          }
+          parts.push_back(occurrence.get());
           out.push_back(Compose(parts));
         }
         st.openers.clear();
@@ -547,16 +525,16 @@ AnyNode::AnyNode(std::string name, std::size_t threshold,
   for (State& st : state_) st.ports.resize(children_.size());
 }
 
-void AnyNode::Receive(int port, const Occurrence& occurrence,
+void AnyNode::Receive(int port, const OccurrenceRef& occurrence,
                       ParamContext context) {
-  std::vector<Occurrence> out;
+  Detections out;
   {
     auto lock = LockBuffer();
     State& st = state_[Idx(context)];
     auto& mine = st.ports[static_cast<std::size_t>(port)];
 
     // Ports (other than this one) currently holding at least one occurrence.
-    std::vector<std::size_t> populated;
+    common::InlineVector<std::size_t, 8> populated;
     for (std::size_t p = 0; p < st.ports.size(); ++p) {
       if (p != static_cast<std::size_t>(port) && !st.ports[p].empty()) {
         populated.push_back(p);
@@ -575,14 +553,14 @@ void AnyNode::Receive(int port, const Occurrence& occurrence,
         // active other ports; nothing is consumed.
         std::sort(populated.begin(), populated.end(),
                   [&st](std::size_t a, std::size_t b) {
-                    return st.ports[a].back().t_end >
-                           st.ports[b].back().t_end;
+                    return st.ports[a].back()->t_end >
+                           st.ports[b].back()->t_end;
                   });
-        std::vector<const Occurrence*> parts;
+        Parts parts;
         for (std::size_t i = 0; i + 1 < threshold_; ++i) {
-          parts.push_back(&st.ports[populated[i]].back());
+          parts.push_back(st.ports[populated[i]].back().get());
         }
-        parts.push_back(&occurrence);
+        parts.push_back(occurrence.get());
         out.push_back(Compose(parts));
         mine.clear();
         mine.push_back(occurrence);
@@ -594,14 +572,14 @@ void AnyNode::Receive(int port, const Occurrence& occurrence,
         // ports whose heads are oldest.
         std::sort(populated.begin(), populated.end(),
                   [&st](std::size_t a, std::size_t b) {
-                    return st.ports[a].front().t_end <
-                           st.ports[b].front().t_end;
+                    return st.ports[a].front()->t_end <
+                           st.ports[b].front()->t_end;
                   });
-        std::vector<const Occurrence*> parts;
+        Parts parts;
         for (std::size_t i = 0; i + 1 < threshold_; ++i) {
-          parts.push_back(&st.ports[populated[i]].front());
+          parts.push_back(st.ports[populated[i]].front().get());
         }
-        parts.push_back(&occurrence);
+        parts.push_back(occurrence.get());
         out.push_back(Compose(parts));
         for (std::size_t i = 0; i + 1 < threshold_; ++i) {
           st.ports[populated[i]].pop_front();
@@ -609,11 +587,11 @@ void AnyNode::Receive(int port, const Occurrence& occurrence,
         break;
       }
       case ParamContext::kCumulative: {
-        std::vector<const Occurrence*> parts;
+        Parts parts;
         for (auto& port_buffer : st.ports) {
-          for (const Occurrence& o : port_buffer) parts.push_back(&o);
+          for (const OccurrenceRef& o : port_buffer) parts.push_back(o.get());
         }
-        parts.push_back(&occurrence);
+        parts.push_back(occurrence.get());
         out.push_back(Compose(parts));
         for (auto& port_buffer : st.ports) port_buffer.clear();
         break;
@@ -654,19 +632,19 @@ PlusNode::PlusNode(std::string name, EventNode* base, std::uint64_t delta_ms,
       delta_ms_(delta_ms),
       clock_(clock) {}
 
-void PlusNode::Receive(int port, const Occurrence& occurrence,
+void PlusNode::Receive(int port, const OccurrenceRef& occurrence,
                        ParamContext context) {
   (void)port;
   auto lock = LockBuffer();
   State& st = state_[Idx(context)];
   if (context == ParamContext::kRecent) st.pending.clear();
-  st.pending.push_back(Pending{occurrence.at_ms + delta_ms_, occurrence});
+  st.pending.push_back(Pending{occurrence->at_ms + delta_ms_, occurrence});
 }
 
 void PlusNode::OnTimeAdvance(std::uint64_t now_ms) {
   for (int c = 0; c < kNumContexts; ++c) {
     if (!ActiveIn(static_cast<ParamContext>(c))) continue;
-    std::vector<Occurrence> out;
+    Detections out;
     {
       auto lock = LockBuffer();
       State& st = state_[c];
@@ -674,9 +652,9 @@ void PlusNode::OnTimeAdvance(std::uint64_t now_ms) {
              st.pending.front().deadline_ms <= now_ms) {
         Pending fired = std::move(st.pending.front());
         st.pending.pop_front();
-        Occurrence occ = Compose({&fired.base});
-        occ.t_start = occ.t_end = clock_->Tick();
-        occ.at_ms = fired.deadline_ms;
+        auto occ = Compose({fired.base.get()});
+        occ->t_start = occ->t_end = clock_->Tick();
+        occ->at_ms = fired.deadline_ms;
         out.push_back(std::move(occ));
       }
     }
@@ -689,7 +667,7 @@ void PlusNode::FlushTxn(TxnId txn) {
   for (State& st : state_) {
     st.pending.erase(std::remove_if(st.pending.begin(), st.pending.end(),
                                     [txn](const Pending& p) {
-                                      return p.base.txn == txn;
+                                      return p.base->txn == txn;
                                     }),
                      st.pending.end());
   }
@@ -717,22 +695,22 @@ PeriodicNode::PeriodicNode(std::string name, EventNode* opener,
       period_ms_(period_ms),
       clock_(clock) {}
 
-void PeriodicNode::Receive(int port, const Occurrence& occurrence,
+void PeriodicNode::Receive(int port, const OccurrenceRef& occurrence,
                            ParamContext context) {
-  std::vector<Occurrence> out;
+  Detections out;
   {
     auto lock = LockBuffer();
     State& st = state_[Idx(context)];
     if (port == 0) {
       if (context == ParamContext::kRecent) st.schedules.clear();
       st.schedules.push_back(
-          Schedule{occurrence.at_ms + period_ms_, occurrence, 0, {}});
+          Schedule{occurrence->at_ms + period_ms_, occurrence, 0, {}});
     } else if (port == 2) {
       // Close schedules whose opener precedes the closer.
       std::deque<Schedule> keep;
       for (Schedule& schedule : st.schedules) {
-        if (schedule.opener.t_end < occurrence.t_start) {
-          OnClose(&schedule, occurrence, &out);
+        if (schedule.opener->t_end < occurrence->t_start) {
+          OnClose(&schedule, *occurrence, &out);
         } else {
           keep.push_back(std::move(schedule));
         }
@@ -746,7 +724,7 @@ void PeriodicNode::Receive(int port, const Occurrence& occurrence,
 void PeriodicNode::OnTimeAdvance(std::uint64_t now_ms) {
   for (int c = 0; c < kNumContexts; ++c) {
     if (!ActiveIn(static_cast<ParamContext>(c))) continue;
-    std::vector<Occurrence> out;
+    Detections out;
     {
       auto lock = LockBuffer();
       for (Schedule& schedule : state_[c].schedules) {
@@ -761,16 +739,16 @@ void PeriodicNode::OnTimeAdvance(std::uint64_t now_ms) {
 }
 
 void PeriodicNode::OnTick(Schedule* schedule, std::uint64_t tick_ms,
-                          std::vector<Occurrence>* out) {
+                          Detections* out) {
   ++schedule->ticks;
-  Occurrence occ = Compose({&schedule->opener});
-  occ.t_start = occ.t_end = clock_->Tick();
-  occ.at_ms = tick_ms;
+  auto occ = Compose({schedule->opener.get()});
+  occ->t_start = occ->t_end = clock_->Tick();
+  occ->at_ms = tick_ms;
   out->push_back(std::move(occ));
 }
 
 void PeriodicNode::OnClose(Schedule* schedule, const Occurrence& closer,
-                           std::vector<Occurrence>* out) {
+                           Detections* out) {
   (void)schedule;
   (void)closer;
   (void)out;  // plain P: closing is silent
@@ -782,7 +760,7 @@ void PeriodicNode::FlushTxn(TxnId txn) {
     st.schedules.erase(std::remove_if(st.schedules.begin(),
                                       st.schedules.end(),
                                       [txn](const Schedule& s) {
-                                        return s.opener.txn == txn;
+                                        return s.opener->txn == txn;
                                       }),
                        st.schedules.end());
   }
@@ -808,16 +786,16 @@ PeriodicStarNode::PeriodicStarNode(std::string name, EventNode* opener,
     : PeriodicNode(std::move(name), opener, period_ms, closer, clock) {}
 
 void PeriodicStarNode::OnTick(Schedule* schedule, std::uint64_t tick_ms,
-                              std::vector<Occurrence>* out) {
+                              Detections* out) {
   (void)out;
   ++schedule->ticks;
   schedule->tick_times.push_back(tick_ms);
 }
 
 void PeriodicStarNode::OnClose(Schedule* schedule, const Occurrence& closer,
-                               std::vector<Occurrence>* out) {
+                               Detections* out) {
   if (schedule->ticks == 0) return;
-  Occurrence occ = Compose({&schedule->opener, &closer});
+  auto occ = Compose({schedule->opener.get(), &closer});
   // Synthesize the accumulated tick times as a constituent parameter list.
   auto params = std::make_shared<ParamList>();
   params->Insert("ticks", oodb::Value::Int(static_cast<std::int64_t>(
@@ -830,11 +808,11 @@ void PeriodicStarNode::OnClose(Schedule* schedule, const Occurrence& closer,
   auto synthetic = std::make_shared<PrimitiveOccurrence>();
   synthetic->event_name = name();
   synthetic->class_name = "<temporal>";
-  synthetic->at = occ.t_end;
+  synthetic->at = occ->t_end;
   synthetic->at_ms = closer.at_ms;
   synthetic->txn = closer.txn;
   synthetic->params = std::move(params);
-  occ.constituents.push_back(std::move(synthetic));
+  occ->constituents.push_back(std::move(synthetic));
   out->push_back(std::move(occ));
 }
 

@@ -3,11 +3,14 @@
 
 #include <array>
 #include <deque>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/inline_vector.h"
 #include "detector/event_node.h"
 
 namespace sentinel::detector {
@@ -31,8 +34,10 @@ enum class OperatorKind : std::uint8_t {
 const char* OperatorKindToString(OperatorKind kind);
 
 /// Shared plumbing for operator nodes: child links and composite-occurrence
-/// assembly (concatenating constituent pointers — never copying parameter
-/// data, per §3.2.2 item 2).
+/// assembly (linking constituent pointers — never copying parameter data,
+/// per §3.2.2 item 2). Operator buffers hold the handles of the detections
+/// they wait on, so buffering, pairing and consuming an initiator never
+/// copies it.
 class OperatorNode : public EventNode {
  public:
   OperatorNode(std::string name, OperatorKind kind,
@@ -42,16 +47,28 @@ class OperatorNode : public EventNode {
   std::vector<EventNode*> Children() const override { return children_; }
 
  protected:
-  /// Builds this node's occurrence from constituent occurrences (in
-  /// chronological order of their roles).
-  Occurrence Compose(const std::vector<const Occurrence*>& parts) const;
+  /// The detections one delivery produces: almost always none or one.
+  using Detections = common::InlineVector<OccurrenceRef, 2>;
+  /// The parts of one cumulative detection.
+  using Parts = common::InlineVector<const Occurrence*, 8>;
+
+  /// Builds this node's detection from constituent occurrences (in
+  /// chronological order of their roles): one pooled node linking the parts'
+  /// constituents. It stays writable until the caller publishes it.
+  std::shared_ptr<Occurrence> Compose(
+      std::span<const Occurrence* const> parts) const;
+  std::shared_ptr<Occurrence> Compose(
+      std::initializer_list<const Occurrence*> parts) const {
+    return Compose(std::span<const Occurrence* const>(parts.begin(),
+                                                      parts.size()));
+  }
 
   /// Emits a batch of detections collected under the buffer lock. Operators
   /// mutate their buffers and Compose results while holding buffer_mu(),
   /// then emit after releasing it — buffer locks are leaf locks and are
   /// never held across Emit (see EventNode locking discipline).
-  void EmitAll(std::vector<Occurrence>& batch, ParamContext context) {
-    for (Occurrence& occ : batch) Emit(occ, context);
+  void EmitAll(const Detections& batch, ParamContext context) {
+    for (const OccurrenceRef& occ : batch) Emit(occ, context);
   }
 
   std::vector<EventNode*> children_;
@@ -65,7 +82,7 @@ class OperatorNode : public EventNode {
 class OrNode : public OperatorNode {
  public:
   OrNode(std::string name, EventNode* left, EventNode* right);
-  void Receive(int port, const Occurrence& occurrence,
+  void Receive(int port, const OccurrenceRef& occurrence,
                ParamContext context) override;
 };
 
@@ -73,7 +90,7 @@ class OrNode : public OperatorNode {
 class AndNode : public OperatorNode {
  public:
   AndNode(std::string name, EventNode* left, EventNode* right);
-  void Receive(int port, const Occurrence& occurrence,
+  void Receive(int port, const OccurrenceRef& occurrence,
                ParamContext context) override;
   void FlushTxn(TxnId txn) override;
   void FlushAll() override;
@@ -81,7 +98,7 @@ class AndNode : public OperatorNode {
 
  private:
   struct State {
-    std::deque<Occurrence> side[2];
+    std::deque<OccurrenceRef> side[2];
   };
   std::array<State, kNumContexts> state_;
 };
@@ -90,7 +107,7 @@ class AndNode : public OperatorNode {
 class SeqNode : public OperatorNode {
  public:
   SeqNode(std::string name, EventNode* left, EventNode* right);
-  void Receive(int port, const Occurrence& occurrence,
+  void Receive(int port, const OccurrenceRef& occurrence,
                ParamContext context) override;
   void FlushTxn(TxnId txn) override;
   void FlushAll() override;
@@ -98,7 +115,7 @@ class SeqNode : public OperatorNode {
 
  private:
   struct State {
-    std::deque<Occurrence> initiators;
+    std::deque<OccurrenceRef> initiators;
   };
   std::array<State, kNumContexts> state_;
 };
@@ -109,7 +126,7 @@ class NotNode : public OperatorNode {
  public:
   NotNode(std::string name, EventNode* opener, EventNode* canceller,
           EventNode* closer);
-  void Receive(int port, const Occurrence& occurrence,
+  void Receive(int port, const OccurrenceRef& occurrence,
                ParamContext context) override;
   void FlushTxn(TxnId txn) override;
   void FlushAll() override;
@@ -117,7 +134,7 @@ class NotNode : public OperatorNode {
 
  private:
   struct State {
-    std::deque<Occurrence> initiators;
+    std::deque<OccurrenceRef> initiators;
   };
   std::array<State, kNumContexts> state_;
 };
@@ -128,7 +145,7 @@ class AperiodicNode : public OperatorNode {
  public:
   AperiodicNode(std::string name, EventNode* opener, EventNode* detector,
                 EventNode* closer);
-  void Receive(int port, const Occurrence& occurrence,
+  void Receive(int port, const OccurrenceRef& occurrence,
                ParamContext context) override;
   void FlushTxn(TxnId txn) override;
   void FlushAll() override;
@@ -136,7 +153,7 @@ class AperiodicNode : public OperatorNode {
 
  private:
   struct State {
-    std::deque<Occurrence> openers;
+    std::deque<OccurrenceRef> openers;
   };
   std::array<State, kNumContexts> state_;
 };
@@ -150,7 +167,7 @@ class AperiodicStarNode : public OperatorNode {
  public:
   AperiodicStarNode(std::string name, EventNode* opener, EventNode* detector,
                     EventNode* closer);
-  void Receive(int port, const Occurrence& occurrence,
+  void Receive(int port, const OccurrenceRef& occurrence,
                ParamContext context) override;
   void FlushTxn(TxnId txn) override;
   void FlushAll() override;
@@ -158,8 +175,8 @@ class AperiodicStarNode : public OperatorNode {
 
  private:
   struct State {
-    std::deque<Occurrence> openers;
-    std::deque<Occurrence> accumulated;
+    std::deque<OccurrenceRef> openers;
+    std::deque<OccurrenceRef> accumulated;
   };
   std::array<State, kNumContexts> state_;
 };
@@ -178,7 +195,7 @@ class AnyNode : public OperatorNode {
  public:
   AnyNode(std::string name, std::size_t threshold,
           std::vector<EventNode*> children);
-  void Receive(int port, const Occurrence& occurrence,
+  void Receive(int port, const OccurrenceRef& occurrence,
                ParamContext context) override;
   void FlushTxn(TxnId txn) override;
   void FlushAll() override;
@@ -188,7 +205,7 @@ class AnyNode : public OperatorNode {
 
  private:
   struct State {
-    std::vector<std::deque<Occurrence>> ports;
+    std::vector<std::deque<OccurrenceRef>> ports;
   };
   std::size_t threshold_;
   std::array<State, kNumContexts> state_;
@@ -200,7 +217,7 @@ class PlusNode : public OperatorNode {
  public:
   PlusNode(std::string name, EventNode* base, std::uint64_t delta_ms,
            LogicalClock* clock);
-  void Receive(int port, const Occurrence& occurrence,
+  void Receive(int port, const OccurrenceRef& occurrence,
                ParamContext context) override;
   void OnTimeAdvance(std::uint64_t now_ms) override;
   void FlushTxn(TxnId txn) override;
@@ -212,7 +229,7 @@ class PlusNode : public OperatorNode {
  private:
   struct Pending {
     std::uint64_t deadline_ms;
-    Occurrence base;
+    OccurrenceRef base;
   };
   struct State {
     std::deque<Pending> pending;
@@ -227,7 +244,7 @@ class PeriodicNode : public OperatorNode {
  public:
   PeriodicNode(std::string name, EventNode* opener, std::uint64_t period_ms,
                EventNode* closer, LogicalClock* clock);
-  void Receive(int port, const Occurrence& occurrence,
+  void Receive(int port, const OccurrenceRef& occurrence,
                ParamContext context) override;
   void OnTimeAdvance(std::uint64_t now_ms) override;
   void FlushTxn(TxnId txn) override;
@@ -239,7 +256,7 @@ class PeriodicNode : public OperatorNode {
  protected:
   struct Schedule {
     std::uint64_t next_ms;
-    Occurrence opener;
+    OccurrenceRef opener;
     std::uint64_t ticks = 0;
     // P*: timestamps of elapsed periods, reported once at close.
     std::vector<std::uint64_t> tick_times;
@@ -251,10 +268,10 @@ class PeriodicNode : public OperatorNode {
   /// Hook for P*: called per elapsed period; detections are appended to
   /// `out` (the caller emits them after releasing the buffer lock).
   virtual void OnTick(Schedule* schedule, std::uint64_t tick_ms,
-                      std::vector<Occurrence>* out);
+                      Detections* out);
   /// Hook for P*: called when E3 closes `schedule`; same collection rule.
   virtual void OnClose(Schedule* schedule, const Occurrence& closer,
-                       std::vector<Occurrence>* out);
+                       Detections* out);
 
   std::uint64_t period_ms_;
   LogicalClock* clock_;
@@ -270,9 +287,9 @@ class PeriodicStarNode : public PeriodicNode {
 
  protected:
   void OnTick(Schedule* schedule, std::uint64_t tick_ms,
-              std::vector<Occurrence>* out) override;
+              Detections* out) override;
   void OnClose(Schedule* schedule, const Occurrence& closer,
-               std::vector<Occurrence>* out) override;
+               Detections* out) override;
 };
 
 }  // namespace sentinel::detector

@@ -87,22 +87,20 @@ class EventBusServer::PushSink : public detector::EventSink {
     if (context != context_) return;
     std::shared_ptr<Session> session = session_.lock();
     if (session == nullptr) return;
-    EventPushMsg msg;
-    msg.event = event_;
-    msg.occurrence = occurrence;
+    TraceContext trace;
     // Trace/origin context of the detection: the trace of the newest traced
     // constituent, and the newest origin stamp (a composite's e2e latency is
     // measured from its completing — most recent — constituent).
     for (const auto& constituent : occurrence.constituents) {
-      if (constituent->trace_id != 0) msg.trace.trace_id = constituent->trace_id;
-      if (constituent->origin_ns > msg.trace.origin_ns) {
-        msg.trace.origin_ns = constituent->origin_ns;
+      if (constituent->trace_id != 0) trace.trace_id = constituent->trace_id;
+      if (constituent->origin_ns > trace.origin_ns) {
+        trace.origin_ns = constituent->origin_ns;
       }
     }
-    if (msg.trace.has_origin()) {
+    if (trace.has_origin()) {
       const std::uint64_t now = WallNs();
-      if (now > msg.trace.origin_ns) {
-        server_->e2e_detect_ns_.Record(now - msg.trace.origin_ns);
+      if (now > trace.origin_ns) {
+        server_->e2e_detect_ns_.Record(now - trace.origin_ns);
       }
     }
     // Push-encode span: runs inside the ged_forward / composite_detect
@@ -114,15 +112,15 @@ class EventBusServer::PushSink : public detector::EventSink {
         st != nullptr && st->enabled_for(obs::SpanKind::kNetFrameEncode)) {
       encode_span.Start(st, obs::SpanKind::kNetFrameEncode, occurrence.txn,
                         "push " + event_);
-      if (msg.trace.trace_id != 0) {
-        encode_span.AnnotateRemote(msg.trace.trace_id, 0);
+      if (trace.trace_id != 0) {
+        encode_span.AnnotateRemote(trace.trace_id, 0);
       }
-      msg.trace.parent_span = encode_span.id();
+      trace.parent_span = encode_span.id();
     }
-    std::string frame = msg.Encode();
+    std::string frame = EventPushMsg::Encode(event_, occurrence, trace);
     encode_span.End();
     server_->EnqueueFrame(session, std::move(frame), /*is_push=*/true,
-                          msg.trace.trace_id, msg.trace.parent_span);
+                          trace.trace_id, trace.parent_span);
   }
 
  private:

@@ -349,6 +349,12 @@ Result<detector::PrimitiveOccurrence> DecodeOccurrence(BytesReader* in) {
 }
 
 std::string EventPushMsg::Encode() const {
+  return Encode(event, occurrence, trace);
+}
+
+std::string EventPushMsg::Encode(const std::string& event,
+                                 const detector::Occurrence& occurrence,
+                                 const TraceContext& trace) {
   BytesWriter w;
   w.PutString(event);
   w.PutString(occurrence.event_name);

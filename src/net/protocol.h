@@ -204,6 +204,11 @@ struct EventPushMsg {
   TraceContext trace;
 
   std::string Encode() const;
+  /// The same frame, encoded straight from a detection the caller holds, so
+  /// a push sink need not copy the occurrence into a message first.
+  static std::string Encode(const std::string& event,
+                            const detector::Occurrence& occurrence,
+                            const TraceContext& trace);
   static Result<EventPushMsg> Decode(BytesReader* in,
                                      std::uint16_t flags = 0);
 };

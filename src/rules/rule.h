@@ -142,7 +142,12 @@ class Rule : public detector::EventSink {
   obs::RuleMetrics& RecordingMetrics();
 
   /// EventSink: filters by context, enabled flag and trigger mode, then
-  /// hands the firing to the rule manager.
+  /// hands the detection's handle to the rule manager, whose firing shares
+  /// it with every other rule the detection triggers.
+  void OnDetection(const detector::OccurrenceRef& occurrence,
+                   detector::ParamContext context) override;
+  /// A delivery from outside the event graph: the occurrence is copied
+  /// into a handle of its own.
   void OnEvent(const detector::Occurrence& occurrence,
                detector::ParamContext context) override;
 

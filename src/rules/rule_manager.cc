@@ -1,6 +1,7 @@
 #include "rules/rule_manager.h"
 
 #include "common/logging.h"
+#include "common/pool.h"
 #include "obs/span.h"
 
 namespace sentinel::rules {
@@ -61,9 +62,15 @@ obs::RuleMetrics& Rule::RecordingMetrics() {
 
 void Rule::OnEvent(const detector::Occurrence& occurrence,
                    detector::ParamContext context) {
+  OnDetection(common::MakePooled<detector::Occurrence>(occurrence), context);
+}
+
+void Rule::OnDetection(const detector::OccurrenceRef& occurrence,
+                       detector::ParamContext context) {
   if (context != context_) return;  // detections in other rules' contexts
   if (!enabled()) return;
-  if (trigger_mode_ == TriggerMode::kNow && occurrence.t_start <= defined_at_) {
+  if (trigger_mode_ == TriggerMode::kNow &&
+      occurrence->t_start <= defined_at_) {
     // NOW: only constituent events from the definition instant onward are
     // acceptable (paper §3.1) — an occurrence whose interval starts earlier
     // contains pre-definition constituents.
@@ -379,13 +386,14 @@ Result<Rule*> RuleManager::DefineRuleWithPriorityClass(
                     options);
 }
 
-void RuleManager::Trigger(Rule* rule, const detector::Occurrence& occurrence,
+void RuleManager::Trigger(Rule* rule,
+                          const detector::OccurrenceRef& occurrence,
                           detector::ParamContext context) {
   Firing firing;
   firing.rule = rule;
   firing.occurrence = occurrence;
   firing.context = context;
-  firing.txn = occurrence.txn;
+  firing.txn = occurrence->txn;
 
   // Nested triggering: when the signalling happened inside a rule's action,
   // inherit its subtransaction, depth, and priority path (depth-first
@@ -393,7 +401,6 @@ void RuleManager::Trigger(Rule* rule, const detector::Occurrence& occurrence,
   const RuleScheduler::Frame* frame = RuleScheduler::CurrentFrame();
   if (frame != nullptr) {
     firing.parent_subtxn = frame->subtxn;
-    firing.priority_path.reserve(frame->priority_path.size() + 1);
     firing.priority_path = frame->priority_path;
     firing.depth = frame->depth + 1;
     if (firing.txn == storage::kInvalidTxnId) firing.txn = frame->txn;

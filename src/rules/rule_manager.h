@@ -105,9 +105,10 @@ class RuleManager {
                                             RuleOptions options,
                                             const std::string& priority_class);
 
-  /// Called by Rule::OnEvent when a rule triggers; builds the Firing (with
-  /// nesting-aware priority path) and dispatches per coupling mode.
-  void Trigger(Rule* rule, const detector::Occurrence& occurrence,
+  /// Called by Rule::OnDetection when a rule triggers; builds the Firing
+  /// (holding the detection's handle and a nesting-aware priority path)
+  /// and dispatches per coupling mode.
+  void Trigger(Rule* rule, const detector::OccurrenceRef& occurrence,
                detector::ParamContext context);
 
   RuleScheduler* scheduler() { return scheduler_; }

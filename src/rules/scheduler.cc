@@ -18,7 +18,7 @@ thread_local RuleScheduler::BatchScope* t_batch_scope = nullptr;
 
 /// Lexicographic priority order: larger element wins; a path extending a
 /// prefix wins over the prefix (depth-first).
-bool PathLess(const std::vector<int>& a, const std::vector<int>& b) {
+bool PathLess(const PriorityPath& a, const PriorityPath& b) {
   const std::size_t n = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < n; ++i) {
     if (a[i] != b[i]) return a[i] < b[i];
@@ -88,19 +88,9 @@ void RuleScheduler::EnqueueBatch(std::vector<Firing> firings) {
 }
 
 void RuleScheduler::EnqueueDetached(Firing firing) {
-  // A detached firing outlives the Notify call that raised it, but its
-  // constituent occurrences may reference caller-owned parameter lists that
-  // are only guaranteed to live for the duration of that call. Pin them by
-  // deep-copying every constituent (and its ParamList) onto fresh
-  // heap-owned storage before the firing crosses onto the detached queue.
-  for (auto& constituent : firing.occurrence.constituents) {
-    if (constituent == nullptr) continue;
-    auto copy = std::make_shared<detector::PrimitiveOccurrence>(*constituent);
-    if (copy->params != nullptr) {
-      copy->params = std::make_shared<detector::ParamList>(*copy->params);
-    }
-    constituent = std::move(copy);
-  }
+  // The firing outlives the Notify call that raised it. Its occurrence
+  // handle keeps the detection, its constituents and their parameter lists
+  // alive until the detached worker is done with it.
   {
     std::lock_guard<std::mutex> lock(detached_mu_);
     detached_pending_.push_back(std::move(firing));
@@ -257,7 +247,7 @@ bool RuleScheduler::Execute(Firing firing) {
   obs::RuleMetrics& metrics = rule->RecordingMetrics();
 
   RuleContext ctx;
-  ctx.occurrence = &firing.occurrence;
+  ctx.occurrence = firing.occurrence.get();
   ctx.context = firing.context;
   ctx.txn = firing.txn;
   ctx.db = db_;

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/inline_vector.h"
 #include "common/status.h"
 #include "rules/rule.h"
 #include "rules/thread_pool.h"
@@ -46,18 +47,24 @@ enum class ContingencyPolicy : std::uint8_t {
 
 const char* ContingencyPolicyToString(ContingencyPolicy policy);
 
+/// A firing's effective priority: the triggering rule's path extended with
+/// this rule's priority class. Paths as deep as nesting usually goes are
+/// kept in place.
+using PriorityPath = common::InlineVector<int, 6>;
+
 /// A triggered rule waiting to execute.
 struct Firing {
   Rule* rule = nullptr;
-  detector::Occurrence occurrence;
+  /// The triggering detection, shared with every other rule it triggered;
+  /// it owns everything the firing reads, so a detached firing needs no
+  /// copy of it. Null only for firings built outside the rule manager.
+  detector::OccurrenceRef occurrence;
   detector::ParamContext context = detector::ParamContext::kRecent;
   storage::TxnId txn = storage::kInvalidTxnId;
   txn::SubTxnId parent_subtxn = txn::kInvalidSubTxn;
-  /// Effective priority: the triggering rule's path extended with this
-  /// rule's priority class. Lexicographically larger = runs earlier; a
-  /// longer path extending a prefix runs earlier (depth-first nested
-  /// execution, §3.2.3).
-  std::vector<int> priority_path;
+  /// Lexicographically larger = runs earlier; a longer path extending a
+  /// prefix runs earlier (depth-first nested execution, §3.2.3).
+  PriorityPath priority_path;
   int depth = 1;
   /// Span id of the composite_detect (or notify) span live when the rule
   /// triggered; the firing's subtxn span parents under it so the causal
@@ -141,7 +148,7 @@ class RuleScheduler {
     storage::TxnId txn = storage::kInvalidTxnId;
     txn::SubTxnId subtxn = txn::kInvalidSubTxn;
     /// Borrowed from the executing firing, which outlives the frame.
-    const std::vector<int>& priority_path;
+    const PriorityPath& priority_path;
     int depth = 0;
   };
   static const Frame* CurrentFrame();
@@ -225,7 +232,9 @@ class RuleScheduler {
   PostmortemHook postmortem_hook_;  // guarded by mu_
 
   std::mutex mu_;
-  std::deque<Firing> pending_;
+  // A vector, not a deque: PopBatch closes the queue up in place, so its
+  // storage is reused from one notification to the next.
+  std::vector<Firing> pending_;
   // Mirrors pending_.size(); lets Drain() return without locking when no
   // rule fired (the common case on the Notify hot path, which calls Drain
   // after every notification).

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/clock.h"
+#include "common/crc32.h"
+#include "common/inline_vector.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -160,6 +165,83 @@ TEST(ClockTest, ConcurrentTicksAreUnique) {
   std::sort(all.begin(), all.end());
   EXPECT_EQ(std::unique(all.begin(), all.end()), all.end());
   EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads * kTicks));
+}
+
+// The CRC-32/IEEE check value.
+TEST(Crc32Test, CheckValue) {
+  const char kInput[] = "123456789";
+  EXPECT_EQ(Crc32(kInput, 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(kInput, 0), 0u);
+}
+
+std::uint32_t BytewiseCrc32(const std::uint8_t* data, std::size_t size,
+                            std::uint32_t seed) {
+  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// Slicing-by-8 gives the bytewise result at every length and start
+// alignment, and chaining through `seed` is the same as one call over the
+// whole buffer, so existing WAL, event-log and frame bytes stay valid.
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryAlignment) {
+  std::mt19937 rng(7);
+  std::vector<std::uint8_t> buffer(4096 + 8);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng());
+  for (int trial = 0; trial < 64; ++trial) {
+    const std::size_t size = rng() % 4097;
+    const std::size_t split = size == 0 ? 0 : rng() % (size + 1);
+    for (std::size_t align = 0; align < 8; ++align) {
+      const std::uint8_t* p = buffer.data() + align;
+      const std::uint32_t want = BytewiseCrc32(p, size, 0);
+      ASSERT_EQ(Crc32(p, size), want) << "size " << size << " align " << align;
+      EXPECT_EQ(Crc32(p + split, size - split, Crc32(p, split)), want)
+          << "size " << size << " split " << split << " align " << align;
+      EXPECT_EQ(Crc32(p, size, 0x12345678u), BytewiseCrc32(p, size, 0x12345678u));
+    }
+  }
+}
+
+TEST(InlineVectorTest, SpillsPastInlineCapacityAndKeepsOrder) {
+  common::InlineVector<std::shared_ptr<int>, 2> v;
+  for (int i = 0; i < 5; ++i) v.push_back(std::make_shared<int>(i));
+  ASSERT_EQ(v.size(), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(*v[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(*v.back(), 4);
+  EXPECT_EQ(*v.rbegin()[0], 4);
+
+  auto copy = v;
+  auto moved = std::move(v);
+  EXPECT_TRUE(v.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copy.size(), 5u);
+  EXPECT_EQ(*moved[2], 2);
+  EXPECT_EQ(copy[2].use_count(), 2);
+
+  moved.clear();
+  EXPECT_TRUE(moved.empty());
+  EXPECT_EQ(copy[2].use_count(), 1);  // clear released what it held
+  moved.push_back(std::make_shared<int>(9));
+  EXPECT_EQ(*moved.front(), 9);
+}
+
+TEST(InlineVectorTest, ComparesAndAssignsFromAList) {
+  common::InlineVector<int, 3> path = {5, 3};
+  common::InlineVector<int, 3> other = path;
+  other.push_back(1);
+  EXPECT_FALSE(path == other);
+  path.push_back(1);
+  EXPECT_TRUE(path == other);
+  path.push_back(7);  // spills
+  other = {5, 3, 1, 7};
+  EXPECT_TRUE(path == other);
+  other = {4};
+  EXPECT_EQ(other.size(), 1u);
+  EXPECT_EQ(other[0], 4);
 }
 
 }  // namespace

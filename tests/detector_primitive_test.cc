@@ -89,6 +89,40 @@ TEST_F(PrimitiveDetectionTest, InstanceLevelEventFiltersOnOid) {
   EXPECT_EQ(instance_sink.hits[0].occurrence.constituents[0]->oid, 42u);
 }
 
+// The first matching node labels the raw notification in place; a second
+// node must not relabel what the first node's detection already holds.
+TEST_F(PrimitiveDetectionTest, NotificationMatchingTwoNodesKeepsEachLabel) {
+  ASSERT_TRUE(det_.DefinePrimitive("any_stk_price", "Stock",
+                                   EventModifier::kEnd,
+                                   "void set_price(float price)")
+                  .ok());
+  ASSERT_TRUE(det_.DefinePrimitive("set_IBM_price", "Stock",
+                                   EventModifier::kEnd,
+                                   "void set_price(float price)",
+                                   /*instance=*/42)
+                  .ok());
+  RecordingSink class_sink, instance_sink;
+  ASSERT_TRUE(
+      det_.Subscribe("any_stk_price", &class_sink, ParamContext::kRecent).ok());
+  ASSERT_TRUE(
+      det_.Subscribe("set_IBM_price", &instance_sink, ParamContext::kRecent)
+          .ok());
+
+  Fire(&det_, "Stock", "void set_price(float price)", 7, 1, /*oid=*/42);
+
+  ASSERT_EQ(class_sink.hits.size(), 1u);
+  ASSERT_EQ(instance_sink.hits.size(), 1u);
+  const Occurrence& by_class = class_sink.hits[0].occurrence;
+  const Occurrence& by_instance = instance_sink.hits[0].occurrence;
+  EXPECT_EQ(by_class.constituents[0]->event_name, "any_stk_price");
+  EXPECT_EQ(by_instance.constituents[0]->event_name, "set_IBM_price");
+  EXPECT_EQ(by_class.Of("any_stk_price").size(), 1u);
+  EXPECT_EQ(by_instance.Of("set_IBM_price").size(), 1u);
+  // Both labels share the notification's one parameter list.
+  EXPECT_EQ(by_class.constituents[0]->params,
+            by_instance.constituents[0]->params);
+}
+
 TEST_F(PrimitiveDetectionTest, ClassLevelEventAppliesToSubclasses) {
   oodb::ClassRegistry registry;
   ASSERT_TRUE(registry.Register(oodb::ClassDef("Stock", "")).ok());

@@ -353,9 +353,9 @@ TEST_F(RulesTest, DeleteWithQueuedFiringIsSafe) {
   auto rule = manager_.DefineRule("r1", "e1", nullptr,
                                   [&](const RuleContext&) { ++actions; });
   ASSERT_TRUE(rule.ok());
-  detector::Occurrence occ;
-  occ.event_name = "e1";
-  occ.t_start = occ.t_end = 1;
+  auto occ = std::make_shared<detector::Occurrence>();
+  occ->event_name = "e1";
+  occ->t_start = occ->t_end = 1;
   manager_.Trigger(*rule, occ, detector::ParamContext::kRecent);  // queued
   ASSERT_TRUE(manager_.DeleteRule("r1").ok());
   scheduler_.Drain();
